@@ -12,16 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import base_names, bundle_names
+from .connection import base_names, bundle_names, transformed_three_index
 from .errors import NotFlat
 from .fields import (
     FD_STEP_NESTED,
+    FrameField,
     anholonomy,
     as_scalar_field,
     fd_array_partial,
     fd_partial,
 )
-from .transport import PathSpec, fundamental_solution_with_residual
+from .transport import PathSpec, fundamental_solution
 
 
 class SectionField:
@@ -170,6 +171,21 @@ def curvature_general_frame(g3, base_frame, x, h=None):
     return CurvatureValues(Rmn.transpose(2, 3, 0, 1))
 
 
+def curvature_law(g3, change, x, h=None):
+    """Both sides of the curvature law for a frame change (Bb, Bf):
+    (the sandwich inv(Bf) R_(lam rho) Bf Bb[lam, mu] Bb[rho, nu] of the old
+    curvature, the curvature of the transformed coefficients computed
+    directly in the changed base frame)."""
+    direct = curvature_general_frame(
+        transformed_three_index(g3, change, h=h), FrameField(change.base),
+        x, h).R
+    R = curvature(g3, x, h).R
+    Bb, Bf = change.base_at(x), change.fibre_at(x)
+    predicted = np.einsum("ac,cdlr,db,lm,rn->abmn",
+                          np.linalg.inv(Bf), R, Bf, Bb, Bb)
+    return predicted, direct
+
+
 def fibre_curvature_general(g2, frame, p, h=None):
     """Fibre curvature components and frame data for a general connection
     in a frame on the total space whose fibre block spans the vertical
@@ -288,8 +304,7 @@ def flat_fundamental_matrix(g3, x0, x1, tol=1e-6, steps_per_leg=256):
             if np.array_equal(a, b):
                 continue
             leg = PathSpec.from_points([a, b], steps=steps_per_leg)
-            Wleg, _ = fundamental_solution_with_residual(g3, leg)
-            W = Wleg @ W
+            W = fundamental_solution(g3, leg) @ W
         return W
 
     WA = integrate(range(g3.n))

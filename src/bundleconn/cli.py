@@ -25,6 +25,7 @@ from .calculus import (
     covariant_derivative,
     curvature,
     curvature_general_frame,
+    curvature_law,
     fibre_curvature_general,
     flat_fundamental_matrix,
     is_flat,
@@ -38,9 +39,9 @@ from .connection import (
     TwoIndexField,
     base_names,
     bundle_region,
+    three_index_round_trip,
     transform_inhomogeneous,
-    transform_three_index,
-    transform_two_index,
+    two_index_round_trip,
 )
 from .errors import (
     ConfigError,
@@ -54,12 +55,8 @@ from .fields import (
     FrameField,
     MatrixField,
     Region,
-    anholonomy,
-    as_scalar_field,
-    compose_frame,
-    lie_gamma,
-    transform_anholonomy,
-    transform_lie_gamma,
+    anholonomy_law,
+    lie_gamma_law,
 )
 from .morphism import (
     BundleMorphism,
@@ -174,6 +171,14 @@ def _float_list(value, length, what):
             or not all(_is_number(v) for v in value)):
         raise ConfigError(f"{what} must be a list of {length} numbers")
     return tuple(float(v) for v in value)
+
+
+def _square_rows(rows, size, what):
+    if (not isinstance(rows, list) or len(rows) != size
+            or not all(isinstance(row, list) and len(row) == size
+                       for row in rows)):
+        raise ConfigError(f"{what} must be {size} rows of {size} entries")
+    return rows
 
 
 def _build(fn, *args, **kwargs):
@@ -370,19 +375,27 @@ class Problem:
                         "an object with base and fibre expression rows")
         if not isinstance(spec, dict):
             raise ConfigError("frame_change must be an object")
-        base_rows = _require(spec, "base", "n x n expression rows")
-        fibre_rows = _require(spec, "fibre", "r x r expression rows")
+        base_rows = _square_rows(
+            _require(spec, "base", "n x n expression rows"), self.n,
+            "frame_change.base")
+        fibre_rows = _square_rows(
+            _require(spec, "fibre", "r x r expression rows"), self.r,
+            "frame_change.fibre")
         return _build(FrameChange.from_exprs, base_rows, fibre_rows, self.n,
+                      self.region)
+
+    def frame(self, key):
+        """The base frame given as n x n expression rows under key, or
+        None when the config has no such key."""
+        if key not in self.cfg:
+            return None
+        rows = _square_rows(self.cfg[key], self.n, key)
+        return _build(FrameField.from_exprs, rows, base_names(self.n),
                       self.region)
 
     def effective(self):
         return {"steps": self.steps, "fd_step": self.fd_step,
                 "tol": self.tol, "samples": self.samples}
-
-
-def _inverse_matrix_field(field, dim, n):
-    return MatrixField.from_callable(
-        lambda *x, M=field: np.linalg.inv(M(x)), (dim, dim), base_names(n))
 
 
 def _payload(command, prob, result, diagnostics):
@@ -484,9 +497,8 @@ def cmd_curvature(args):
         diagnostics = {"max_abs": {"value": worst, "eq": "4.27"}}
         return _payload("curvature", prob, result, diagnostics), 0
     x = prob.base_point()
-    if "base_frame" in cfg:
-        frame = _build(FrameField.from_exprs, cfg["base_frame"],
-                       base_names(prob.n), prob.region)
+    frame = prob.frame("base_frame")
+    if frame is not None:
         R = curvature_general_frame(g3, frame, x, prob.fd_step).R
         eq = "6.40"
     else:
@@ -553,85 +565,49 @@ def cmd_covd(args):
     return _payload("covd", prob, result, diagnostics), 0
 
 
-def _law_three_index(prob, fc, fc_inv):
+def _law_three_index(prob, fc):
     g3 = prob.need_g3("the three-index law")
     x = prob.base_point()
-    eq = "4.25"
-    base_frame = None
-    if "base_frame" in prob.cfg:
-        base_frame = _build(FrameField.from_exprs, prob.cfg["base_frame"],
-                            base_names(prob.n), prob.region)
-        eq = "6.33"
-    forward = transform_three_index(g3, fc, x, base_frame=base_frame,
-                                    h=prob.fd_step)
-    if base_frame is not None:
-        # round trip back along the composed frame
-        composed = compose_frame(base_frame, fc.base)
-    else:
-        composed = FrameField(fc.base)
-    g3t = CoefficientField3.from_callable(
-        lambda *xx: transform_three_index(g3, fc, xx, base_frame=base_frame,
-                                          h=prob.fd_step),
-        prob.n, prob.r, prob.region)
-    back = transform_three_index(g3t, fc_inv, x, base_frame=composed,
-                                 h=prob.fd_step)
-    original = g3(x)
-    return eq, forward, back, original
+    base_frame = prob.frame("base_frame")
+    forward, back = three_index_round_trip(g3, fc, x, base_frame,
+                                           prob.fd_step)
+    return ("4.25" if base_frame is None else "6.33"), (forward, back, g3(x))
 
 
-def _law_two_index(prob, fc, fc_inv):
+def _law_two_index(prob, fc):
     p = prob.bundle_point()
-    coords = [f"x{i + 1}" for i in range(prob.n)]
-    change = CoordinateChange.vector_bundle(coords, fc.fibre, prob.n, prob.r)
-    change_inv = CoordinateChange.vector_bundle(coords, fc_inv.fibre,
-                                                prob.n, prob.r)
-    forward = transform_two_index(prob.g2, change, p)
-    g2t = TwoIndexField.from_callable(
-        lambda *pt: transform_two_index(prob.g2, change,
-                                        change_inv.apply(pt)),
-        prob.n, prob.r)
-    back = transform_two_index(g2t, change_inv, change.apply(p))
-    return "3.22", forward, back, prob.g2(p)
+    change, change_inv = (
+        CoordinateChange.vector_bundle(base_names(prob.n), fibre, prob.n,
+                                       prob.r)
+        for fibre in (fc.fibre, fc.inverse().fibre))
+    forward, back = two_index_round_trip(prob.g2, change, change_inv, p)
+    return "3.22", (forward, back, prob.g2(p))
 
 
-def _law_inhomogeneous(prob, fc, fc_inv):
+def _law_inhomogeneous(prob, fc):
     if prob.aff is None:
         raise ConfigError("the inhomogeneous-term law needs an affine "
                           "connection")
     x = prob.base_point()
     forward = transform_inhomogeneous(prob.aff.inhom, fc, x)
-    back = transform_inhomogeneous(forward, fc_inv, x)
-    return "4.63", forward, back, prob.aff.inhom(x)
+    back = transform_inhomogeneous(forward, fc.inverse(), x)
+    return "4.63", (forward, back, prob.aff.inhom(x))
 
 
 def _law_curvature(prob, fc):
     g3 = prob.need_g3("the curvature law")
-    x = prob.base_point()
-    g3t = CoefficientField3.from_callable(
-        lambda *xx: transform_three_index(g3, fc, xx, h=prob.fd_step),
-        prob.n, prob.r, prob.region)
-    direct = curvature_general_frame(g3t, FrameField(fc.base), x,
-                                     prob.fd_step).R
-    R = curvature(g3, x, prob.fd_step).R
-    Bb, Bf = fc.base_at(x), fc.fibre_at(x)
-    predicted = np.einsum("ac,cdlr,db,lm,rn->abmn",
-                          np.linalg.inv(Bf), R, Bf, Bb, Bb)
-    return "4.28", predicted, direct
+    return "4.28", curvature_law(g3, fc, prob.base_point(), prob.fd_step)
 
 
 def _config_frame(prob):
-    if "frame" in prob.cfg:
-        return _build(FrameField.from_exprs, prob.cfg["frame"],
-                      base_names(prob.n), prob.region)
-    return FrameField.identity(prob.n, base_names(prob.n), prob.region)
+    return (prob.frame("frame")
+            or FrameField.identity(prob.n, base_names(prob.n), prob.region))
 
 
 def _law_anholonomy(prob, fc):
     x = prob.base_point()
-    frame = _config_frame(prob)
-    predicted = transform_anholonomy(frame, fc.base, x, prob.fd_step)
-    direct = anholonomy(compose_frame(frame, fc.base), x, prob.fd_step)
-    return "2.7-1", predicted, direct
+    return "2.7-1", anholonomy_law(_config_frame(prob), fc.base, x,
+                                   prob.fd_step)
 
 
 def _law_lie(prob, fc):
@@ -641,68 +617,39 @@ def _law_lie(prob, fc):
                      "n components in the chosen frame")
     if not isinstance(comps, list) or len(comps) != prob.n:
         raise ConfigError(f"vector_field must list {prob.n} components")
-    names = base_names(prob.n)
-    fields = [as_scalar_field(c, names, prob.region) for c in comps]
-    predicted = transform_lie_gamma(frame, fc.base, comps, x, prob.fd_step)
+    return "2.7-3", lie_gamma_law(frame, fc.base, comps, x, prob.fd_step)
 
-    def tilde(a):
-        def fn(*xx):
-            vals = np.array([c(xx) for c in fields])
-            return float(np.linalg.solve(fc.base(xx), vals)[a])
-        return fn
 
-    direct = lie_gamma(compose_frame(frame, fc.base),
-                       [tilde(a) for a in range(prob.n)], x, prob.fd_step)
-    return "2.7-3", predicted, direct
+# the result keys of the two kinds of law, and the diagnostic comparing the
+# last two values
+_ROUND_TRIP = ("round_trip_error", ("transformed", "round_trip", "original"))
+_BOTH_SIDES = ("agreement", ("predicted", "direct"))
+
+FRAME_LAWS = {
+    "three-index": (_law_three_index, _ROUND_TRIP),
+    "two-index": (_law_two_index, _ROUND_TRIP),
+    "inhomogeneous": (_law_inhomogeneous, _ROUND_TRIP),
+    "curvature": (_law_curvature, _BOTH_SIDES),
+    "anholonomy": (_law_anholonomy, _BOTH_SIDES),
+    "lie": (_law_lie, _BOTH_SIDES),
+}
 
 
 def cmd_frames(args):
     prob = Problem(load_config(args.config), args)
-    law = _require(prob.cfg, "law",
-                   "one of three-index, two-index, inhomogeneous, "
-                   "curvature, anholonomy, lie")
-    fc = prob.frame_change()
-    fc_inv = FrameChange(_inverse_matrix_field(fc.base, prob.n, prob.n),
-                         _inverse_matrix_field(fc.fibre, prob.r, prob.n))
-    if law == "three-index":
-        eq, forward, back, original = _law_three_index(prob, fc, fc_inv)
-    elif law == "two-index":
-        eq, forward, back, original = _law_two_index(prob, fc, fc_inv)
-    elif law == "inhomogeneous":
-        eq, forward, back, original = _law_inhomogeneous(prob, fc, fc_inv)
-    elif law == "curvature":
-        eq, predicted, direct = _law_curvature(prob, fc)
-        result = {"law": law,
-                  "predicted": {"value": predicted, "eq": eq},
-                  "direct": {"value": direct, "eq": eq}}
-        gap = float(np.max(np.abs(predicted - direct)))
-        return _payload("frames", prob, result,
-                        {"agreement": {"value": gap, "eq": eq}}), 0
-    elif law == "anholonomy":
-        eq, predicted, direct = _law_anholonomy(prob, fc)
-        result = {"law": law,
-                  "predicted": {"value": predicted, "eq": eq},
-                  "direct": {"value": direct, "eq": eq}}
-        gap = float(np.max(np.abs(predicted - direct)))
-        return _payload("frames", prob, result,
-                        {"agreement": {"value": gap, "eq": eq}}), 0
-    elif law == "lie":
-        eq, predicted, direct = _law_lie(prob, fc)
-        result = {"law": law,
-                  "predicted": {"value": predicted, "eq": eq},
-                  "direct": {"value": direct, "eq": eq}}
-        gap = float(np.max(np.abs(predicted - direct)))
-        return _payload("frames", prob, result,
-                        {"agreement": {"value": gap, "eq": eq}}), 0
-    else:
-        raise ConfigError(f"unknown law {law!r}")
-    result = {"law": law,
-              "transformed": {"value": forward, "eq": eq},
-              "round_trip": {"value": back, "eq": eq},
-              "original": {"value": original, "eq": eq}}
-    gap = float(np.max(np.abs(np.asarray(back) - np.asarray(original))))
-    diagnostics = {"round_trip_error": {"value": gap, "eq": eq}}
-    return _payload("frames", prob, result, diagnostics), 0
+    law = _require(prob.cfg, "law", "one of " + ", ".join(FRAME_LAWS))
+    if not isinstance(law, str) or law not in FRAME_LAWS:
+        raise ConfigError(f"unknown law {law!r}; expected one of "
+                          + ", ".join(FRAME_LAWS))
+    fn, (diagnostic, keys) = FRAME_LAWS[law]
+    eq, values = fn(prob, prob.frame_change())
+    result = {key: {"value": value, "eq": eq}
+              for key, value in zip(keys, values)}
+    result["law"] = law
+    gap = float(np.max(np.abs(np.asarray(values[-2])
+                              - np.asarray(values[-1]))))
+    return _payload("frames", prob, result,
+                    {diagnostic: {"value": gap, "eq": eq}}), 0
 
 
 def _target_problem(prob, args):

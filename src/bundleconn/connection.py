@@ -16,10 +16,12 @@ import numpy as np
 from .errors import SingularFrame, SingularJacobian
 from .fields import (
     SINGULAR_DET,
+    FrameField,
     MatrixField,
     Region,
     _FieldArray,
     as_scalar_field,
+    compose_frame,
     fd_array_partial,
     fd_partial,
 )
@@ -40,26 +42,28 @@ def bundle_region(base, r):
     return Region(list(base.bounds) + [(-np.inf, np.inf)] * r)
 
 
-class TwoIndexField:
+class TwoIndexField(MatrixField):
     """2-index coefficients G[a, mu](x, u) of a general connection, an
     (r, n) matrix field over the bundle region."""
 
-    def __init__(self, n, r, matrix):
-        if matrix.shape != (r, n):
-            raise ValueError(f"expected shape {(r, n)}, got {matrix.shape}")
-        self.n = n
-        self.r = r
-        self.matrix = matrix
-        self.region = matrix.region
+    @property
+    def n(self):
+        return self.shape[1]
+
+    @property
+    def r(self):
+        return self.shape[0]
 
     @classmethod
     def from_exprs(cls, rows, n, r, region=None):
-        return cls(n, r, MatrixField.from_exprs(rows, bundle_names(n, r), region))
+        field = super().from_exprs(rows, bundle_names(n, r), region)
+        if field.shape != (r, n):
+            raise ValueError(f"expected shape {(r, n)}, got {field.shape}")
+        return field
 
     @classmethod
     def from_callable(cls, fn, n, r, region=None):
-        return cls(n, r, MatrixField.from_callable(fn, (r, n),
-                                                   bundle_names(n, r), region))
+        return super().from_callable(fn, (r, n), bundle_names(n, r), region)
 
     @classmethod
     def zero(cls, n, r, region=None):
@@ -67,49 +71,41 @@ class TwoIndexField:
 
     @classmethod
     def from_linear(cls, g3):
-        matrix = MatrixField.from_callable(
-            lambda *p: two_index_from_linear(g3, p),
-            (g3.r, g3.n), bundle_names(g3.n, g3.r),
-            bundle_region(g3.region, g3.r))
-        return cls(g3.n, g3.r, matrix)
+        return cls.from_callable(lambda *p: two_index_from_linear(g3, p),
+                                 g3.n, g3.r, bundle_region(g3.region, g3.r))
 
     @classmethod
     def from_affine(cls, aff):
         g3 = aff.linear
-        matrix = MatrixField.from_callable(
-            lambda *p: two_index_from_affine(aff, p),
-            (g3.r, g3.n), bundle_names(g3.n, g3.r),
-            bundle_region(g3.region, g3.r))
-        return cls(g3.n, g3.r, matrix)
-
-    def __call__(self, p):
-        return self.matrix(p)
+        return cls.from_callable(lambda *p: two_index_from_affine(aff, p),
+                                 g3.n, g3.r, bundle_region(g3.region, g3.r))
 
 
-class CoefficientField3:
+class CoefficientField3(_FieldArray):
     """3-index coefficients of a linear connection: an (n, r, r) stack
     G3[mu, a, b](x) of fields over the base region only."""
 
-    def __init__(self, n, r, stack):
-        self.n = n
-        self.r = r
-        self._stack = stack
-        self.region = stack.region
-        self.names = stack.names
+    @property
+    def n(self):
+        return self.shape[0]
+
+    @property
+    def r(self):
+        return self.shape[1]
 
     @classmethod
     def from_exprs(cls, stacks, region=None):
         stacks = [[list(row) for row in mat] for mat in stacks]
+        if not stacks:
+            raise ValueError("stacks must list at least one r x r matrix")
         n = len(stacks)
         r = len(stacks[0])
-        names = base_names(n)
-        return cls(n, r, _FieldArray((n, r, r), names, region, entries=stacks))
+        return cls((n, r, r), base_names(n), region, entries=stacks)
 
     @classmethod
     def from_callable(cls, fn, n, r, region=None):
-        array = _FieldArray((n, r, r), base_names(n), region,
-                            array_fn=lambda point: fn(*point))
-        return cls(n, r, array)
+        return cls((n, r, r), base_names(n), region,
+                   array_fn=lambda point: fn(*point))
 
     @classmethod
     def constant(cls, matrices, region=None):
@@ -120,9 +116,6 @@ class CoefficientField3:
     @classmethod
     def zero(cls, n, r, region=None):
         return cls.from_exprs([[["0"] * r] * r] * n, region)
-
-    def __call__(self, x):
-        return self._stack.value(x)
 
 
 class AffineCoefficients:
@@ -181,6 +174,12 @@ class FrameChange:
         if abs(np.linalg.det(out)) < SINGULAR_DET:
             raise SingularFrame(f"singular fibre block at {tuple(x)}")
         return out
+
+    def inverse(self):
+        """The inverse change: both blocks inverted pointwise."""
+        return FrameChange(*(MatrixField.from_callable(
+            lambda *x, M=M: np.linalg.inv(M(x)), M.shape, M.names)
+            for M in (self.base, self.fibre)))
 
 
 class CoordinateChange:
@@ -275,6 +274,36 @@ def transform_three_index(g3, change, x, base_frame=None, h=None):
     core = np.stack([np.linalg.solve(Bf, stack[nu] @ Bf + dBf[nu])
                      for nu in range(g3.n)])
     return np.einsum("nm,nab->mab", Bb, core)
+
+
+def transformed_three_index(g3, change, base_frame=None, h=None):
+    """The 3-index coefficients in the changed frame as a coefficient field
+    of their own (transform_three_index at every point)."""
+    return CoefficientField3.from_callable(
+        lambda *x: transform_three_index(g3, change, x, base_frame, h),
+        g3.n, g3.r, g3.region)
+
+
+def three_index_round_trip(g3, change, x, base_frame=None, h=None):
+    """The 3-index law there and back: (the transformed coefficients at x,
+    those transformed back by the inverse change along the changed base
+    frame), the latter to compare with g3(x)."""
+    g3t = transformed_three_index(g3, change, base_frame, h)
+    changed = (FrameField(change.base) if base_frame is None
+               else compose_frame(base_frame, change.base))
+    return g3t(x), transform_three_index(g3t, change.inverse(), x,
+                                         base_frame=changed, h=h)
+
+
+def two_index_round_trip(g2, change, change_inv, p):
+    """The 2-index law there and back: (the transformed coefficients at
+    the old-coordinate point p, those transformed back by change_inv at
+    the new-coordinate image of p), the latter to compare with g2(p)."""
+    g2t = TwoIndexField.from_callable(
+        lambda *q: transform_two_index(g2, change, change_inv.apply(q)),
+        g2.n, g2.r)
+    return (transform_two_index(g2, change, p),
+            transform_two_index(g2t, change_inv, change.apply(p)))
 
 
 def transform_inhomogeneous(G, change, x):

@@ -137,7 +137,7 @@ class _FieldArray:
             self._template = template
             self._dynamic = dynamic
 
-    def value(self, point):
+    def __call__(self, point):
         if self.region is not None:
             self.region.require(point)
         if self._array_fn is not None:
@@ -160,6 +160,8 @@ class MatrixField(_FieldArray):
     @classmethod
     def from_exprs(cls, rows, names, region=None):
         rows = [list(r) for r in rows]
+        if not rows:
+            raise ValueError("a matrix needs at least one row of entries")
         shape = (len(rows), len(rows[0]))
         if any(len(r) != shape[1] for r in rows):
             raise ValueError("ragged matrix entries")
@@ -174,9 +176,6 @@ class MatrixField(_FieldArray):
     def constant(cls, array, names=(), region=None):
         array = np.asarray(array, dtype=float)
         return cls(array.shape, names, region, entries=array.tolist())
-
-    def __call__(self, point):
-        return self.value(point)
 
 
 class FrameField:
@@ -215,13 +214,11 @@ class FrameField:
 def compose_frame(frame, change):
     """Frame changed by a matrix field: Etilde_mu = B[nu, mu] E_nu, so the
     new frame matrix is E(x) @ B(x)."""
-    matrix = MatrixField.from_callable(
-        lambda *pt: frame(pt) @ change(pt),
-        (frame.dim, frame.dim), frame.names, frame.region)
-    return FrameField(matrix)
+    return FrameField.from_callable(lambda *pt: frame(pt) @ change(pt),
+                                    frame.dim, frame.names, frame.region)
 
 
-class TensorField:
+class TensorField(_FieldArray):
     """Tensor field of type (r, s) over an m-dimensional patch; component
     ScalarFields indexed with the r upper indices first."""
 
@@ -229,13 +226,8 @@ class TensorField:
         self.r = int(r)
         self.s = int(s)
         m = len(tuple(names))
-        shape = (m,) * (self.r + self.s)
-        self._array = _FieldArray(shape, names, region, entries=components)
-        self.names = tuple(names)
-        self.region = region
-
-    def __call__(self, point):
-        return self._array.value(point)
+        super().__init__((m,) * (self.r + self.s), names, region,
+                         entries=components)
 
 
 def fd_partial(f, x, axis, h=None):
@@ -259,21 +251,6 @@ def fd_array_partial(fn, x, axis, h=None):
     xp[axis] += h
     xm[axis] -= h
     return (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
-
-
-def directional_derivative(f, x, vector, h=None):
-    """Central difference of a scalar field along a constant vector, with a
-    step relative to the point and direction scale."""
-    vector = np.asarray(vector, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(np.asarray(x, dtype=float)))))
-    vnorm = float(np.max(np.abs(vector)))
-    if vnorm == 0.0:
-        return 0.0
-    if h is None:
-        h = FD_STEP_FIRST * scale / vnorm
-    xp = np.asarray(x, dtype=float) + h * vector
-    xm = np.asarray(x, dtype=float) - h * vector
-    return (f(xp) - f(xm)) / (2.0 * h)
 
 
 def _frame_partials(frame, x, h=None):
@@ -373,3 +350,25 @@ def transform_lie_gamma(frame, B, X, x, h=None):
     XB = np.tensordot(Xv, dirB, axes=([0], [0]))
     L = lie_gamma(frame, X, x, h)
     return np.linalg.solve(Bv, L @ Bv + XB)
+
+
+def anholonomy_law(frame, B, x, h=None):
+    """Both sides of the anholonomy law for Etilde_mu = B[nu, mu] E_nu:
+    (predicted from the old frame, computed from the changed frame)."""
+    return (transform_anholonomy(frame, B, x, h),
+            anholonomy(compose_frame(frame, B), x, h))
+
+
+def lie_gamma_law(frame, B, X, x, h=None):
+    """Both sides of the Lie-coefficient law for X = X^mu E_mu: (predicted
+    by transform_lie_gamma, computed in the changed frame from the
+    components inv(B) X of the same field)."""
+    comps = [as_scalar_field(c, frame.names, frame.region) for c in X]
+
+    def new_component(a):
+        return lambda *y: float(np.linalg.solve(
+            B(y), np.array([c(y) for c in comps]))[a])
+
+    return (transform_lie_gamma(frame, B, comps, x, h),
+            lie_gamma(compose_frame(frame, B),
+                      [new_component(a) for a in range(frame.dim)], x, h))

@@ -162,7 +162,8 @@ def _check_finite(samples):
 
 def _rk4(rhs, y0, grid):
     """Classical RK4 over the grid; rhs(node_index, y) evaluates the
-    right-hand side at a half-step grid node."""
+    right-hand side at a half-step grid node. Returns the TransportResult
+    with every step-boundary sample."""
     y = np.array(y0, dtype=float)
     samples = np.empty((grid.nsteps + 1,) + y.shape)
     samples[0] = y
@@ -180,7 +181,7 @@ def _rk4(rhs, y0, grid):
         samples[i + 1] = ynew
         y = ynew
     _check_finite(samples)
-    return y, samples, max_res
+    return TransportResult(y, samples, grid.ts, max_res)
 
 
 def _degenerate(y0):
@@ -199,8 +200,7 @@ def transport_general(g2, path, p0):
         point = tuple(grid.pos[k]) + tuple(u)
         return g2(point) @ grid.vel[k]
 
-    final, samples, res = _rk4(rhs, p0, grid)
-    return TransportResult(final, samples, grid.ts, res)
+    return _rk4(rhs, p0, grid)
 
 
 def _linear_rhs_matrices(g3, grid):
@@ -226,28 +226,13 @@ def transport_linear(g3, path, X0):
     grid = _grid(path)
     if grid.nsteps == 0:
         return _degenerate(X0)
-    final, samples, res = _transport_linear_system(g3, grid, X0)
-    return TransportResult(final, samples, grid.ts, res)
+    return _transport_linear_system(g3, grid, X0)
 
 
 def fundamental_solution(g3, path):
     """The r x r fundamental solution W of the linear transport equation
     with W = identity at the path start; transport_linear(X0) = W @ X0."""
-    grid = _grid(path)
-    if grid.nsteps == 0:
-        return np.eye(g3.r)
-    final, _, _ = _transport_linear_system(g3, grid, np.eye(g3.r))
-    return final
-
-
-def fundamental_solution_with_residual(g3, path):
-    """fundamental_solution plus the midpoint-defect diagnostic (used by
-    the flatness certifier)."""
-    grid = _grid(path)
-    if grid.nsteps == 0:
-        return np.eye(g3.r), 0.0
-    final, _, res = _transport_linear_system(g3, grid, np.eye(g3.r))
-    return final, res
+    return transport_linear(g3, path, np.eye(g3.r)).final
 
 
 def transport_affine(aff, path, p0):
@@ -259,9 +244,7 @@ def transport_affine(aff, path, p0):
         return _degenerate(p0)
     gvecs = np.stack([aff.inhom(tuple(grid.pos[k])) @ grid.vel[k]
                       for k in range(len(grid.pos))])
-    final, samples, res = _transport_linear_system(aff.linear, grid, p0,
-                                                   gvecs)
-    return TransportResult(final, samples, grid.ts, res)
+    return _transport_linear_system(aff.linear, grid, p0, gvecs)
 
 
 def geodesic(g3, x0, v0, T, steps):
@@ -276,30 +259,18 @@ def geodesic(g3, x0, v0, T, steps):
         raise ValueError("geodesics need tangent-bundle coefficients (r = n)")
     state = np.concatenate([np.asarray(x0, dtype=float),
                             np.asarray(v0, dtype=float)])
-    h = float(T) / steps
+    # constant steps; the right-hand side depends on the state alone
+    grid = _Grid(None, None, 2 * np.arange(steps),
+                 np.full(steps, float(T) / steps),
+                 float(T) * np.arange(steps + 1) / steps)
 
-    def f(s):
+    def rhs(_, s):
         x, v = s[:n], s[n:]
         stack = g3(tuple(x))
         acc = -np.einsum("nml,l,n->m", stack, v, v)
         return np.concatenate([v, acc])
 
-    samples = np.empty((steps + 1, 2 * n))
-    samples[0] = state
-    max_res = 0.0
-    for i in range(steps):
-        k1 = f(state)
-        k2 = f(state + 0.5 * h * k1)
-        k3 = f(state + 0.5 * h * k2)
-        k4 = f(state + h * k3)
-        new = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        defect = new - state - h * f(0.5 * (state + new))
-        max_res = max(max_res, float(np.max(np.abs(defect))))
-        samples[i + 1] = new
-        state = new
-    _check_finite(samples)
-    ts = float(T) * np.arange(steps + 1) / steps
-    return TransportResult(state, samples, ts, max_res)
+    return _rk4(rhs, state, grid)
 
 
 def covariant_derivative_limit(g3, F, Y, x, eps=None):

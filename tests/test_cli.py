@@ -11,6 +11,16 @@ import numpy as np
 import pytest
 
 from bundleconn import cli
+from bundleconn.calculus import curvature_law
+from bundleconn.connection import (
+    CoordinateChange,
+    FrameChange,
+    base_names,
+    three_index_round_trip,
+    two_index_round_trip,
+)
+from bundleconn.fields import FrameField, lie_gamma_law
+from bundleconn.registry import REGISTRY
 
 HALF_PI = math.pi / 2.0
 
@@ -350,6 +360,54 @@ def test_frames_predicted_vs_direct_laws(tmp_path, capsys):
         assert diag["value"] <= 1e-6, (cfg["law"], diag["value"])
 
 
+def test_frames_prints_the_shared_law_values(tmp_path, capsys):
+    """The frames command reports exactly what the shared law functions
+    return, so the command and the suites cannot drift apart."""
+    sphere = REGISTRY.build("sphere-lc")
+    names = base_names(2)
+    fc = FrameChange.from_exprs(FRAME_CHANGE["base"], FRAME_CHANGE["fibre"],
+                                2, sphere.region)
+    x = (1.1, 0.4)
+    base_frame_rows = [["1", "0.5*x1"], ["0", "1"]]
+    base_frame = FrameField.from_exprs(base_frame_rows, names, sphere.region)
+    forward, back = three_index_round_trip(sphere.g3, fc, x, base_frame)
+
+    p = (1.1, 0.4, 0.7, -0.2)
+    change, change_inv = (
+        CoordinateChange.vector_bundle(list(names), fibre, 2, 2)
+        for fibre in (fc.fibre, fc.inverse().fibre))
+    forward2, back2 = two_index_round_trip(sphere.g2, change, change_inv, p)
+
+    predicted, direct = curvature_law(sphere.g3, fc, x)
+
+    frame_rows = [["1", "0"], ["0", "x1"]]
+    vector_field = ["x1*x2", "sin(x1)"]
+    flat_fc = FrameChange.from_exprs(FRAME_CHANGE["base"],
+                                     FRAME_CHANGE["fibre"], 2)
+    predicted_l, direct_l = lie_gamma_law(
+        FrameField.from_exprs(frame_rows, names), flat_fc.base,
+        vector_field, (2.0, 0.7))
+
+    cases = [
+        (frames_config("three-index", base_frame=base_frame_rows),
+         {"transformed": forward, "round_trip": back}),
+        (frames_config("two-index", point=list(p)),
+         {"transformed": forward2, "round_trip": back2}),
+        (frames_config("curvature"),
+         {"predicted": predicted, "direct": direct}),
+        ({"connection": "registry:flat", "point": [2.0, 0.7], "law": "lie",
+          "frame": frame_rows, "vector_field": vector_field,
+          "frame_change": FRAME_CHANGE},
+         {"predicted": predicted_l, "direct": direct_l}),
+    ]
+    for cfg, expected in cases:
+        code, payload = run_json(capsys, "frames", "--config",
+                                 write_config(tmp_path, cfg))
+        assert code == 0, cfg["law"]
+        for key, value in expected.items():
+            assert payload["result"][key]["value"] == value.tolist(), key
+
+
 def test_morphism_identity(tmp_path, capsys):
     path = write_config(tmp_path, {
         "connection": "registry:sphere-lc",
@@ -581,6 +639,57 @@ def test_exit_2_step_count_too_small(tmp_path, capsys):
     code, payload = run_json(capsys, "geodesic", "--config", path)
     assert code == 2
     assert payload["error"]["type"] == "StepCountTooSmall"
+
+
+MALFORMED_CONFIGS = {
+    "law-object": ("frames", frames_config({})),
+    "law-number": ("frames", frames_config(3)),
+    "law-unknown": ("frames", frames_config("torsion")),
+    "frame-change-base-1x1": ("frames", frames_config(
+        "three-index", frame_change={"base": [["1"]],
+                                     "fibre": FRAME_CHANGE["fibre"]})),
+    "frame-change-fibre-3x3": ("frames", frames_config(
+        "three-index", frame_change={"base": FRAME_CHANGE["base"],
+                                     "fibre": [["1", "0", "0"]] * 3})),
+    "frame-change-base-string": ("frames", frames_config(
+        "curvature", frame_change={"base": "ab",
+                                   "fibre": FRAME_CHANGE["fibre"]})),
+    "base-frame-strings": ("curvature", {
+        "connection": "registry:sphere-lc", "point": [1.1, 0.4],
+        "base_frame": ["12", "34"]}),
+    "frame-string": ("frames", {
+        "connection": "registry:flat", "point": [2.0, 0.7],
+        "law": "anholonomy", "frame": "ab", "frame_change": FRAME_CHANGE}),
+    "frame-ragged": ("frames", {
+        "connection": "registry:flat", "point": [2.0, 0.7],
+        "law": "anholonomy", "frame": [["1", "0"], ["0"]],
+        "frame_change": FRAME_CHANGE}),
+    "three-index-no-stacks": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "connection": {"kind": "three_index", "stacks": []}}),
+    "two-index-no-rows": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5, 0.0, 0.0],
+        "connection": {"kind": "two_index", "matrix": []}}),
+}
+
+
+@pytest.mark.parametrize("command, cfg", MALFORMED_CONFIGS.values(),
+                         ids=list(MALFORMED_CONFIGS))
+def test_exit_2_malformed_config(tmp_path, capsys, command, cfg):
+    code, out = run(capsys, command, "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "ConfigError"
+
+
+def test_exit_2_unknown_law_lists_the_laws(tmp_path, capsys):
+    path = write_config(tmp_path, frames_config("torsion"))
+    _, payload = run_json(capsys, "frames", "--config", path)
+    message = payload["error"]["message"]
+    for law in ("three-index", "two-index", "inhomogeneous", "curvature",
+                "anholonomy", "lie"):
+        assert law in message
 
 
 def test_exit_1_domain_exit(tmp_path, capsys):

@@ -346,3 +346,14 @@ def test_symbolic_derivative_round_trips_through_parser():
     scope = {"x1": 1.1, "x2": -0.3}
     assert evaluate(parse(rendered), scope) == pytest.approx(
         evaluate(d, scope), abs=0.0)
+
+
+def test_frame_change_inverse_times_change_is_identity():
+    fc = FrameChange.from_exprs(
+        [["1 + 0.2*sin(x1)", "0.1*x2"], ["0", "1 - 0.1*cos(x2)"]],
+        [["1", "0.3*x1"], ["0.2*x2", "1"]], 2)
+    inv = fc.inverse()
+    x = (0.7, 1.3)
+    assert inv.base(x) @ fc.base(x) == pytest.approx(np.eye(2), abs=1e-14)
+    assert inv.fibre(x) @ fc.fibre(x) == pytest.approx(np.eye(2), abs=1e-14)
+    assert (inv.n, inv.r) == (fc.n, fc.r)
