@@ -12,35 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import base_names, bundle_names, transformed_three_index
+from .connection import transformed_three_index
 from .errors import NotFlat
 from .fields import (
+    FD_STEP_FIRST,
     FD_STEP_NESTED,
     FrameField,
+    SectionField,
     anholonomy,
-    as_scalar_field,
-    fd_array_partial,
-    fd_partial,
+    as_section,
+    base_names,
+    bundle_names,
+    fd_partials,
 )
 from .transport import PathSpec, fundamental_solution
-
-
-class SectionField:
-    """A section of the vector bundle: r component fields over the base."""
-
-    def __init__(self, components, names, region=None):
-        self.names = tuple(names)
-        self.region = region
-        self.components = [as_scalar_field(c, self.names, region)
-                           for c in components]
-        self.r = len(self.components)
-
-    @classmethod
-    def from_exprs(cls, components, n, region=None):
-        return cls(components, base_names(n), region)
-
-    def __call__(self, x):
-        return np.array([c(x) for c in self.components])
 
 
 class DualSectionField(SectionField):
@@ -59,50 +44,31 @@ class CurvatureValues:
         return self.R[:, :, mu, nu]
 
 
-def _components(Y, names, region):
-    comps = getattr(Y, "components", Y)
-    return [as_scalar_field(c, names, region) for c in comps]
-
-
-def _vector_values(F, names, region, x):
-    return np.array([as_scalar_field(c, names, region)(x) for c in F])
-
-
 def covariant_derivative(g3, F, Y, x, h=None):
     """nabla_F Y at x: F^mu (dY^a/dx^mu + G3[mu, a, b] Y^b)."""
     names = base_names(g3.n)
-    Yc = _components(Y, names, g3.region)
-    Fv = _vector_values(F, names, g3.region, x)
-    dY = np.array([[fd_partial(c, x, mu, h) for c in Yc]
-                   for mu in range(g3.n)])
-    Yv = np.array([c(x) for c in Yc])
+    Y = as_section(Y, names, g3.region)
+    Fv = as_section(F, names, g3.region)(x)
+    dY = fd_partials(Y, x, h)
+    Yv = Y(x)
     return Fv @ (dY + np.einsum("mab,b->ma", g3(x), Yv))
 
 
 def dual_covariant_derivative(g3, F, omega, x, h=None):
     """Dual derivative: F^mu (d omega_a/dx^mu - G3[mu, b, a] omega_b)."""
     names = base_names(g3.n)
-    wc = _components(omega, names, g3.region)
-    Fv = _vector_values(F, names, g3.region, x)
-    dw = np.array([[fd_partial(c, x, mu, h) for c in wc]
-                   for mu in range(g3.n)])
-    wv = np.array([c(x) for c in wc])
+    omega = as_section(omega, names, g3.region)
+    Fv = as_section(F, names, g3.region)(x)
+    dw = fd_partials(omega, x, h)
+    wv = omega(x)
     return Fv @ (dw - np.einsum("mba,b->ma", g3(x), wv))
-
-
-def _nested_step(x, axis):
-    return FD_STEP_NESTED * max(1.0, abs(float(x[axis])))
 
 
 def curvature(g3, x, h=None):
     """Curvature components from the coefficient stack:
     R_{mu nu} = d_mu G_nu - d_nu G_mu + [G_mu, G_nu], with FD partials at
     a 1e-4 relative step."""
-    n = g3.n
-    D = np.stack([
-        fd_array_partial(g3, x, mu, h if h is not None
-                         else _nested_step(x, mu))
-        for mu in range(n)])                      # D[mu, nu, a, b]
+    D = fd_partials(g3, x, h, rel=FD_STEP_NESTED)   # D[mu, nu, a, b]
     stack = g3(x)
     prod = np.einsum("mac,ncb->mnab", stack, stack)
     T = D + prod
@@ -115,39 +81,23 @@ def curvature_commutator_oracle(g3, F, G, Y, x, h=None):
     R(F, G)Y = nabla_F nabla_G Y - nabla_G nabla_F Y - nabla_{[F,G]} Y,
     with nested finite differences. This is the independent oracle for
     contracting curvature() with Y, F, G."""
-    n = g3.n
-    names = base_names(n)
-    Fc = _components(F, names, g3.region)
-    Gc = _components(G, names, g3.region)
-    Yc = _components(Y, names, g3.region)
+    names = base_names(g3.n)
+    F, G, Y = (as_section(V, names, g3.region) for V in (F, G, Y))
 
-    def yvals(xx):
-        return np.array([c(xx) for c in Yc])
-
-    def covd_values(vv, yfun, xx, steps=None):
-        dY = np.stack([
-            fd_array_partial(yfun, xx, mu,
-                             steps(xx, mu) if steps is not None else h)
-            for mu in range(n)])
+    def covd_values(vv, yfun, xx, step=h, rel=FD_STEP_FIRST):
+        dY = fd_partials(yfun, xx, step, rel=rel)
         return vv @ (dY + np.einsum("mab,b->ma", g3(tuple(xx)), yfun(xx)))
 
-    def nab(vecfields):
-        def fun(xx):
-            vv = np.array([c(xx) for c in vecfields])
-            return covd_values(vv, yvals, xx)
-        return fun
+    def nab(V):
+        return lambda xx: covd_values(V(xx), Y, xx)
 
-    Fv = np.array([c(x) for c in Fc])
-    Gv = np.array([c(x) for c in Gc])
-    dGmat = np.array([[fd_partial(c, x, nu, h) for c in Gc]
-                      for nu in range(n)])        # [nu, mu]
-    dFmat = np.array([[fd_partial(c, x, nu, h) for c in Fc]
-                      for nu in range(n)])
-    bracket = Fv @ dGmat - Gv @ dFmat
-
-    first = covd_values(Fv, nab(Gc), x, steps=_nested_step)
-    second = covd_values(Gv, nab(Fc), x, steps=_nested_step)
-    third = covd_values(bracket, yvals, x)
+    Fv = F(x)
+    Gv = G(x)
+    bracket = Fv @ fd_partials(G, x, h) - Gv @ fd_partials(F, x, h)
+    # h sets the inner stencils only; the outer one takes the nested step
+    first = covd_values(Fv, nab(G), x, None, FD_STEP_NESTED)
+    second = covd_values(Gv, nab(F), x, None, FD_STEP_NESTED)
+    third = covd_values(bracket, Y, x)
     return first - second - third
 
 
@@ -155,12 +105,8 @@ def curvature_general_frame(g3, base_frame, x, h=None):
     """Curvature for coefficients given in a (possibly anholonomic) base
     frame: directional derivatives along the frame vectors plus the
     anholonomy correction -G3[lam, a, b] C[lam, mu, nu]."""
-    n = g3.n
     E = base_frame(x)
-    dcoord = np.stack([
-        fd_array_partial(g3, x, t, h if h is not None
-                         else _nested_step(x, t))
-        for t in range(n)])                        # [t, nu, a, b]
+    dcoord = fd_partials(g3, x, h, rel=FD_STEP_NESTED)   # [t, nu, a, b]
     Ddir = np.einsum("tm,tnab->mnab", E, dcoord)   # E_mu(G_nu)
     stack = g3(x)
     prod = np.einsum("mac,ncb->mnab", stack, stack)
@@ -197,7 +143,7 @@ def fibre_curvature_general(g2, frame, p, h=None):
     S = 0, and fibre coefficients -d_b G^a_mu."""
     n, r = g2.n, g2.r
     G = g2(p)
-    dG = np.stack([fd_array_partial(g2, p, t, h) for t in range(n + r)])
+    dG = fd_partials(g2, p, h, axes=range(n + r))
 
     if frame is None:
         XG = dG[:n] + np.einsum("bm,ban->man", G, dG[n:])   # X_mu(G)[mu,a,nu]
@@ -258,16 +204,13 @@ def nabla_hat_oracle(g2, zbar, zhat, p, h=None):
     fields on the total space."""
     n, r = g2.n, g2.r
     names = bundle_names(n, r)
-    region = g2.region
-    zb = np.array([as_scalar_field(c, names, region)(p) for c in zbar])
-    zc = [as_scalar_field(c, names, region) for c in zhat]
-    zv = np.array([c(p) for c in zc])
+    zb = as_section(zbar, names, g2.region)(p)
+    zhat = as_section(zhat, names, g2.region)
+    zv = zhat(p)
     G = g2(p)
-    dZ = np.array([[fd_partial(c, p, t, h) for c in zc]
-                   for t in range(n + r)])          # [t, a]
+    dZ = fd_partials(zhat, p, h, axes=range(n + r))    # [t, a]
     XZ = dZ[:n] + np.einsum("bm,ba->ma", G, dZ[n:])  # X_mu(Zhat)[mu, a]
-    dG_fib = np.stack([fd_array_partial(g2, p, n + b, h)
-                       for b in range(r)])           # [b, a, mu]
+    dG_fib = fd_partials(g2, p, h, axes=range(n, n + r))   # [b, a, mu]
     drag = np.einsum("b,bam->ma", zv, dG_fib)
     return zb @ (XZ - drag)
 

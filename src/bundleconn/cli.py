@@ -37,7 +37,6 @@ from .connection import (
     CoordinateChange,
     FrameChange,
     TwoIndexField,
-    base_names,
     bundle_region,
     three_index_round_trip,
     transform_inhomogeneous,
@@ -56,6 +55,7 @@ from .fields import (
     MatrixField,
     Region,
     anholonomy_law,
+    base_names,
     lie_gamma_law,
 )
 from .morphism import (

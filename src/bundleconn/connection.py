@@ -20,19 +20,12 @@ from .fields import (
     MatrixField,
     Region,
     _FieldArray,
-    as_scalar_field,
+    as_section,
+    base_names,
+    bundle_names,
     compose_frame,
-    fd_array_partial,
-    fd_partial,
+    fd_partials,
 )
-
-
-def base_names(n):
-    return tuple(f"x{i + 1}" for i in range(n))
-
-
-def bundle_names(n, r):
-    return base_names(n) + tuple(f"u{a + 1}" for a in range(r))
 
 
 def bundle_region(base, r):
@@ -95,23 +88,21 @@ class CoefficientField3(_FieldArray):
 
     @classmethod
     def from_exprs(cls, stacks, region=None):
-        stacks = [[list(row) for row in mat] for mat in stacks]
-        if not stacks:
-            raise ValueError("stacks must list at least one r x r matrix")
-        n = len(stacks)
-        r = len(stacks[0])
-        return cls((n, r, r), base_names(n), region, entries=stacks)
+        grid = np.array(stacks, dtype=object)
+        if grid.ndim != 3 or grid.shape[1] != grid.shape[2]:
+            raise ValueError("stacks must list n square r x r matrices of "
+                             "expression rows")
+        return cls(grid.shape, base_names(grid.shape[0]), region,
+                   entries=grid)
 
     @classmethod
     def from_callable(cls, fn, n, r, region=None):
-        return cls((n, r, r), base_names(n), region,
-                   array_fn=lambda point: fn(*point))
+        return super().from_callable(fn, (n, r, r), base_names(n), region)
 
     @classmethod
     def constant(cls, matrices, region=None):
-        matrices = np.asarray(matrices, dtype=float)
-        n, r, _ = matrices.shape
-        return cls.from_exprs(matrices.tolist(), region)
+        return cls.from_exprs(np.asarray(matrices, dtype=float).tolist(),
+                              region)
 
     @classmethod
     def zero(cls, n, r, region=None):
@@ -190,11 +181,10 @@ class CoordinateChange:
     def __init__(self, base, fibre, n, r, region=None):
         self.n = n
         self.r = r
-        self.base = [as_scalar_field(c, base_names(n), region) for c in base]
-        names = bundle_names(n, r)
-        fibre_region = bundle_region(region, r) if region is not None else None
-        self.fibre = [as_scalar_field(c, names, fibre_region) for c in fibre]
-        if len(self.base) != n or len(self.fibre) != r:
+        self.base = as_section(base, base_names(n), region)
+        self.fibre = as_section(fibre, bundle_names(n, r),
+                                bundle_region(region, r))
+        if self.base.shape != (n,) or self.fibre.shape != (r,):
             raise ValueError("component count does not match dimensions")
 
     @classmethod
@@ -205,31 +195,27 @@ class CoordinateChange:
     @classmethod
     def vector_bundle(cls, base, fibre_matrix, n, r, region=None):
         """utilde = M(x) u for a matrix field M over the base."""
-        def comp(a):
-            def fn(*p):
-                u = np.asarray(p[n:], dtype=float)
-                return float((fibre_matrix(p[:n]) @ u)[a])
-            return fn
-        return cls(base, [comp(a) for a in range(r)], n, r, region)
+        fibre = _FieldArray.from_callable(
+            lambda *p: fibre_matrix(p[:n]) @ np.asarray(p[n:], dtype=float),
+            (r,), bundle_names(n, r), bundle_region(region, r))
+        return cls(base, fibre, n, r, region)
 
     def apply(self, p):
         x = tuple(p[:self.n])
-        return tuple(c(x) for c in self.base) + tuple(c(p) for c in self.fibre)
+        return tuple(self.base(x).tolist() + self.fibre(p).tolist())
 
     def base_jacobian(self, x):
         """J[alpha, mu] = d xtilde^alpha / d x^mu."""
-        return np.array([[fd_partial(c, x, mu) for mu in range(self.n)]
-                         for c in self.base])
+        return fd_partials(self.base, x, axes=range(self.n)).T
 
     def fibre_jacobian_u(self, p):
         """A[a, b] = d utilde^a / d u^b."""
-        return np.array([[fd_partial(c, p, self.n + b) for b in range(self.r)]
-                         for c in self.fibre])
+        return fd_partials(self.fibre, p,
+                           axes=range(self.n, self.n + self.r)).T
 
     def fibre_jacobian_x(self, p):
         """A[a, nu] = d utilde^a / d x^nu."""
-        return np.array([[fd_partial(c, p, nu) for nu in range(self.n)]
-                         for c in self.fibre])
+        return fd_partials(self.fibre, p, axes=range(self.n)).T
 
 
 def two_index_from_linear(g3, p):
@@ -266,8 +252,7 @@ def transform_three_index(g3, change, x, base_frame=None, h=None):
     stack = g3(x)
     Bf = change.fibre_at(x)
     Bb = change.base_at(x)
-    dBf = np.stack([fd_array_partial(change.fibre, x, nu, h)
-                    for nu in range(g3.n)])
+    dBf = fd_partials(change.fibre, x, h, axes=range(g3.n))
     if base_frame is not None:
         E = base_frame(x)
         dBf = np.einsum("ts,tij->sij", E, dBf)
@@ -328,5 +313,5 @@ def fibre_coefficients(g2, p, h=None):
     """Fibre coefficients in the adapted frame: C0[mu, a, b] =
     -d G[a, mu] / d u^b. For a linear connection this equals
     G3[mu, a, b] at the base point."""
-    D = np.stack([fd_array_partial(g2, p, g2.n + b, h) for b in range(g2.r)])
+    D = fd_partials(g2, p, h, axes=range(g2.n, g2.n + g2.r))
     return -D.transpose(2, 1, 0)

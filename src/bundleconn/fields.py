@@ -53,6 +53,14 @@ class Region:
         return f"Region({list(self.bounds)})"
 
 
+def base_names(n):
+    return tuple(f"x{i + 1}" for i in range(n))
+
+
+def bundle_names(n, r):
+    return base_names(n) + tuple(f"u{a + 1}" for a in range(r))
+
+
 def _compile_entry(source, names):
     """Normalize an entry (number, source text, AST, ScalarField, callable)
     to (closure over a positional point, constant value or None)."""
@@ -70,7 +78,7 @@ def _compile_entry(source, names):
         return fn, const
     if callable(source):
         return (lambda point: source(*point)), None
-    raise TypeError(f"cannot build a field from {type(source).__name__}")
+    raise ValueError(f"cannot build a field from {type(source).__name__}")
 
 
 class ScalarField:
@@ -80,19 +88,14 @@ class ScalarField:
 
     def __init__(self, names, raw, region=None, const=None):
         self.names = tuple(names)
-        self.arity = len(self.names)
         self.raw = raw
         self.region = region
         self.const = const
 
     @classmethod
     def from_expr(cls, source, names, region=None):
-        ast = parse(source) if isinstance(source, str) else source
-        fn = compile_fn(ast, tuple(names))
-        const = float(ast.value) if isinstance(ast, Const) else None
-        field = cls(names, fn, region, const)
-        field.ast = ast
-        return field
+        fn, const = _compile_entry(source, tuple(names))
+        return cls(names, fn, region, const)
 
     @classmethod
     def from_callable(cls, fn, names, region=None):
@@ -110,8 +113,7 @@ class ScalarField:
 def as_scalar_field(source, names, region=None):
     if isinstance(source, ScalarField):
         return source
-    fn, const = _compile_entry(source, tuple(names))
-    return ScalarField(names, fn, region, const)
+    return ScalarField.from_expr(source, names, region)
 
 
 class _FieldArray:
@@ -124,10 +126,12 @@ class _FieldArray:
         self.region = region
         self._array_fn = array_fn
         if array_fn is None:
+            grid = np.array(entries, dtype=object)
+            if grid.shape != self.shape:
+                raise ValueError(f"expected entries of shape {self.shape}, "
+                                 f"got shape {grid.shape}")
             template = np.zeros(self.shape)
             dynamic = []
-            grid = np.empty(self.shape, dtype=object)
-            grid[...] = entries
             for idx in np.ndindex(self.shape):
                 fn, const = _compile_entry(grid[idx], self.names)
                 if const is not None:
@@ -136,6 +140,11 @@ class _FieldArray:
                     dynamic.append((idx, fn))
             self._template = template
             self._dynamic = dynamic
+
+    @classmethod
+    def from_callable(cls, fn, shape, names, region=None):
+        return cls(shape, names, region,
+                   array_fn=lambda point: fn(*point))
 
     def __call__(self, point):
         if self.region is not None:
@@ -154,23 +163,41 @@ class _FieldArray:
         return out
 
 
+class SectionField(_FieldArray):
+    """A section of the vector bundle, or any vector-valued field: r
+    component entries evaluated as one array."""
+
+    def __init__(self, components, names, region=None):
+        super().__init__((len(components),), names, region,
+                         entries=components)
+
+    @classmethod
+    def from_exprs(cls, components, n, region=None):
+        return cls(components, base_names(n), region)
+
+    @property
+    def r(self):
+        return self.shape[0]
+
+
+def as_section(source, names, region=None):
+    """A vector-valued field: an array field as it is, or a SectionField
+    built from a list of component entries."""
+    if isinstance(source, _FieldArray):
+        return source
+    return SectionField(source, names, region)
+
+
 class MatrixField(_FieldArray):
     """Matrix-valued field; rows of entries or a whole-matrix callable."""
 
     @classmethod
     def from_exprs(cls, rows, names, region=None):
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise ValueError("a matrix needs at least one row of entries")
-        shape = (len(rows), len(rows[0]))
-        if any(len(r) != shape[1] for r in rows):
-            raise ValueError("ragged matrix entries")
-        return cls(shape, names, region, entries=rows)
-
-    @classmethod
-    def from_callable(cls, fn, shape, names, region=None):
-        return cls(shape, names, region,
-                   array_fn=lambda point: fn(*point))
+        grid = np.array(rows, dtype=object)
+        if grid.ndim != 2:
+            raise ValueError("matrix entries must be rows (lists) of one "
+                             "length")
+        return cls(grid.shape, names, region, entries=grid)
 
     @classmethod
     def constant(cls, array, names=(), region=None):
@@ -201,7 +228,7 @@ class FrameField:
     @classmethod
     def identity(cls, dim, names=None, region=None):
         if names is None:
-            names = tuple(f"x{i + 1}" for i in range(dim))
+            names = base_names(dim)
         return cls(MatrixField.constant(np.eye(dim), names, region))
 
     def __call__(self, point):
@@ -220,7 +247,7 @@ def compose_frame(frame, change):
 
 class TensorField(_FieldArray):
     """Tensor field of type (r, s) over an m-dimensional patch; component
-    ScalarFields indexed with the r upper indices first."""
+    entries indexed with the r upper indices first."""
 
     def __init__(self, r, s, components, names, region=None):
         self.r = int(r)
@@ -230,11 +257,13 @@ class TensorField(_FieldArray):
                          entries=components)
 
 
-def fd_partial(f, x, axis, h=None):
-    """Central difference of a scalar field along one coordinate axis.
-    Default step h = 1e-5 * max(1, |x_axis|)."""
+def fd_partial(f, x, axis, h=None, rel=FD_STEP_FIRST):
+    """Central difference (f(x + h e) - f(x - h e)) / 2h of a scalar or
+    array field along one coordinate axis. Default step
+    h = rel * max(1, |x_axis|): FD_STEP_FIRST for first derivatives,
+    FD_STEP_NESTED for the outer derivative of a nested stencil."""
     if h is None:
-        h = FD_STEP_FIRST * max(1.0, abs(float(x[axis])))
+        h = rel * max(1.0, abs(float(x[axis])))
     xp = [float(c) for c in x]
     xm = list(xp)
     xp[axis] += h
@@ -242,21 +271,12 @@ def fd_partial(f, x, axis, h=None):
     return (f(xp) - f(xm)) / (2.0 * h)
 
 
-def fd_array_partial(fn, x, axis, h=None):
-    """fd_partial for array-valued callables (matrix fields, frames)."""
-    if h is None:
-        h = FD_STEP_FIRST * max(1.0, abs(float(x[axis])))
-    xp = [float(c) for c in x]
-    xm = list(xp)
-    xp[axis] += h
-    xm[axis] -= h
-    return (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
-
-
-def _frame_partials(frame, x, h=None):
-    """dE[sigma, rho, nu] = d_sigma E^rho_nu, central differences."""
-    m = frame.dim
-    return np.stack([fd_array_partial(frame, x, s, h) for s in range(m)])
+def fd_partials(f, x, h=None, axes=None, rel=FD_STEP_FIRST):
+    """fd_partial stacked along `axes` (every axis of x by default):
+    out[i] = d f / d x^axes[i]."""
+    if axes is None:
+        axes = range(len(x))
+    return np.stack([fd_partial(f, x, axis, h, rel) for axis in axes])
 
 
 def anholonomy(frame, x, h=None):
@@ -265,7 +285,7 @@ def anholonomy(frame, x, h=None):
     antisymmetric in (mu, nu) by construction."""
     m = frame.dim
     E = frame(x)
-    dE = _frame_partials(frame, x, h)
+    dE = fd_partials(frame, x, h, axes=range(m))   # dE[sig, rho, nu]
     # bracket[rho, mu, nu] = E^sig_mu d_sig E^rho_nu - E^sig_nu d_sig E^rho_mu
     term = np.einsum("sm,srn->rmn", E, dE)
     bracket = term - term.transpose(0, 2, 1)
@@ -276,11 +296,10 @@ def anholonomy(frame, x, h=None):
 def lie_gamma(frame, X, x, h=None):
     """Lie coefficients of the field X = X^mu E_mu in the frame:
     L[nu, mu] = -E_mu(X^nu) - C[nu, mu, lam] X^lam."""
-    m = frame.dim
-    comps = [as_scalar_field(c, frame.names, frame.region) for c in X]
+    X = as_section(X, frame.names, frame.region)
     E = frame(x)
-    dX = np.array([[fd_partial(c, x, s, h) for c in comps] for s in range(m)])
-    Xv = np.array([c(x) for c in comps])
+    dX = fd_partials(X, x, h, axes=range(frame.dim))
+    Xv = X(x)
     C = anholonomy(frame, x, h)
     # E_mu(X^nu) = E^sig_mu d_sig X^nu
     EdX = np.einsum("sm,sn->nm", E, dX)
@@ -291,12 +310,10 @@ def lie_derivative(frame, X, S, x, h=None):
     """Components of the Lie derivative of a type-(r, s) tensor along
     X = X^mu E_mu: the directional derivative X(S) plus one +L contraction
     per upper slot and one -L contraction per lower slot."""
-    m = frame.dim
-    comps = [as_scalar_field(c, frame.names, frame.region) for c in X]
+    X = as_section(X, frame.names, frame.region)
     E = frame(x)
-    Xv = np.array([c(x) for c in comps])
-    coord_vec = E @ Xv
-    dS = np.stack([fd_array_partial(S, x, s, h) for s in range(m)])
+    coord_vec = E @ X(x)
+    dS = fd_partials(S, x, h, axes=range(frame.dim))
     out = np.tensordot(coord_vec, dS, axes=([0], [0]))
     L = lie_gamma(frame, X, x, h)
     Sval = S(x)
@@ -312,9 +329,8 @@ def lie_derivative(frame, X, S, x, h=None):
 def _directional_matrix_partials(frame, B, x, h=None):
     """dirB[sigma, i, j] = E_sigma(B[i, j]): directional derivatives of a
     matrix field along the frame vectors."""
-    m = frame.dim
     E = frame(x)
-    dB = np.stack([fd_array_partial(B, x, s, h) for s in range(m)])
+    dB = fd_partials(B, x, h, axes=range(frame.dim))
     return np.einsum("ts,tij->sij", E, dB)
 
 
@@ -342,10 +358,10 @@ def transform_anholonomy(frame, B, x, h=None):
 def transform_lie_gamma(frame, B, X, x, h=None):
     """Lie coefficients in the changed frame, predicted by the law
     Ltilde_X = inv(B) (L_X B + X(B)) with X(B) = X^mu E_mu(B)."""
-    comps = [as_scalar_field(c, frame.names, frame.region) for c in X]
+    X = as_section(X, frame.names, frame.region)
     Bv = B(x)
     _require_invertible(Bv, tuple(x))
-    Xv = np.array([c(x) for c in comps])
+    Xv = X(x)
     dirB = _directional_matrix_partials(frame, B, x, h)
     XB = np.tensordot(Xv, dirB, axes=([0], [0]))
     L = lie_gamma(frame, X, x, h)
@@ -363,12 +379,9 @@ def lie_gamma_law(frame, B, X, x, h=None):
     """Both sides of the Lie-coefficient law for X = X^mu E_mu: (predicted
     by transform_lie_gamma, computed in the changed frame from the
     components inv(B) X of the same field)."""
-    comps = [as_scalar_field(c, frame.names, frame.region) for c in X]
-
-    def new_component(a):
-        return lambda *y: float(np.linalg.solve(
-            B(y), np.array([c(y) for c in comps]))[a])
-
-    return (transform_lie_gamma(frame, B, comps, x, h),
-            lie_gamma(compose_frame(frame, B),
-                      [new_component(a) for a in range(frame.dim)], x, h))
+    X = as_section(X, frame.names, frame.region)
+    X_new = _FieldArray.from_callable(
+        lambda *y: np.linalg.solve(B(y), X(y)), (frame.dim,), frame.names,
+        frame.region)
+    return (transform_lie_gamma(frame, B, X, x, h),
+            lie_gamma(compose_frame(frame, B), X_new, x, h))

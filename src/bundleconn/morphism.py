@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connection import adapted_frame_matrix, base_names, bundle_names
+from .connection import adapted_frame_matrix
 from .fields import (
     FD_STEP_NESTED,
     MatrixField,
-    as_scalar_field,
-    fd_array_partial,
-    fd_partial,
+    _FieldArray,
+    as_section,
+    base_names,
+    bundle_names,
+    fd_partials,
 )
 from .transport import _check_finite
 
@@ -27,12 +29,10 @@ class BundleMorphism:
                  region=None, base_region=None, matrix=None):
         self.n = int(n)
         self.r = int(r)
-        self.n_out = len(base_components)
-        self.r_out = len(fibre_components)
-        self.base = [as_scalar_field(c, base_names(n), base_region)
-                     for c in base_components]
-        self.fibre = [as_scalar_field(c, bundle_names(n, r), region)
-                      for c in fibre_components]
+        self.base = as_section(base_components, base_names(n), base_region)
+        self.fibre = as_section(fibre_components, bundle_names(n, r), region)
+        self.n_out = self.base.shape[0]
+        self.r_out = self.fibre.shape[0]
         self.matrix = matrix
 
     @classmethod
@@ -48,15 +48,9 @@ class BundleMorphism:
         if not isinstance(matrix, MatrixField):
             matrix = MatrixField.from_exprs(matrix, base_names(n),
                                             base_region)
-
-        def comp(a):
-            def fn(*p):
-                x = p[:n]
-                u = np.asarray(p[n:], dtype=float)
-                return float((matrix(x) @ u)[a])
-            return fn
-
-        fibre = [comp(a) for a in range(matrix.shape[0])]
+        fibre = _FieldArray.from_callable(
+            lambda *p: matrix(p[:n]) @ np.asarray(p[n:], dtype=float),
+            matrix.shape[:1], bundle_names(n, r), region)
         return cls(base_components, fibre, n, r, region, base_region,
                    matrix=matrix)
 
@@ -66,14 +60,9 @@ class BundleMorphism:
         fibre = [f"u{a + 1}" for a in range(r)]
         return cls(base, fibre, n, r)
 
-    def base_at(self, x):
-        return np.array([c(x) for c in self.base])
-
     def apply(self, p):
         """Target bundle point of a source bundle point."""
-        x = tuple(p[:self.n])
-        return np.concatenate([self.base_at(x),
-                               [c(p) for c in self.fibre]])
+        return np.concatenate([self.base(tuple(p[:self.n])), self.fibre(p)])
 
 
 def compose(outer, inner):
@@ -82,16 +71,12 @@ def compose(outer, inner):
         raise ValueError(
             f"cannot compose: inner maps into ({inner.n_out}, {inner.r_out}) "
             f"but outer expects ({outer.n}, {outer.r})")
-
-    def base_comp(mu):
-        return lambda *x: float(outer.base[mu](inner.base_at(x)))
-
-    def fibre_comp(a):
-        return lambda *p: float(outer.fibre[a](inner.apply(p)))
-
     return BundleMorphism(
-        [base_comp(mu) for mu in range(outer.n_out)],
-        [fibre_comp(a) for a in range(outer.r_out)],
+        _FieldArray.from_callable(lambda *x: outer.base(inner.base(x)),
+                                  (outer.n_out,), base_names(inner.n)),
+        _FieldArray.from_callable(lambda *p: outer.fibre(inner.apply(p)),
+                                  (outer.r_out,),
+                                  bundle_names(inner.n, inner.r)),
         inner.n, inner.r)
 
 
@@ -100,14 +85,9 @@ def jacobi_natural(m, p, h=None):
     blocks [[df, 0], [d_x F, d_u F]]. The upper-right block is exactly zero
     because base components never depend on the fibre coordinates."""
     n, r = m.n, m.r
-    x = tuple(p[:n])
     J = np.zeros((m.n_out + m.r_out, n + r))
-    for nu in range(m.n_out):
-        for mu in range(n):
-            J[nu, mu] = fd_partial(m.base[nu], x, mu, h)
-    for a in range(m.r_out):
-        for t in range(n + r):
-            J[m.n_out + a, t] = fd_partial(m.fibre[a], p, t, h)
+    J[:m.n_out, :n] = fd_partials(m.base, tuple(p[:n]), h).T
+    J[m.n_out:] = fd_partials(m.fibre, p, h, axes=range(n + r)).T
     _check_finite(J)
     return J
 
@@ -146,15 +126,12 @@ def vb_morphism_coeffs(m, g3_src, g3_tgt, x, h=None):
     n = m.n
     Fx = F(x)
     stack = g3_src(x)
-    y = tuple(m.base_at(x))
-    stackp = g3_tgt(y)
-    fjac = np.array([[fd_partial(c, x, mu, h) for mu in range(n)]
-                     for c in m.base])
-    slices = []
-    for mu in range(n):
-        dF = fd_array_partial(F, x, mu, h)
-        third = np.einsum("l,lbc,ca->ba", fjac[:, mu], stackp, Fx)
-        slices.append(dF - Fx @ stack[mu] + third)
+    stackp = g3_tgt(tuple(m.base(x)))
+    fjac = fd_partials(m.base, x, h, axes=range(n)).T
+    dF = fd_partials(F, x, h, axes=range(n))
+    slices = [dF[mu] - Fx @ stack[mu]
+              + np.einsum("l,lbc,ca->ba", fjac[:, mu], stackp, Fx)
+              for mu in range(n)]
     return np.stack(slices).transpose(1, 2, 0)
 
 
@@ -164,20 +141,17 @@ def tangent_map_second_order(f, g3_src, g3_tgt, x, h=None):
     d_nu(jac[lam', mu]) - jac[lam', sig] G^sig_{mu nu}
     + (G'^{lam'}_{sig' tau'} o f) jac[sig', mu] jac[tau', nu]."""
     n = g3_src.n
-    comps = [as_scalar_field(c, base_names(n), g3_src.region) for c in f]
+    f = as_section(f, base_names(n), g3_src.region)
 
     def jac(xx):
-        return np.array([[fd_partial(c, xx, mu, h) for mu in range(n)]
-                         for c in comps])
+        return fd_partials(f, xx, h, axes=range(n)).T
 
-    d2 = np.stack([
-        fd_array_partial(jac, x, nu,
-                         FD_STEP_NESTED * max(1.0, abs(float(x[nu]))))
-        for nu in range(n)])                       # [nu, lam', mu]
+    # h sets the inner stencil only; the outer one takes the nested step
+    d2 = fd_partials(jac, x, axes=range(n),
+                     rel=FD_STEP_NESTED)              # [nu, lam', mu]
     J = jac(x)
     stack = g3_src(x)
-    y = tuple(c(x) for c in comps)
-    stackp = g3_tgt(y)
+    stackp = g3_tgt(tuple(f(x).tolist()))
     term2 = np.einsum("ls,nsm->lmn", J, stack)
     term3 = np.einsum("tls,sm,tn->lmn", stackp, J, J)
     return d2.transpose(1, 2, 0) - term2 + term3

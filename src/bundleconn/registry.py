@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import (
-    AffineCoefficients,
-    CoefficientField3,
-    TwoIndexField,
-    base_names,
-)
+from .connection import AffineCoefficients, CoefficientField3, TwoIndexField
 from .errors import ConfigError
 from .exprlang import BinOp, Call, Const, Neg, Var, parse, pretty
-from .fields import MatrixField, Region
+from .fields import MatrixField, Region, base_names
 
 # ---------------------------------------------------------------------------
 # A tiny symbolic differentiator over the expression AST, so registry
@@ -238,7 +233,7 @@ class ExampleRegistry:
                 + ", ".join(self.names()))
         try:
             return self._builders[name](**params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameters for registry entry "
                               f"{name!r}: {exc}") from exc
 

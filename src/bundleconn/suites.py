@@ -42,9 +42,9 @@ from .exprlang import BinOp, Call, Const, Neg, Var, parse
 from .fields import (
     FrameField,
     MatrixField,
+    _FieldArray,
     anholonomy_law,
-    fd_array_partial,
-    fd_partial,
+    fd_partials,
     lie_gamma_law,
 )
 from .morphism import (
@@ -490,11 +490,7 @@ def covariantly_constant_suite():
     pg = make_pure_gauge()
     B = pg.gauge
     const = np.array([0.8, -0.5])
-
-    def comp(a):
-        return lambda x1, x2: float((B((x1, x2)) @ const)[a])
-
-    Y = [comp(0), comp(1)]
+    Y = _FieldArray.from_callable(lambda *x: B(x) @ const, (2,), BASE_NAMES)
     pts = [(0.25, 0.35), (0.6, 0.2), (0.45, 0.75), (0.8, 0.6)]
 
     worst_i = 0.0
@@ -506,21 +502,15 @@ def covariantly_constant_suite():
 
     g2 = TwoIndexField.from_linear(pg.g3)
     worst_ii = 0.0
-    from .fields import as_scalar_field
-    comps = [as_scalar_field(c, BASE_NAMES) for c in Y]
     for x in pts:
-        dY = np.array([[fd_partial(c, x, mu) for mu in range(2)]
-                       for c in comps])
-        yv = np.array([c(x) for c in comps])
-        gv = g2((*x, *yv))
+        dY = fd_partials(Y, x).T
+        gv = g2((*x, *Y(x)))
         worst_ii = max(worst_ii, float(np.max(np.abs(dY - gv))))
 
     path = PathSpec.from_points([(0.3, 0.2), (0.7, 0.5), (0.4, 0.8)],
                                 steps=1000)
-    start = np.array([c(path.points[0]) for c in comps])
-    end = np.array([c(path.points[-1]) for c in comps])
-    moved = transport_linear(pg.g3, path, start).final
-    worst_iii = float(np.max(np.abs(moved - end)))
+    moved = transport_linear(pg.g3, path, Y(path.points[0])).final
+    worst_iii = float(np.max(np.abs(moved - Y(path.points[-1]))))
 
     checks = [
         _check("covd-vanishes", "4.37", worst_i, 1e-6),
@@ -548,7 +538,7 @@ def affine_gap_suite():
                                        None, p)
     stack = lin(x)
     Gv = G(x)
-    dG = np.stack([fd_array_partial(G, x, mu) for mu in range(2)])
+    dG = fd_partials(G, x)
     T = np.empty((2, 2, 2))
     for mu in range(2):
         for nu in range(2):

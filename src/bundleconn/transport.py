@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, StepCountTooSmall
-from .fields import as_scalar_field
+from .fields import as_scalar_field, as_section, base_names
 
 MIN_STEPS = 8
 
@@ -283,15 +283,12 @@ def covariant_derivative_limit(g3, F, Y, x, eps=None):
         scale = max(1.0, float(np.max(np.abs(x))))
         fscale = max(1.0, float(np.max(np.abs(F))))
         eps = 1e-4 * scale / fscale
-    names = tuple(f"x{i + 1}" for i in range(g3.n))
-    comps = getattr(Y, "components", Y)
-    comps = [as_scalar_field(c, names, g3.region) for c in comps]
+    Y = as_section(Y, base_names(g3.n), g3.region)
 
     def pulled(sign):
         target = x + sign * eps * F
         path = PathSpec(points=[x, target], steps=MIN_STEPS)
         W = fundamental_solution(g3, path)
-        values = np.array([c(tuple(target)) for c in comps])
-        return np.linalg.solve(W, values)
+        return np.linalg.solve(W, Y(tuple(target)))
 
     return (pulled(+1.0) - pulled(-1.0)) / (2.0 * eps)

@@ -670,6 +670,38 @@ MALFORMED_CONFIGS = {
     "two-index-no-rows": ("curvature", {
         "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5, 0.0, 0.0],
         "connection": {"kind": "two_index", "matrix": []}}),
+    "three-index-short-rows": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "connection": {"kind": "three_index",
+                       "stacks": [[["x2"], ["0"]], [["0"], ["x1"]]]}}),
+    "affine-inhom-strings": ("transport", {
+        "base_dim": 2, "fibre_rank": 2, "initial": [0.0, 0.0],
+        "path": {"points": [[0.0, 0.0], [1.0, 1.0]], "steps": 50},
+        "connection": {"kind": "affine",
+                       "linear": [[["0", "0"], ["0", "0"]]] * 2,
+                       "inhom": ["12", "34"]}}),
+    "two-index-row-strings": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5, 0.0, 0.0],
+        "connection": {"kind": "two_index", "matrix": ["12", "34"]}}),
+    "morphism-matrix-strings": ("morphism", {
+        "connection": "registry:sphere-lc", "point": [1.0, 0.3, 0.5, -0.2],
+        "morphism": {"base": ["x1", "x2"], "matrix": ["12", "34"]}}),
+    "stacks-number": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "connection": {"kind": "three_index", "stacks": 5}}),
+    "stacks-null-entry": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "connection": {"kind": "three_index",
+                       "stacks": [[[None, "0"], ["0", "0"]],
+                                  [["0", "0"], ["0", "0"]]]}}),
+    "registry-params-not-int": ("curvature", {
+        "connection": {"kind": "registry:flat", "params": {"n": "abc"}},
+        "point": [0.5, 0.5]}),
+    "registry-constant-ragged": ("curvature", {
+        "connection": {"kind": "registry:constant",
+                       "params": {"matrices": [[[0, 1], [0]],
+                                               [[0, 0], [1, 0]]]}},
+        "point": [0.5, 0.5]}),
 }
 
 

@@ -303,7 +303,7 @@ def test_pure_gauge_default_stacks():
 
 def test_pure_gauge_is_pure_gauge():
     # Gamma_mu must equal -(d_mu B) B^-1 for the exposed gauge matrix
-    from bundleconn.fields import fd_array_partial
+    from bundleconn.fields import fd_partial as fd_array_partial
 
     ex = make_pure_gauge("sin(x1) + x2^2")
     x = (0.35, -0.8)

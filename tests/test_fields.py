@@ -8,20 +8,26 @@ import pytest
 
 from bundleconn.errors import DomainExit, NonFinite, SingularFrame
 from bundleconn.fields import (
+    FD_STEP_FIRST,
+    FD_STEP_NESTED,
     FrameField,
     MatrixField,
     Region,
     ScalarField,
+    SectionField,
     TensorField,
     anholonomy,
     as_scalar_field,
+    bundle_names,
     compose_frame,
     fd_partial,
+    fd_partials,
     lie_derivative,
     lie_gamma,
     transform_anholonomy,
     transform_lie_gamma,
 )
+from bundleconn.morphism import BundleMorphism, jacobi_natural
 
 XY = ("x1", "x2")
 
@@ -219,3 +225,67 @@ def test_transform_lie_gamma_law():
 def test_tensor_field_shape_validation():
     with pytest.raises(ValueError):
         TensorField(1, 0, ["x1", "x2", "x1"], XY)
+
+
+# one array core: a whole vector computed at once carries the same bits as
+# its components computed one at a time
+
+SECTION = ["sin(x1)*x2", "x1^2 - 3*x2", "exp(0.3*x1*x2)"]
+
+
+@pytest.mark.parametrize("h, rel", [(1e-3, FD_STEP_FIRST),
+                                    (None, FD_STEP_FIRST),
+                                    (None, FD_STEP_NESTED)])
+def test_fd_partials_of_section_equals_per_component(h, rel):
+    x = (2.3, -0.4)
+    whole = fd_partials(SectionField(SECTION, XY), x, h, rel=rel)
+    comps = [ScalarField.from_expr(c, XY) for c in SECTION]
+    by_component = np.array([[fd_partial(c, x, mu, h, rel) for c in comps]
+                             for mu in range(2)])
+    assert whole.shape == (2, 3)
+    assert np.array_equal(whole, by_component)
+
+
+def test_fd_partials_axes_subset():
+    x = (0.5, 1.5)
+    field = SectionField(SECTION, XY)
+    assert np.array_equal(fd_partials(field, x, axes=[1]),
+                          fd_partials(field, x)[1:])
+
+
+def test_jacobi_natural_of_vector_morphism_is_elementwise():
+    base = ["x1 + x2^2", "sin(x2)"]
+    m = BundleMorphism.vector(base, [["cos(x1*x2)", "x1"],
+                                     ["0.5*x2", "exp(x1)"]], 2, 2)
+    p = (0.4, 0.9, -1.2, 0.7)
+    names = bundle_names(2, 2)
+    base = [ScalarField.from_expr(c, names[:2]) for c in base]
+
+    def fibre(a):
+        return ScalarField.from_callable(
+            lambda *q: (m.matrix(q[:2]) @ np.asarray(q[2:]))[a], names)
+
+    expected = np.zeros((4, 4))
+    for nu in range(2):
+        for mu in range(2):
+            expected[nu, mu] = fd_partial(base[nu], p[:2], mu)
+    for a in range(2):
+        for t in range(4):
+            expected[2 + a, t] = fd_partial(fibre(a), p, t)
+    assert np.array_equal(jacobi_natural(m, p), expected)
+
+
+def test_section_field_region_and_finiteness():
+    region = Region([(0.0, 1.0), (0.0, 1.0)])
+    section = SectionField(["x1", "x2"], XY, region)
+    assert np.array_equal(section((0.25, 0.5)), [0.25, 0.5])
+    with pytest.raises(DomainExit):
+        section((1.5, 0.5))
+    with pytest.raises(NonFinite):
+        SectionField(["x1", lambda x1, x2: float("nan")], XY)((0.2, 0.3))
+
+
+@pytest.mark.parametrize("components", ["x1", [["x1"], "x2"], [None, "x2"]])
+def test_section_field_rejects_unusable_components(components):
+    with pytest.raises(ValueError):
+        SectionField(components, XY)
