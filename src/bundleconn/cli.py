@@ -54,6 +54,7 @@ from .fields import (
     FrameField,
     MatrixField,
     Region,
+    SectionField,
     anholonomy_law,
     base_names,
     lie_gamma_law,
@@ -541,9 +542,9 @@ def cmd_covd(args):
                        "r section expressions over the base")
     if not isinstance(section, list) or len(section) != prob.r:
         raise ConfigError(f"section must list {prob.r} expressions")
-    direct = covariant_derivative(g3, direction, section, x, prob.fd_step)
-    limit = covariant_derivative_limit(g3, direction, section, x,
-                                       prob.fd_step)
+    Y = _build(SectionField, section, base_names(prob.n), g3.region)
+    direct = covariant_derivative(g3, direction, Y, x, prob.fd_step)
+    limit = covariant_derivative_limit(g3, direction, Y, x, prob.fd_step)
     # the base-only section expressions are also valid over the bundle
     # variables, constant in the fibre, so the hatted operator can take
     # them as they are at the zero-section point
@@ -617,7 +618,8 @@ def _law_lie(prob, fc):
                      "n components in the chosen frame")
     if not isinstance(comps, list) or len(comps) != prob.n:
         raise ConfigError(f"vector_field must list {prob.n} components")
-    return "2.7-3", lie_gamma_law(frame, fc.base, comps, x, prob.fd_step)
+    X = _build(SectionField, comps, frame.names, frame.region)
+    return "2.7-3", lie_gamma_law(frame, fc.base, X, x, prob.fd_step)
 
 
 # the result keys of the two kinds of law, and the diagnostic comparing the
@@ -677,10 +679,17 @@ def cmd_morphism(args):
         rows = spec["matrix"]
         matrix = _build(MatrixField.from_exprs, rows, base_names(prob.n),
                         prob.region)
+        if matrix.shape != (target.r, prob.r):
+            raise ConfigError(f"morphism.matrix must be {target.r} rows of "
+                              f"{prob.r} entries")
         m = _build(BundleMorphism.vector, base, matrix, prob.n, prob.r,
                    region=full_region, base_region=prob.region)
     elif "fibre" in spec:
-        m = _build(BundleMorphism.from_exprs, base, spec["fibre"], prob.n,
+        fibre = spec["fibre"]
+        if not isinstance(fibre, list) or len(fibre) != target.r:
+            raise ConfigError(f"morphism.fibre must list {target.r} "
+                              "expressions")
+        m = _build(BundleMorphism.from_exprs, base, fibre, prob.n,
                    prob.r, region=full_region, base_region=prob.region)
     else:
         raise ConfigError("morphism needs either matrix (vector-bundle "

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import NonFinite, ParseError, UnboundVariable
 
 FUNCTION_ARITY = {
@@ -343,3 +345,60 @@ def compile_fn(ast, names):
         return get
 
     return _compile(ast, resolve)
+
+
+_BATCH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                 "/": np.divide}
+
+
+def _finite_batch(values):
+    if np.isfinite(values).all():
+        return values
+    raise NonFinite("non-finite value in a batch")
+
+
+def compile_batch(ast, names):
+    """Compile an AST into a function of one float column per name (all of
+    one length K) returning the K values, bitwise equal to compile_fn at
+    each point: + - * / and unary minus are numpy ufuncs (the same IEEE
+    operations), every function and '^' applies the scalar implementation
+    element by element. A non-finite value at any node raises NonFinite
+    without naming a point; re-evaluate point by point for the message."""
+    names = tuple(names)
+
+    def build(node):
+        if isinstance(node, Const):
+            value = float(node.value)
+            if not math.isfinite(value):
+                raise NonFinite(f"constant {node.value!r}")
+            return lambda cols: value
+        if isinstance(node, Var):
+            try:
+                idx = names.index(node.name)
+            except ValueError:
+                raise UnboundVariable(node.name) from None
+            return lambda cols: _finite_batch(cols[idx])
+        if isinstance(node, Neg):
+            f = build(node.operand)
+            return lambda cols: np.negative(f(cols))
+        if isinstance(node, BinOp) and node.op in _BATCH_UFUNCS:
+            ufunc = _BATCH_UFUNCS[node.op]
+            lf, rf = build(node.lhs), build(node.rhs)
+            return lambda cols: _finite_batch(ufunc(lf(cols), rf(cols)))
+        if isinstance(node, BinOp):
+            impl, args = math.pow, (node.lhs, node.rhs)
+        else:
+            impl, args = _CALL_IMPL[node.func], node.args
+        elementwise = np.frompyfunc(impl, len(args), 1)
+        arg_fns = tuple(build(a) for a in args)
+
+        def run(cols):
+            try:
+                v = elementwise(*(f(cols) for f in arg_fns))
+            except (ValueError, OverflowError, ZeroDivisionError):
+                raise NonFinite("libm error in a batch") from None
+            return _finite_batch(np.asarray(v, dtype=float))
+        return run
+
+    fn = build(ast)
+    return np.errstate(all="ignore")(lambda *cols: fn(cols))

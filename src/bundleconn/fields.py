@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainExit, NonFinite, SingularFrame
-from .exprlang import Const, ExprAst, compile_fn, parse
+from .exprlang import Const, ExprAst, compile_batch, compile_fn, parse
 
 SINGULAR_DET = 1e-12
 FD_STEP_FIRST = 1e-5
@@ -63,21 +63,22 @@ def bundle_names(n, r):
 
 def _compile_entry(source, names):
     """Normalize an entry (number, source text, AST, ScalarField, callable)
-    to (closure over a positional point, constant value or None)."""
+    to (closure over a positional point, constant value or None, the
+    expression AST or None)."""
     if isinstance(source, ScalarField):
-        return source.raw, source.const
+        return source.raw, source.const, None
     if isinstance(source, (int, float)):
         value = float(source)
         if not math.isfinite(value):
             raise NonFinite(f"constant {source!r}")
-        return (lambda point: value), value
+        return (lambda point: value), value, None
     if isinstance(source, (str, ExprAst)):
         ast = parse(source) if isinstance(source, str) else source
         fn = compile_fn(ast, names)
         const = float(ast.value) if isinstance(ast, Const) else None
-        return fn, const
+        return fn, const, ast
     if callable(source):
-        return (lambda point: source(*point)), None
+        return (lambda point: source(*point)), None, None
     raise ValueError(f"cannot build a field from {type(source).__name__}")
 
 
@@ -94,7 +95,7 @@ class ScalarField:
 
     @classmethod
     def from_expr(cls, source, names, region=None):
-        fn, const = _compile_entry(source, tuple(names))
+        fn, const, _ = _compile_entry(source, tuple(names))
         return cls(names, fn, region, const)
 
     @classmethod
@@ -118,13 +119,16 @@ def as_scalar_field(source, names, region=None):
 
 class _FieldArray:
     """Array-valued field: a fixed-shape array of scalar entries (constants
-    folded into a template) or one whole-array callable."""
+    folded into a template) or one whole-array callable. `values` evaluates
+    many points at once; expression entries are compiled for it on first
+    use."""
 
     def __init__(self, shape, names, region=None, entries=None, array_fn=None):
         self.shape = tuple(shape)
         self.names = tuple(names)
         self.region = region
         self._array_fn = array_fn
+        self._batch = None
         if array_fn is None:
             grid = np.array(entries, dtype=object)
             if grid.shape != self.shape:
@@ -133,11 +137,11 @@ class _FieldArray:
             template = np.zeros(self.shape)
             dynamic = []
             for idx in np.ndindex(self.shape):
-                fn, const = _compile_entry(grid[idx], self.names)
+                fn, const, ast = _compile_entry(grid[idx], self.names)
                 if const is not None:
                     template[idx] = const
                 else:
-                    dynamic.append((idx, fn))
+                    dynamic.append((idx, fn, ast))
             self._template = template
             self._dynamic = dynamic
 
@@ -156,10 +160,44 @@ class _FieldArray:
                                  f"expected {self.shape}")
         else:
             out = self._template.copy()
-            for idx, fn in self._dynamic:
+            for idx, fn, _ in self._dynamic:
                 out[idx] = fn(point)
         if not np.isfinite(out).all():
             raise NonFinite(f"non-finite array value at {tuple(point)}")
+        return out
+
+    def values(self, points):
+        """The field at every row of a (K, dim) point array, shape
+        (K,) + shape, equal to stacking self(tuple(p)) over the rows. A
+        callable field, a non-expression entry, a point outside the region
+        or a non-finite node falls back to that per-point loop, so errors
+        and their messages are the per-point ones."""
+        points = np.asarray(points, dtype=float)
+        out = self._batch_values(points)
+        if out is None:
+            out = np.stack([self(tuple(p)) for p in points])
+        return out
+
+    def _batch_values(self, points):
+        if (self._array_fn is not None or points.shape[1] != len(self.names)
+                or any(ast is None for _, _, ast in self._dynamic)):
+            return None
+        if self.region is not None:
+            lo, hi = np.array(self.region.bounds).T
+            if len(lo) != points.shape[1] or not (
+                    (lo < points) & (points < hi)).all():
+                return None
+        if self._batch is None:
+            self._batch = [(idx, compile_batch(ast, self.names))
+                           for idx, _, ast in self._dynamic]
+        out = np.empty((len(points),) + self.shape)
+        out[:] = self._template
+        cols = points.T
+        try:
+            for idx, fn in self._batch:
+                out[(slice(None),) + idx] = fn(*cols)
+        except NonFinite:
+            return None
         return out
 
 

@@ -17,17 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, StepCountTooSmall
-from .fields import as_scalar_field, as_section, base_names
+from .fields import _FieldArray, as_section, base_names
 
 MIN_STEPS = 8
 
 
 class PathSpec:
     """A base-space path: either expression components x^mu(t) on an
-    interval [t0, t1], or a piecewise-linear path through the given points
-    (integrated with exact segment velocities, steps allocated per segment
-    proportionally to length, minimum 2, never straddling a vertex).
-    `steps` is the total RK4 step count."""
+    interval [t0, t1], evaluated as one vector field over ("t",), or a
+    piecewise-linear path through the given points (integrated with exact
+    segment velocities, steps allocated per segment proportionally to
+    length, minimum 2, never straddling a vertex). `steps` is the total
+    RK4 step count."""
 
     def __init__(self, exprs=None, interval=None, points=None, steps=100):
         self.steps = int(steps)
@@ -40,9 +41,9 @@ class PathSpec:
             if not t0 < t1:
                 raise ValueError(f"empty parameter interval [{t0}, {t1}]")
             self.kind = "expr"
-            self.exprs = [as_scalar_field(c, ("t",)) for c in exprs]
+            self.exprs = as_section(exprs, ("t",))
             self.interval = (t0, t1)
-            self.dim = len(self.exprs)
+            self.dim = self.exprs.shape[0]
         else:
             pts = np.asarray(points, dtype=float)
             if pts.ndim != 2 or pts.shape[0] < 2:
@@ -59,22 +60,14 @@ class PathSpec:
     def from_points(cls, points, steps=100):
         return cls(points=points, steps=steps)
 
-    def start(self):
-        if self.kind == "expr":
-            t0 = self.interval[0]
-            return np.array([c((t0,)) for c in self.exprs])
-        return self.points[0].copy()
-
     def reverse(self):
         """The same image traversed backwards (reversed parametrization)."""
         if self.kind == "expr":
             t0, t1 = self.interval
-
-            def flip(c):
-                return lambda t: c((t0 + t1 - t,))
-
-            return PathSpec(exprs=[flip(c) for c in self.exprs],
-                            interval=self.interval, steps=self.steps)
+            flipped = _FieldArray.from_callable(
+                lambda t: self.exprs((t0 + t1 - t,)), (self.dim,), ("t",))
+            return PathSpec(exprs=flipped, interval=self.interval,
+                            steps=self.steps)
         return PathSpec(points=self.points[::-1].copy(), steps=self.steps)
 
 
@@ -113,9 +106,12 @@ def _expr_grid(path):
     span = t1 - t0
     hv = span / (64.0 * N)
     tgrid = t0 + span * np.arange(2 * N + 1) / (2.0 * N)
-    pos = np.array([[c((t,)) for c in path.exprs] for t in tgrid])
-    vel = np.array([[(c((t + hv,)) - c((t - hv,))) / (2.0 * hv)
-                     for c in path.exprs] for t in tgrid])
+    pos = path.exprs.values(tgrid[:, None])
+    # t + hv and t - hv interleaved node by node, so a failing batch
+    # re-runs in the order the stencil visits the points
+    shifted = path.exprs.values(
+        np.stack([tgrid + hv, tgrid - hv], axis=1).reshape(-1, 1))
+    vel = (shifted[0::2] - shifted[1::2]) / (2.0 * hv)
     bases = 2 * np.arange(N)
     hs = np.full(N, span / N)
     ts = t0 + span * np.arange(N + 1) / N
@@ -205,9 +201,7 @@ def transport_general(g2, path, p0):
 
 def _linear_rhs_matrices(g3, grid):
     """A[k] = -G3[mu, a, b](x_k) v_k^mu at every grid node."""
-    return np.stack([
-        -np.einsum("mab,m->ab", g3(tuple(grid.pos[k])), grid.vel[k])
-        for k in range(len(grid.pos))])
+    return -np.einsum("kmab,km->kab", g3.values(grid.pos), grid.vel)
 
 
 def _transport_linear_system(g3, grid, y0, gvecs=None):
@@ -242,8 +236,7 @@ def transport_affine(aff, path, p0):
     grid = _grid(path)
     if grid.nsteps == 0:
         return _degenerate(p0)
-    gvecs = np.stack([aff.inhom(tuple(grid.pos[k])) @ grid.vel[k]
-                      for k in range(len(grid.pos))])
+    gvecs = (aff.inhom.values(grid.pos) @ grid.vel[:, :, None])[:, :, 0]
     return _transport_linear_system(aff.linear, grid, p0, gvecs)
 
 

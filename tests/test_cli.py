@@ -702,6 +702,24 @@ MALFORMED_CONFIGS = {
                        "params": {"matrices": [[[0, 1], [0]],
                                                [[0, 0], [1, 0]]]}},
         "point": [0.5, 0.5]}),
+    "covd-section-null-entry": ("covd", {
+        "connection": "registry:sphere-lc", "point": [1.0, 0.3],
+        "direction": [1.0, 0.5], "section": [None, "x1"]}),
+    "covd-section-list-entry": ("covd", {
+        "connection": "registry:sphere-lc", "point": [1.0, 0.3],
+        "direction": [1.0, 0.5], "section": [["x2"], "x1"]}),
+    "lie-vector-field-null-entry": ("frames", {
+        "connection": "registry:flat", "point": [2.0, 0.7], "law": "lie",
+        "vector_field": [None, "x1"], "frame_change": FRAME_CHANGE}),
+    "lie-vector-field-list-entry": ("frames", {
+        "connection": "registry:flat", "point": [2.0, 0.7], "law": "lie",
+        "vector_field": [["x2"], "x1"], "frame_change": FRAME_CHANGE}),
+    "morphism-matrix-empty-row": ("morphism", {
+        "connection": "registry:sphere-lc", "point": [1, 0.3, 0.2, 0.1],
+        "morphism": {"base": ["x1", "x2"], "matrix": [[]]}}),
+    "morphism-fibre-longer-than-target": ("morphism", {
+        "connection": "registry:sphere-lc", "point": [1, 0.3, 0.2, 0.1],
+        "morphism": {"base": ["x1", "x2"], "fibre": ["u1", "u2", "u1"]}}),
 }
 
 

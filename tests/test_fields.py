@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from bundleconn.errors import DomainExit, NonFinite, SingularFrame
+from bundleconn.errors import (
+    DomainExit,
+    EngineError,
+    NonFinite,
+    SingularFrame,
+)
+from bundleconn.exprlang import FUNCTION_ARITY
 from bundleconn.fields import (
     FD_STEP_FIRST,
     FD_STEP_NESTED,
@@ -289,3 +295,101 @@ def test_section_field_region_and_finiteness():
 def test_section_field_rejects_unusable_components(components):
     with pytest.raises(ValueError):
         SectionField(components, XY)
+
+
+# --- batched evaluation: values(points) -------------------------------------------
+
+# every grammar function and every operator, defined on (0.1, 2) x (0.1, 1.5)
+ALL_OPS_ROWS = [
+    ["sin(x1)*cos(x2) - tan(x1/3)", "cot(x2) + exp(x1 - x2)", "-x2"],
+    ["ln(x1) / sqrt(x2)", "abs(x1 - x2)^1.5 + pow(x1, x2)", "2.5"],
+]
+ALL_OPS_REGION = Region([(0.1, 2.0), (0.1, 1.5)])
+
+
+def batch_points(k=2000, seed=3):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(0.1, 2.0, k),
+                            rng.uniform(0.1, 1.5, k)])
+
+
+def stacked(field, points):
+    """The per-point reference: one __call__ per row."""
+    return np.stack([field(tuple(p)) for p in points])
+
+
+def first_error(fn):
+    with pytest.raises(EngineError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("region", [None, ALL_OPS_REGION])
+def test_values_equals_stacked_calls_bitwise(region, monkeypatch):
+    text = " ".join(e for row in ALL_OPS_ROWS for e in row)
+    assert all(f"{name}(" in text for name in FUNCTION_ARITY)
+    assert all(op in text for op in "+-*/^")
+    field = MatrixField.from_exprs(ALL_OPS_ROWS, XY, region)
+    points = batch_points()
+    expected = stacked(field, points)
+
+    def no_per_point_calls(self, point):
+        raise AssertionError("the batch path evaluated a single point")
+
+    monkeypatch.setattr(MatrixField, "__call__", no_per_point_calls)
+    out = field.values(points)
+    assert out.shape == (len(points), 2, 3)
+    assert np.array_equal(out, expected)
+
+
+BAD_NODE_CASES = {
+    # the entries of a 1 x 2 field, its region, and its one bad point
+    "outside-region": (["x1", "x2"], ALL_OPS_REGION, (2.5, 0.5)),
+    "division-by-zero": (["x2", "1/(x1 - 0.5)"], None, (0.5, 0.5)),
+    "ln-negative": (["ln(x1 - 0.6)", "x2"], None, (0.5, 0.5)),
+    "exp-overflow-in-finite-result": (["1/exp(800*x1)", "x2"], None,
+                                      (1.0, 0.5)),
+    "fractional-power-negative-base": (["x1", "(x1 - 0.6)^0.5"], None,
+                                       (0.5, 0.5)),
+    "cot-zero": (["cot(x2)", "x1"], None, (0.5, 0.0)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.parametrize("entries, region, bad", BAD_NODE_CASES.values(),
+                         ids=list(BAD_NODE_CASES))
+def test_values_raises_the_per_point_error(entries, region, bad):
+    field = MatrixField.from_exprs([entries], XY, region)
+    points = np.array([(1.0, 1.0), (1.2, 0.7), bad, (0.9, 1.1)])
+    expected = first_error(lambda: stacked(field, points))
+    assert first_error(lambda: field.values(points)) == expected
+
+
+def test_values_raises_at_the_first_bad_point_not_the_first_bad_entry():
+    # the second entry fails at row 1, the first entry only at row 2
+    field = MatrixField.from_exprs([["1/(x1 - 0.5)", "ln(x2)"]], XY)
+    points = np.array([(1.0, 1.0), (0.8, -1.0), (0.5, 1.0)])
+    kind, message = first_error(lambda: field.values(points))
+    assert (kind, message) == first_error(lambda: stacked(field, points))
+    assert kind is NonFinite and message.startswith("ln")
+
+
+def test_callable_fields_take_the_per_point_loop():
+    calls = []
+
+    def fn(x1, x2):
+        calls.append((x1, x2))
+        return [[x1 * x2, math.exp(x1)], [1.0, x2]]
+
+    field = MatrixField.from_callable(fn, (2, 2), XY)
+    points = batch_points(40)
+    out = field.values(points)
+    assert len(calls) == len(points)
+    calls.clear()
+    assert np.array_equal(out, stacked(field, points))
+    # one callable entry sends the whole field down the same loop
+    mixed = SectionField(["x1", lambda x1, x2: x1 + x2], XY)
+    assert np.array_equal(mixed.values(points), stacked(mixed, points))
+    nan_field = SectionField(["x1", lambda x1, x2: float("nan")], XY)
+    assert (first_error(lambda: nan_field.values(points))
+            == first_error(lambda: stacked(nan_field, points)))

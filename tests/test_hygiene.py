@@ -1,10 +1,14 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every import sits at module level."""
+"""Source hygiene: every name a package module imports is used in it,
+every import sits at module level, and the batch expression compiler covers
+exactly the grammar's functions."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bundleconn import exprlang
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bundleconn"
 
@@ -67,3 +71,19 @@ def test_function_local_import_is_reported():
               "        import sys\n"
               "    return math, path\n")
     assert function_imports(source) == [4, 6]
+
+
+def test_batch_compiler_handles_exactly_the_grammar_functions():
+    # compile_batch dispatches calls through _CALL_IMPL, like compile_fn
+    assert set(exprlang._CALL_IMPL) == set(exprlang.FUNCTION_ARITY)
+    names = ("x1", "x2")
+    cols = (np.linspace(0.1, 1.4, 7), np.linspace(0.3, 0.9, 7))
+    for func, arity in exprlang.FUNCTION_ARITY.items():
+        node = exprlang.Call(func, tuple(exprlang.Var(n)
+                                         for n in names[:arity]))
+        batch = exprlang.compile_batch(node, names)(*cols)
+        point = exprlang.compile_fn(node, names)
+        assert np.array_equal(batch, [point(p) for p in zip(*cols)]), func
+    unknown = exprlang.Call("sinh", (exprlang.Var("x1"),))
+    with pytest.raises(KeyError):
+        exprlang.compile_batch(unknown, names)

@@ -14,10 +14,13 @@ from bundleconn.connection import (
     base_names,
 )
 from bundleconn.errors import DomainExit, StepCountTooSmall
-from bundleconn.fields import MatrixField
+from bundleconn.fields import MatrixField, ScalarField
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
+    _grid,
+    _linear_rhs_matrices,
+    _transport_linear_system,
     covariant_derivative_limit,
     fundamental_solution,
     geodesic,
@@ -296,3 +299,96 @@ def test_covd_limit_matches_hand_contraction():
     out = covariant_derivative_limit(g3, (1.0, 1.0), ["x2", "x1"],
                                      (0.4, 0.7))
     assert np.allclose(out, [1.4, 1.7], atol=1e-5)
+
+
+# --- batched grids: equal to the per-node loops ----------------------------------
+
+GRID_EXPRS = (["1.0 + 0.3*sin(t)", "0.2 + (t + 0.1)^1.5"], 0.0, 2.0)
+GRID_POINTS = [[0.8, 0.1], [1.4, 0.9], [1.1, 2.0]]
+SKEW3 = [
+    [["0", "x1", "x2^2"], ["-x1", "0", "sin(x2)"],
+     ["-x2^2", "-sin(x2)", "0"]],
+    [["0", "exp(x1 - x2)", "0.5"], ["-exp(x1 - x2)", "0", "x1*x2"],
+     ["-0.5", "-x1*x2", "0"]],
+]
+AFFINE_LINEAR = [[["0", "x2"], ["-x2", "0"]], [["0", "cot(x1)"], ["1", "0"]]]
+AFFINE_INHOM = [["tan(x1/2)", "ln(1 + x2)"], ["sqrt(x1)", "-x1*x2"]]
+
+
+def grid_paths(steps=200):
+    exprs, t0, t1 = GRID_EXPRS
+    return {"expr": PathSpec.from_exprs(exprs, t0, t1, steps=steps),
+            "polyline": PathSpec.from_points(GRID_POINTS, steps=steps)}
+
+
+def per_node_expr_grid(exprs, t0, t1, steps):
+    """Positions and FD velocities evaluated one component at a time."""
+    comps = [ScalarField.from_expr(c, ("t",)) for c in exprs]
+    span = t1 - t0
+    hv = span / (64.0 * steps)
+    tgrid = t0 + span * np.arange(2 * steps + 1) / (2.0 * steps)
+    pos = np.array([[c((t,)) for c in comps] for t in tgrid])
+    vel = np.array([[(c((t + hv,)) - c((t - hv,))) / (2.0 * hv)
+                     for c in comps] for t in tgrid])
+    return pos, vel
+
+
+def per_node_coefficients(g3, grid):
+    return np.stack([
+        -np.einsum("mab,m->ab", g3(tuple(grid.pos[k])), grid.vel[k])
+        for k in range(len(grid.pos))])
+
+
+def per_node_gvecs(aff, grid):
+    return np.stack([aff.inhom(tuple(grid.pos[k])) @ grid.vel[k]
+                     for k in range(len(grid.pos))])
+
+
+def callable_stack(x1, x2):
+    return [[[0.0, math.sin(x1 * x2)], [-math.sin(x1 * x2), 0.0]],
+            [[0.0, math.exp(x1 / 3)], [-math.exp(x1 / 3), 0.0]]]
+
+
+GRID_CONNECTIONS = {
+    "sphere-lc": lambda: make_sphere_lc().g3,
+    "pure-gauge": lambda: make_pure_gauge("x1*x2 + sin(x1)").g3,
+    "skew-r3": lambda: CoefficientField3.from_exprs(SKEW3),
+    "affine-linear": lambda: AffineCoefficients.from_exprs(
+        AFFINE_LINEAR, AFFINE_INHOM).linear,
+    "callable": lambda: CoefficientField3.from_callable(callable_stack, 2, 2),
+}
+
+
+def test_expr_path_grid_equals_per_node_loop():
+    exprs, t0, t1 = GRID_EXPRS
+    grid = _grid(grid_paths()["expr"])
+    pos, vel = per_node_expr_grid(exprs, t0, t1, 200)
+    assert np.array_equal(grid.pos, pos)
+    assert np.array_equal(grid.vel, vel)
+
+
+@pytest.mark.parametrize("path_kind", ["expr", "polyline"])
+@pytest.mark.parametrize("name", list(GRID_CONNECTIONS))
+def test_coefficient_grid_equals_per_node_loop(name, path_kind):
+    g3 = GRID_CONNECTIONS[name]()
+    grid = _grid(grid_paths()[path_kind])
+    assert np.array_equal(_linear_rhs_matrices(g3, grid),
+                          per_node_coefficients(g3, grid))
+
+
+@pytest.mark.parametrize("path_kind", ["expr", "polyline"])
+@pytest.mark.parametrize("inhom_kind", ["exprs", "callable"])
+def test_affine_gvecs_equal_per_node_loop(path_kind, inhom_kind):
+    aff = AffineCoefficients.from_exprs(AFFINE_LINEAR, AFFINE_INHOM)
+    if inhom_kind == "callable":
+        inhom = aff.inhom
+        aff = AffineCoefficients(aff.linear, MatrixField.from_callable(
+            lambda x1, x2: inhom((x1, x2)), (2, 2), base_names(2)))
+    path = grid_paths()[path_kind]
+    p0 = np.array([0.3, -0.2])
+    got = transport_affine(aff, path, p0)
+    grid = _grid(path)
+    want = _transport_linear_system(aff.linear, grid, p0,
+                                    per_node_gvecs(aff, grid))
+    assert np.array_equal(got.samples, want.samples)
+    assert got.max_residual == want.max_residual
