@@ -64,15 +64,22 @@ def dual_covariant_derivative(g3, F, omega, x, h=None):
     return Fv @ (dw - np.einsum("mba,b->ma", g3(x), wv))
 
 
-def curvature(g3, x, h=None):
-    """Curvature components from the coefficient stack:
-    R_{mu nu} = d_mu G_nu - d_nu G_mu + [G_mu, G_nu], with FD partials at
-    a 1e-4 relative step."""
-    D = fd_partials(g3, x, h, rel=FD_STEP_NESTED)   # D[mu, nu, a, b]
+def curvature(g3, x, h=None, base_frame=None):
+    """Curvature components from the coefficient stack, given in a
+    (possibly anholonomic) base frame E:
+    R_{mu nu} = E_mu(G_nu) - E_nu(G_mu) + [G_mu, G_nu] - G_lam C^lam_{mu nu},
+    with FD partials at a 1e-4 relative step. Without a frame E_mu = d_mu
+    and C = 0."""
+    E = None if base_frame is None else base_frame(x)
+    D = fd_partials(g3, x, h, rel=FD_STEP_NESTED)   # D[t, nu, a, b]
+    if E is not None:
+        D = np.einsum("tm,tnab->mnab", E, D)        # E_mu(G_nu)
     stack = g3(x)
-    prod = np.einsum("mac,ncb->mnab", stack, stack)
-    T = D + prod
+    T = D + np.einsum("mac,ncb->mnab", stack, stack)
     Rmn = T - T.transpose(1, 0, 2, 3)
+    if E is not None:
+        C = anholonomy(base_frame, x, h)            # C[lam, mu, nu]
+        Rmn = Rmn - np.einsum("lab,lmn->mnab", stack, C)
     return CurvatureValues(Rmn.transpose(2, 3, 0, 1))
 
 
@@ -102,19 +109,8 @@ def curvature_commutator_oracle(g3, F, G, Y, x, h=None):
 
 
 def curvature_general_frame(g3, base_frame, x, h=None):
-    """Curvature for coefficients given in a (possibly anholonomic) base
-    frame: directional derivatives along the frame vectors plus the
-    anholonomy correction -G3[lam, a, b] C[lam, mu, nu]."""
-    E = base_frame(x)
-    dcoord = fd_partials(g3, x, h, rel=FD_STEP_NESTED)   # [t, nu, a, b]
-    Ddir = np.einsum("tm,tnab->mnab", E, dcoord)   # E_mu(G_nu)
-    stack = g3(x)
-    prod = np.einsum("mac,ncb->mnab", stack, stack)
-    T = Ddir + prod
-    Rmn = T - T.transpose(1, 0, 2, 3)
-    C = anholonomy(base_frame, x, h)
-    Rmn = Rmn - np.einsum("lab,lmn->mnab", stack, C)
-    return CurvatureValues(Rmn.transpose(2, 3, 0, 1))
+    """curvature() in a base frame, with the frame first."""
+    return curvature(g3, x, h, base_frame)
 
 
 def curvature_law(g3, change, x, h=None):
@@ -122,9 +118,8 @@ def curvature_law(g3, change, x, h=None):
     (the sandwich inv(Bf) R_(lam rho) Bf Bb[lam, mu] Bb[rho, nu] of the old
     curvature, the curvature of the transformed coefficients computed
     directly in the changed base frame)."""
-    direct = curvature_general_frame(
-        transformed_three_index(g3, change, h=h), FrameField(change.base),
-        x, h).R
+    direct = curvature(transformed_three_index(g3, change, h=h), x, h,
+                       FrameField(change.base)).R
     R = curvature(g3, x, h).R
     Bb, Bf = change.base_at(x), change.fibre_at(x)
     predicted = np.einsum("ac,cdlr,db,lm,rn->abmn",

@@ -24,7 +24,6 @@ from . import suites
 from .calculus import (
     covariant_derivative,
     curvature,
-    curvature_general_frame,
     curvature_law,
     fibre_curvature_general,
     flat_fundamental_matrix,
@@ -164,22 +163,32 @@ def _require(cfg, key, what):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number (json.loads reads NaN, Infinity and 1e400)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
-def _float_list(value, length, what):
+def _float_list(value, length, what, infinite=False):
+    """A list of `length` finite numbers; with `infinite`, +-Infinity too."""
+    allowed = (-math.inf, math.inf) if infinite else ()
     if (not isinstance(value, (list, tuple)) or len(value) != length
-            or not all(_is_number(v) for v in value)):
+            or not all(_is_number(v) or v in allowed for v in value)):
         raise ConfigError(f"{what} must be a list of {length} numbers")
     return tuple(float(v) for v in value)
 
 
-def _square_rows(rows, size, what):
-    if (not isinstance(rows, list) or len(rows) != size
-            or not all(isinstance(row, list) and len(row) == size
-                       for row in rows)):
-        raise ConfigError(f"{what} must be {size} rows of {size} entries")
-    return rows
+def _entries(value, k, what):
+    """A list of k field entries, each checked when its field is built."""
+    if not isinstance(value, list) or len(value) != k:
+        raise ConfigError(f"{what} must list {k} expressions")
+    return value
+
+
+def _points(value, dim, what, least):
+    """A list of at least `least` points of `dim` numbers each."""
+    if not isinstance(value, list) or len(value) < least:
+        raise ConfigError(f"{what} must list {least} or more points")
+    return [_float_list(p, dim, f"a point of {what}") for p in value]
 
 
 def _build(fn, *args, **kwargs):
@@ -210,18 +219,20 @@ class Problem:
             raise ConfigError(f"steps must be positive, got {self.steps}")
         if self.samples < 1:
             raise ConfigError(f"samples must be positive, got {self.samples}")
+        if self.fd_step is not None and self.fd_step <= 0.0:
+            raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
 
     @staticmethod
     def _effective(args, name, cfg, cast, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in cfg:
+        """The flag, else the config value, else the default."""
+        value = getattr(args, name, None)
+        if value is None:
+            if name not in cfg:
+                return default
             value = cfg[name]
-            if not _is_number(value):
-                raise ConfigError(f"config {name!r} must be a number")
-            return cast(value)
-        return default
+        if not _is_number(value):
+            raise ConfigError(f"{name} must be a finite number")
+        return cast(value)
 
     def _build_region(self, spec):
         if spec is None:
@@ -233,7 +244,7 @@ class Problem:
             if axis is None:
                 bounds.append((-math.inf, math.inf))
                 continue
-            lo, hi = _float_list(axis, 2, "a region axis")
+            lo, hi = _float_list(axis, 2, "a region axis", infinite=True)
             bounds.append((lo, hi))
         try:
             return Region(bounds)
@@ -241,12 +252,11 @@ class Problem:
             raise ConfigError(str(exc)) from exc
 
     def _declared_dims(self, required):
-        cfg = self.cfg
-        if required and ("base_dim" not in cfg or "fibre_rank" not in cfg):
+        n = self.cfg.get("base_dim")
+        r = self.cfg.get("fibre_rank")
+        if required and (n is None or r is None):
             raise ConfigError("base_dim and fibre_rank are required for "
                               "explicit connection blocks")
-        n = cfg.get("base_dim")
-        r = cfg.get("fibre_rank")
         for name, v in (("base_dim", n), ("fibre_rank", r)):
             if v is not None and (not isinstance(v, int)
                                   or isinstance(v, bool) or v < 1):
@@ -345,10 +355,7 @@ class Problem:
         if self._flag_steps is not None:
             steps = self._flag_steps
         if "exprs" in spec:
-            exprs = spec["exprs"]
-            if not isinstance(exprs, list) or len(exprs) != self.n:
-                raise ConfigError(f"path.exprs must list {self.n} "
-                                  "expressions in t")
+            exprs = _entries(spec["exprs"], self.n, "path.exprs")
             t0 = spec.get("t0", 0.0)
             t1 = spec.get("t1", 1.0)
             if not (_is_number(t0) and _is_number(t1)):
@@ -356,10 +363,7 @@ class Problem:
             return _build(PathSpec.from_exprs, exprs, float(t0), float(t1),
                           steps=steps)
         if "points" in spec:
-            pts = spec["points"]
-            if not isinstance(pts, list) or len(pts) < 2:
-                raise ConfigError("path.points must list at least 2 points")
-            pts = [_float_list(p, self.n, "a path point") for p in pts]
+            pts = _points(spec["points"], self.n, "path.points", 2)
             return _build(PathSpec.from_points, pts, steps=steps)
         raise ConfigError("path needs either exprs (with t0, t1) or points")
 
@@ -376,23 +380,26 @@ class Problem:
                         "an object with base and fibre expression rows")
         if not isinstance(spec, dict):
             raise ConfigError("frame_change must be an object")
-        base_rows = _square_rows(
-            _require(spec, "base", "n x n expression rows"), self.n,
-            "frame_change.base")
-        fibre_rows = _square_rows(
-            _require(spec, "fibre", "r x r expression rows"), self.r,
-            "frame_change.fibre")
-        return _build(FrameChange.from_exprs, base_rows, fibre_rows, self.n,
-                      self.region)
+        fc = _build(FrameChange.from_exprs,
+                    _require(spec, "base", "n x n expression rows"),
+                    _require(spec, "fibre", "r x r expression rows"),
+                    self.n, self.region)
+        if (fc.n, fc.r) != (self.n, self.r):
+            raise ConfigError(f"frame_change needs {self.n} x {self.n} base "
+                              f"and {self.r} x {self.r} fibre blocks")
+        return fc
 
     def frame(self, key):
         """The base frame given as n x n expression rows under key, or
         None when the config has no such key."""
         if key not in self.cfg:
             return None
-        rows = _square_rows(self.cfg[key], self.n, key)
-        return _build(FrameField.from_exprs, rows, base_names(self.n),
-                      self.region)
+        frame = _build(FrameField.from_exprs, self.cfg[key],
+                       base_names(self.n), self.region)
+        if frame.dim != self.n:
+            raise ConfigError(f"{key} must be {self.n} rows of {self.n} "
+                              "entries")
+        return frame
 
     def effective(self):
         return {"steps": self.steps, "fd_step": self.fd_step,
@@ -411,10 +418,7 @@ def _grid_points(prob):
     samples^n lattice over the config grid box."""
     cfg = prob.cfg
     if "points" in cfg:
-        pts = cfg["points"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError("points must be a non-empty list")
-        return [_float_list(p, prob.n, "a sample point") for p in pts]
+        return _points(cfg["points"], prob.n, "points", 1)
     grid = _require(cfg, "grid", "an object with lo and hi corner points "
                                  "(or an explicit points list)")
     if not isinstance(grid, dict):
@@ -499,12 +503,8 @@ def cmd_curvature(args):
         return _payload("curvature", prob, result, diagnostics), 0
     x = prob.base_point()
     frame = prob.frame("base_frame")
-    if frame is not None:
-        R = curvature_general_frame(g3, frame, x, prob.fd_step).R
-        eq = "6.40"
-    else:
-        R = curvature(g3, x, prob.fd_step).R
-        eq = "4.27"
+    R = curvature(g3, x, prob.fd_step, frame).R
+    eq = "4.27" if frame is None else "6.40"
     result = {"R": {"value": R, "eq": eq}}
     diagnostics = {"max_abs": {"value": float(np.max(np.abs(R))), "eq": eq}}
     return _payload("curvature", prob, result, diagnostics), 0
@@ -538,10 +538,9 @@ def cmd_covd(args):
     direction = _float_list(_require(prob.cfg, "direction",
                                      "n numeric vector components"),
                             prob.n, "direction")
-    section = _require(prob.cfg, "section",
-                       "r section expressions over the base")
-    if not isinstance(section, list) or len(section) != prob.r:
-        raise ConfigError(f"section must list {prob.r} expressions")
+    section = _entries(_require(prob.cfg, "section",
+                                "r section expressions over the base"),
+                       prob.r, "section")
     Y = _build(SectionField, section, base_names(prob.n), g3.region)
     direct = covariant_derivative(g3, direction, Y, x, prob.fd_step)
     limit = covariant_derivative_limit(g3, direction, Y, x, prob.fd_step)
@@ -614,10 +613,9 @@ def _law_anholonomy(prob, fc):
 def _law_lie(prob, fc):
     x = prob.base_point()
     frame = _config_frame(prob)
-    comps = _require(prob.cfg, "vector_field",
-                     "n components in the chosen frame")
-    if not isinstance(comps, list) or len(comps) != prob.n:
-        raise ConfigError(f"vector_field must list {prob.n} components")
+    comps = _entries(_require(prob.cfg, "vector_field",
+                              "n components in the chosen frame"),
+                     prob.n, "vector_field")
     X = _build(SectionField, comps, frame.names, frame.region)
     return "2.7-3", lie_gamma_law(frame, fc.base, X, x, prob.fd_step)
 
@@ -671,9 +669,8 @@ def cmd_morphism(args):
                     "an object with base components and a fibre block")
     if not isinstance(spec, dict):
         raise ConfigError("morphism must be an object")
-    base = _require(spec, "base", "n' base-map expressions")
-    if not isinstance(base, list) or len(base) != target.n:
-        raise ConfigError(f"morphism.base must list {target.n} expressions")
+    base = _entries(_require(spec, "base", "n' base-map expressions"),
+                    target.n, "morphism.base")
     full_region = bundle_region(prob.region, prob.r)
     if "matrix" in spec:
         rows = spec["matrix"]
@@ -685,10 +682,7 @@ def cmd_morphism(args):
         m = _build(BundleMorphism.vector, base, matrix, prob.n, prob.r,
                    region=full_region, base_region=prob.region)
     elif "fibre" in spec:
-        fibre = spec["fibre"]
-        if not isinstance(fibre, list) or len(fibre) != target.r:
-            raise ConfigError(f"morphism.fibre must list {target.r} "
-                              "expressions")
+        fibre = _entries(spec["fibre"], target.r, "morphism.fibre")
         m = _build(BundleMorphism.from_exprs, base, fibre, prob.n,
                    prob.r, region=full_region, base_region=prob.region)
     else:
@@ -698,11 +692,8 @@ def cmd_morphism(args):
     J = jacobi_natural(m, p, prob.fd_step)
     Jad, block = jacobi_adapted(m, prob.g2, target.g2, p, prob.fd_step)
     if "sample_points" in prob.cfg:
-        pts = prob.cfg["sample_points"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError("sample_points must be a non-empty list")
-        pts = [_float_list(q, prob.n + prob.r, "a sample point")
-               for q in pts]
+        pts = _points(prob.cfg["sample_points"], prob.n + prob.r,
+                      "sample_points", 1)
     else:
         pts = [p]
     ok, worst = preserves_connection(m, prob.g2, target.g2, pts, prob.tol)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import SingularFrame, SingularJacobian
 from .fields import (
-    SINGULAR_DET,
     FrameField,
     MatrixField,
     Region,
@@ -25,6 +24,7 @@ from .fields import (
     bundle_names,
     compose_frame,
     fd_partials,
+    nonsingular,
 )
 
 
@@ -155,22 +155,20 @@ class FrameChange:
                    MatrixField.constant(np.eye(r), names, region))
 
     def base_at(self, x):
-        out = self.base(x)
-        if abs(np.linalg.det(out)) < SINGULAR_DET:
-            raise SingularFrame(f"singular base block at {tuple(x)}")
-        return out
+        return nonsingular(self.base(x), SingularFrame,
+                           f"singular base block at {tuple(x)}")
 
     def fibre_at(self, x):
-        out = self.fibre(x)
-        if abs(np.linalg.det(out)) < SINGULAR_DET:
-            raise SingularFrame(f"singular fibre block at {tuple(x)}")
-        return out
+        return nonsingular(self.fibre(x), SingularFrame,
+                           f"singular fibre block at {tuple(x)}")
 
     def inverse(self):
-        """The inverse change: both blocks inverted pointwise."""
+        """The inverse change: both blocks inverted pointwise, each checked
+        for invertibility first."""
         return FrameChange(*(MatrixField.from_callable(
-            lambda *x, M=M: np.linalg.inv(M(x)), M.shape, M.names)
-            for M in (self.base, self.fibre)))
+            lambda *x, block=block: np.linalg.inv(block(x)), M.shape, M.names)
+            for M, block in ((self.base, self.base_at),
+                             (self.fibre, self.fibre_at))))
 
 
 class CoordinateChange:
@@ -189,8 +187,7 @@ class CoordinateChange:
 
     @classmethod
     def identity(cls, n, r):
-        return cls([f"x{i + 1}" for i in range(n)],
-                   [f"u{a + 1}" for a in range(r)], n, r)
+        return cls(base_names(n), bundle_names(n, r)[n:], n, r)
 
     @classmethod
     def vector_bundle(cls, base, fibre_matrix, n, r, region=None):
@@ -204,18 +201,12 @@ class CoordinateChange:
         x = tuple(p[:self.n])
         return tuple(self.base(x).tolist() + self.fibre(p).tolist())
 
-    def base_jacobian(self, x):
-        """J[alpha, mu] = d xtilde^alpha / d x^mu."""
-        return fd_partials(self.base, x, axes=range(self.n)).T
-
-    def fibre_jacobian_u(self, p):
-        """A[a, b] = d utilde^a / d u^b."""
-        return fd_partials(self.fibre, p,
-                           axes=range(self.n, self.n + self.r)).T
-
-    def fibre_jacobian_x(self, p):
-        """A[a, nu] = d utilde^a / d x^nu."""
-        return fd_partials(self.fibre, p, axes=range(self.n)).T
+    def jacobians(self, p):
+        """The Jacobian blocks at the bundle point p, fibre stencils first:
+        (d utilde^a / d u^b, d utilde^a / d x^nu, d xtilde^alpha / d x^mu)."""
+        dfibre = fd_partials(self.fibre, p).T
+        base = fd_partials(self.base, tuple(p[:self.n])).T
+        return dfibre[:, self.n:], dfibre[:, :self.n], base
 
 
 def two_index_from_linear(g3, p):
@@ -237,11 +228,8 @@ def transform_two_index(g2, change, p):
     Gtilde[a, mu] = (d utilde^a/d u^b G[b, nu] + d utilde^a/d x^nu)
                     * (d x^nu / d xtilde^mu)."""
     G = g2(p)
-    A_fib = change.fibre_jacobian_u(p)
-    A_mix = change.fibre_jacobian_x(p)
-    J = change.base_jacobian(tuple(p[:change.n]))
-    if abs(np.linalg.det(J)) < SINGULAR_DET:
-        raise SingularJacobian(f"singular base Jacobian at {tuple(p)}")
+    A_fib, A_mix, J = change.jacobians(p)
+    nonsingular(J, SingularJacobian, f"singular base Jacobian at {tuple(p)}")
     return (A_fib @ G + A_mix) @ np.linalg.inv(J)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -213,23 +212,34 @@ _CALL_IMPL = {
 }
 
 
-def _compile(ast, resolve):
-    """Compile a node to a closure env -> float. The resolver maps a variable
-    name to its getter closure; everything else is shared between the
-    scope-dict and positional code paths."""
+def _compile(ast, names):
+    """Compile a node to a closure over a positional point: variables are
+    resolved to their index in `names` now, so a name outside it raises
+    UnboundVariable at compile time rather than per evaluation."""
     if isinstance(ast, Const):
         value = float(ast.value)
         if not math.isfinite(value):
             raise NonFinite(f"constant {ast.value!r}")
         return lambda env: value
     if isinstance(ast, Var):
-        return resolve(ast.name)
+        name = ast.name
+        try:
+            idx = names.index(name)
+        except ValueError:
+            raise UnboundVariable(name) from None
+
+        def get(env):
+            v = env[idx]
+            if math.isfinite(v):
+                return v
+            raise NonFinite(f"variable {name} is {v!r}")
+        return get
     if isinstance(ast, Neg):
-        f = _compile(ast.operand, resolve)
+        f = _compile(ast.operand, names)
         return lambda env: -f(env)
     if isinstance(ast, BinOp):
-        lf = _compile(ast.lhs, resolve)
-        rf = _compile(ast.rhs, resolve)
+        lf = _compile(ast.lhs, names)
+        rf = _compile(ast.rhs, names)
         op = ast.op
         if op == "+":
             def run(env):
@@ -250,11 +260,13 @@ def _compile(ast, resolve):
                     return v
                 raise NonFinite("overflow in '*'")
         elif op == "/":
+            # the divisor is tested, not trapped: a numpy float divides by
+            # zero to inf with a warning where a Python float raises
             def run(env):
-                try:
-                    v = lf(env) / rf(env)
-                except ZeroDivisionError:
-                    raise NonFinite("division by zero") from None
+                num, den = lf(env), rf(env)
+                if den == 0.0:
+                    raise NonFinite("division by zero")
+                v = num / den
                 if math.isfinite(v):
                     return v
                 raise NonFinite("overflow in '/'")
@@ -269,7 +281,7 @@ def _compile(ast, resolve):
                 raise NonFinite(f"'^' produced {v!r}")
         return run
     impl = _CALL_IMPL[ast.func]
-    arg_fns = tuple(_compile(a, resolve) for a in ast.args)
+    arg_fns = tuple(_compile(a, names) for a in ast.args)
     name = ast.func
     if len(arg_fns) == 1:
         af = arg_fns[0]
@@ -296,22 +308,10 @@ def _compile(ast, resolve):
     return run
 
 
-def _scope_resolver(name):
-    def get(env):
-        try:
-            v = env[name]
-        except KeyError:
-            raise UnboundVariable(name) from None
-        v = float(v)
-        if math.isfinite(v):
-            return v
-        raise NonFinite(f"variable {name} is {v!r}")
-    return get
-
-
-@lru_cache(maxsize=None)
-def _compiled_for_scope(ast):
-    return _compile(ast, _scope_resolver)
+def compile_fn(ast, names):
+    """Compile an AST into a closure over a positional coordinate tuple
+    ordered as `names`."""
+    return _compile(ast, tuple(names))
 
 
 def evaluate(ast, scope):
@@ -320,31 +320,7 @@ def evaluate(ast, scope):
     Raises UnboundVariable for names missing from the scope and NonFinite if
     the result or any intermediate is NaN or infinite.
     """
-    return _compiled_for_scope(ast)(scope)
-
-
-def compile_fn(ast, names):
-    """Compile an AST into a closure over a positional coordinate tuple.
-
-    Variable positions are resolved now, so a name outside `names` raises
-    UnboundVariable at compile time rather than per evaluation.
-    """
-    names = tuple(names)
-
-    def resolve(name):
-        try:
-            idx = names.index(name)
-        except ValueError:
-            raise UnboundVariable(name) from None
-
-        def get(env):
-            v = env[idx]
-            if math.isfinite(v):
-                return v
-            raise NonFinite(f"variable {name} is {v!r}")
-        return get
-
-    return _compile(ast, resolve)
+    return compile_fn(ast, scope)(tuple(float(v) for v in scope.values()))
 
 
 _BATCH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,

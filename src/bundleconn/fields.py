@@ -61,12 +61,24 @@ def bundle_names(n, r):
     return base_names(n) + tuple(f"u{a + 1}" for a in range(r))
 
 
+def nonsingular(M, error, message):
+    """M itself, once |det M| >= SINGULAR_DET; else raise error(message).
+    The one invertibility test of frames, frame changes and Jacobians."""
+    if abs(np.linalg.det(M)) < SINGULAR_DET:
+        raise error(message)
+    return M
+
+
 def _compile_entry(source, names):
     """Normalize an entry (number, source text, AST, ScalarField, callable)
     to (closure over a positional point, constant value or None, the
-    expression AST or None)."""
+    expression AST or None). A ScalarField lends its own entry; its AST
+    only over the same names, as the closure reads positions."""
     if isinstance(source, ScalarField):
-        return source.raw, source.const, None
+        if not source._dynamic:
+            return _compile_entry(float(source._template), names)
+        _, fn, ast = source._dynamic[0]
+        return fn, None, (ast if source.names == names else None)
     if isinstance(source, (int, float)):
         value = float(source)
         if not math.isfinite(value):
@@ -80,41 +92,6 @@ def _compile_entry(source, names):
     if callable(source):
         return (lambda point: source(*point)), None, None
     raise ValueError(f"cannot build a field from {type(source).__name__}")
-
-
-class ScalarField:
-    """Real-valued field of named coordinates (x1..xn for base fields,
-    x1..xn,u1..ur for bundle fields, t for paths), backed by an expression
-    or a callable. Evaluation checks the region and strict finiteness."""
-
-    def __init__(self, names, raw, region=None, const=None):
-        self.names = tuple(names)
-        self.raw = raw
-        self.region = region
-        self.const = const
-
-    @classmethod
-    def from_expr(cls, source, names, region=None):
-        fn, const, _ = _compile_entry(source, tuple(names))
-        return cls(names, fn, region, const)
-
-    @classmethod
-    def from_callable(cls, fn, names, region=None):
-        return cls(names, lambda point: fn(*point), region)
-
-    def __call__(self, point):
-        if self.region is not None:
-            self.region.require(point)
-        value = float(self.raw(point))
-        if not math.isfinite(value):
-            raise NonFinite(f"field value {value!r} at {tuple(point)}")
-        return value
-
-
-def as_scalar_field(source, names, region=None):
-    if isinstance(source, ScalarField):
-        return source
-    return ScalarField.from_expr(source, names, region)
 
 
 class _FieldArray:
@@ -201,6 +178,32 @@ class _FieldArray:
         return out
 
 
+class ScalarField(_FieldArray):
+    """Real-valued field of named coordinates (x1..xn for base fields,
+    x1..xn,u1..ur for bundle fields, t for paths): the shape-() array field
+    of one entry, evaluated to a float."""
+
+    def __init__(self, source, names, region=None):
+        super().__init__((), names, region, entries=source)
+
+    @classmethod
+    def from_expr(cls, source, names, region=None):
+        return cls(source, names, region)
+
+    @classmethod
+    def from_callable(cls, fn, names, region=None):
+        return cls(fn, names, region)
+
+    def __call__(self, point):
+        return float(super().__call__(point))
+
+
+def as_scalar_field(source, names, region=None):
+    if isinstance(source, ScalarField):
+        return source
+    return ScalarField.from_expr(source, names, region)
+
+
 class SectionField(_FieldArray):
     """A section of the vector bundle, or any vector-valued field: r
     component entries evaluated as one array."""
@@ -270,10 +273,8 @@ class FrameField:
         return cls(MatrixField.constant(np.eye(dim), names, region))
 
     def __call__(self, point):
-        out = self.matrix(point)
-        if abs(np.linalg.det(out)) < SINGULAR_DET:
-            raise SingularFrame(f"frame singular at {tuple(point)}")
-        return out
+        return nonsingular(self.matrix(point), SingularFrame,
+                           f"frame singular at {tuple(point)}")
 
 
 def compose_frame(frame, change):
@@ -372,19 +373,14 @@ def _directional_matrix_partials(frame, B, x, h=None):
     return np.einsum("ts,tij->sij", E, dB)
 
 
-def _require_invertible(M, where):
-    if abs(np.linalg.det(M)) < SINGULAR_DET:
-        raise SingularFrame(f"singular change matrix at {where}")
-
-
 def transform_anholonomy(frame, B, x, h=None):
     """Anholonomy of the changed frame Etilde_mu = B[nu, mu] E_nu, predicted
     from the original frame's anholonomy by the transformation law
     Cbar[lam, mu, nu] = inv(B)[lam, rho] (B[sig, mu] E_sig(B[rho, nu])
     - B[sig, nu] E_sig(B[rho, mu]) + B[sig, mu] B[tau, nu] C[rho, sig, tau])."""
     m = frame.dim
-    Bv = B(x)
-    _require_invertible(Bv, tuple(x))
+    Bv = nonsingular(B(x), SingularFrame,
+                     f"singular change matrix at {tuple(x)}")
     dirB = _directional_matrix_partials(frame, B, x, h)
     C = anholonomy(frame, x, h)
     term = np.einsum("sm,srn->rmn", Bv, dirB)
@@ -397,8 +393,8 @@ def transform_lie_gamma(frame, B, X, x, h=None):
     """Lie coefficients in the changed frame, predicted by the law
     Ltilde_X = inv(B) (L_X B + X(B)) with X(B) = X^mu E_mu(B)."""
     X = as_section(X, frame.names, frame.region)
-    Bv = B(x)
-    _require_invertible(Bv, tuple(x))
+    Bv = nonsingular(B(x), SingularFrame,
+                     f"singular change matrix at {tuple(x)}")
     Xv = X(x)
     dirB = _directional_matrix_partials(frame, B, x, h)
     XB = np.tensordot(Xv, dirB, axes=([0], [0]))

@@ -56,9 +56,7 @@ class BundleMorphism:
 
     @classmethod
     def identity(cls, n, r):
-        base = [f"x{mu + 1}" for mu in range(n)]
-        fibre = [f"u{a + 1}" for a in range(r)]
-        return cls(base, fibre, n, r)
+        return cls(base_names(n), bundle_names(n, r)[n:], n, r)
 
     def apply(self, p):
         """Target bundle point of a source bundle point."""

@@ -2,13 +2,18 @@
 contract (eq tags, sorted keys, 17-significant-digit floats), exit codes,
 byte-level determinism, and the documented examples."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundleconn import cli
 from bundleconn.calculus import curvature_law
@@ -720,6 +725,28 @@ MALFORMED_CONFIGS = {
     "morphism-fibre-longer-than-target": ("morphism", {
         "connection": "registry:sphere-lc", "point": [1, 0.3, 0.2, 0.1],
         "morphism": {"base": ["x1", "x2"], "fibre": ["u1", "u2", "u1"]}}),
+    # json.loads reads NaN, Infinity and 1e400 as floats
+    "steps-nan": ("transport", {
+        "connection": "registry:sphere-lc", "steps": math.nan,
+        "path": {"exprs": ["1 + 0.2*t", "t"]}, "initial": [1.0, 0.0]}),
+    "steps-infinity": ("transport", {
+        "connection": "registry:sphere-lc", "steps": math.inf,
+        "path": {"exprs": ["1 + 0.2*t", "t"]}, "initial": [1.0, 0.0]}),
+    "samples-infinity": ("curvature", {
+        "connection": "registry:pure-gauge", "samples": math.inf,
+        "grid": {"lo": [0.2, 0.2], "hi": [0.8, 0.8]}}),
+    "tol-nan": ("flatness", {
+        "connection": "registry:pure-gauge", "tol": math.nan,
+        "points": [[0.2, 0.3]]}),
+    "fd-step-zero": ("curvature", {
+        "connection": "registry:sphere-lc", "point": [1.1, 0.4],
+        "fd_step": 0}),
+    "point-nan": ("curvature", {
+        "connection": "registry:sphere-lc", "point": [math.nan, 0.4]}),
+    "base-dim-null": ("curvature", {
+        "base_dim": None, "fibre_rank": 2, "point": [0.5, 0.5],
+        "region": [[0.0, 1.0], [0.0, 1.0]],
+        "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
 }
 
 
@@ -776,3 +803,172 @@ def test_exit_1_singular_frame_change(tmp_path, capsys):
     code, payload = run_json(capsys, "frames", "--config", path)
     assert code == 1
     assert payload["error"]["type"] == "SingularFrame"
+
+
+def test_exit_1_singular_two_index_fibre_block(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "connection": "registry:sphere-lc",
+        "point": [1.1, 0.4, 0.2, 0.1],
+        "law": "two-index",
+        "frame_change": {"base": [["1", "0"], ["0", "1"]],
+                         "fibre": [["x1-1.1", "0"], ["0", "1"]]},
+    })
+    code, payload = run_json(capsys, "frames", "--config", path)
+    assert code == 1
+    assert payload["error"]["type"] == "SingularFrame"
+
+
+def test_exit_2_fd_step_flag_zero(tmp_path, capsys):
+    path = write_config(tmp_path, {"connection": "registry:sphere-lc",
+                                   "point": [1.1, 0.4]})
+    code, payload = run_json(capsys, "curvature", "--config", path,
+                             "--fd-step", "0")
+    assert code == 2
+    assert payload["error"]["type"] == "ConfigError"
+
+
+def test_exit_1_division_by_zero_at_a_grid_point(tmp_path, capsys):
+    # grid points are numpy floats, which divide by zero with a warning
+    path = write_config(tmp_path, {
+        "connection": "registry:sphere-lc",
+        "path": {"exprs": ["1/t", "0.5"], "t0": 0.0, "t1": 1.0},
+        "initial": [1.0, 0.0],
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, payload = run_json(capsys, "transport", "--config", path)
+    assert code == 1
+    assert payload["error"] == {"type": "NonFinite",
+                                "message": "division by zero"}
+    assert caught == []
+    assert "Warning" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# totality: every mutation of a valid config ends in one JSON line
+
+
+VALID_CONFIGS = [
+    ("transport", {"connection": "registry:flat", "steps": 40,
+                   "path": {"exprs": ["t", "t*t"], "t0": 0.0, "t1": 1.0},
+                   "initial": [1.0, 2.0]}),
+    ("transport", {"base_dim": 2, "fibre_rank": 2,
+                   "region": [[-5.0, 5.0], None],
+                   "connection": {"kind": "two_index",
+                                  "matrix": [["-u2", "0"], ["0", "-u1"]]},
+                   "path": {"points": [[0.0, 0.0], [1.0, 0.5]],
+                            "steps": 40},
+                   "initial": [1.0, -0.5]}),
+    ("transport", {"base_dim": 2, "fibre_rank": 2, "tol": 1e-6,
+                   "connection": {"kind": "affine",
+                                  "linear": CONSTANT_STACKS,
+                                  "inhom": [["1", "x2"], ["0", "1"]]},
+                   "path": {"points": [[0.1, 0.2], [0.7, -0.3]],
+                            "steps": 40},
+                   "initial": [0.25, 0.5]}),
+    ("geodesic", {"connection": "registry:sphere-lc", "x0": [1.2, 0.0],
+                  "v0": [0.0, 1.0], "T": 1.0, "steps": 40}),
+    ("curvature", {"base_dim": 2, "fibre_rank": 2, "fd_step": 1e-4,
+                   "connection": {"kind": "three_index",
+                                  "stacks": SPHERE_STACKS},
+                   "region": [[0.05, 3.0], [-10.0, 10.0]],
+                   "point": [1.1, 0.4],
+                   "base_frame": [["1", "0.5*x1"], ["0", "1"]]}),
+    ("curvature", {"connection": "registry:pure-gauge", "samples": 2,
+                   "grid": {"lo": [0.2, 0.2], "hi": [0.8, 0.8]}}),
+    ("flatness", {"connection": "registry:pure-gauge", "steps": 16,
+                  "tol": 1e-6, "points": [[0.2, 0.3], [0.5, 0.6]],
+                  "x0": [0.2, 0.1], "x1": [0.9, 0.8]}),
+    ("covd", {"connection": "registry:sphere-lc", "point": [1.1, 0.4],
+              "direction": [0.8, -0.3],
+              "section": ["sin(x2)*x1", "x1^2 - x2"]}),
+    ("frames", frames_config("three-index",
+                             base_frame=[["1", "0.5*x1"], ["0", "1"]])),
+    ("frames", frames_config("two-index", point=[1.1, 0.4, 0.7, -0.2])),
+    ("frames", frames_config("curvature", fd_step=1e-4)),
+    ("frames", {"connection": "registry:cartan-flat", "point": [0.5, 0.8],
+                "law": "inhomogeneous", "frame_change": FRAME_CHANGE}),
+    ("frames", {"connection": "registry:flat", "point": [2.0, 0.7],
+                "law": "lie", "frame": [["1", "0"], ["0", "x1"]],
+                "vector_field": ["x1*x2", "sin(x1)"],
+                "frame_change": FRAME_CHANGE}),
+    ("morphism", {"connection": "registry:pure-gauge",
+                  "morphism": {"base": ["x1", "x2"],
+                               "matrix": [["cos(x1*x2)", "sin(x1*x2)"],
+                                          ["-sin(x1*x2)", "cos(x1*x2)"]]},
+                  "point": [0.5, 0.8, 0.7, -0.2],
+                  "sample_points": [[0.3, 0.4, 1.0, 0.5]]}),
+    ("morphism", {"connection": "registry:sphere-lc",
+                  "morphism": {"base": ["x1", "x2"],
+                               "fibre": ["u1", "u2*x1"]},
+                  "point": [1.0, 0.3, 0.5, -0.2]}),
+]
+
+# a mutation is a kind and, for "set", the new value; integers stay
+# small, so no mutation asks for a large lattice or path
+_MUTATIONS = st.sampled_from([
+    ("set", math.nan), ("set", 0), ("set", -1), ("set", None), ("set", "x1"),
+    ("set", []), ("set", [1.0]), ("drop",), ("shorten",), ("lengthen",),
+    ("set", "int")])
+
+
+def _location(cfg, data):
+    """A key path into the config: one key per level from the root,
+    stopping after each with even odds, so the top-level settings are not
+    swamped by the many entries of deep expression rows."""
+    loc, node = (), cfg
+    while isinstance(node, (dict, list)) and node:
+        key = data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        loc, node = loc + (key,), node[key]
+        if data.draw(st.booleans()):
+            break
+    return loc
+
+
+def _mutate(cfg, data):
+    kind, *value = data.draw(_MUTATIONS)
+    loc = _location(cfg, data)
+    if kind in ("shorten", "lengthen"):
+        # the innermost list on the path
+        lists = [i for i in range(len(loc) + 1)
+                 if isinstance(_lookup(cfg, loc[:i]), list)]
+        if not lists:
+            return
+        target = _lookup(cfg, loc[:lists[-1]])
+        if kind == "shorten":
+            del target[-1:]
+        else:
+            target.append(copy.deepcopy(target[-1]) if target else "0")
+    elif loc:
+        parent, key = _lookup(cfg, loc[:-1]), loc[-1]
+        if kind == "drop":
+            del parent[key]
+        elif value == ["int"]:
+            parent[key] = data.draw(st.integers(-50, 50))
+        else:
+            parent[key] = copy.deepcopy(value[0])
+
+
+def _lookup(node, loc):
+    for key in loc:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_valid_configs_end_in_one_json_line(tmp_path_factory, data):
+    command, cfg = data.draw(st.sampled_from(VALID_CONFIGS))
+    cfg = copy.deepcopy(cfg)
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(cfg, data)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--config", str(path)])
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert isinstance(json.loads(lines[0]), dict)

@@ -2,7 +2,9 @@
 tests/_oracle_parser.py and the hand-frozen fixture tables."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,6 +86,16 @@ def test_eval_cot_at_half_pi():
 def test_eval_division_by_zero():
     with pytest.raises(NonFinite):
         evaluate(parse("1/x1"), {"x1": 0.0})
+
+
+def test_division_by_zero_at_a_numpy_point():
+    # numpy floats divide by zero to inf with a warning, Python floats raise
+    f = compile_fn(parse("1/x1"), ("x1",))
+    for zero in (0.0, -0.0, np.float64(0.0), np.float64(-0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="^division by zero$"):
+                f((zero,))
 
 
 def test_eval_strict_on_intermediates():

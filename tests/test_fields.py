@@ -342,6 +342,20 @@ def test_values_equals_stacked_calls_bitwise(region, monkeypatch):
     assert np.array_equal(out, expected)
 
 
+def test_scalar_field_entries_take_the_batch_path(monkeypatch):
+    comps = [ScalarField.from_expr(e, XY) for e in ALL_OPS_ROWS[0]]
+    assert isinstance(comps[0]((1.0, 1.0)), float)
+    field = SectionField(comps, XY)
+    points = batch_points()
+    expected = stacked(field, points)
+
+    def no_per_point_calls(self, point):
+        raise AssertionError("the batch path evaluated a single point")
+
+    monkeypatch.setattr(SectionField, "__call__", no_per_point_calls)
+    assert np.array_equal(field.values(points), expected)
+
+
 BAD_NODE_CASES = {
     # the entries of a 1 x 2 field, its region, and its one bad point
     "outside-region": (["x1", "x2"], ALL_OPS_REGION, (2.5, 0.5)),
@@ -355,7 +369,6 @@ BAD_NODE_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 @pytest.mark.parametrize("entries, region, bad", BAD_NODE_CASES.values(),
                          ids=list(BAD_NODE_CASES))
 def test_values_raises_the_per_point_error(entries, region, bad):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
-every import sits at module level, and the batch expression compiler covers
-exactly the grammar's functions."""
+every import sits at module level, the batch expression compiler covers
+exactly the grammar's functions, and one function holds the singularity
+test."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,55 @@ def test_function_local_import_is_reported():
               "        import sys\n"
               "    return math, path\n")
     assert function_imports(source) == [4, 6]
+
+
+def singularity_sites(source, module):
+    """Qualified names of the functions (or the module) that call
+    np.linalg.det or read SINGULAR_DET."""
+    sites = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if ((isinstance(child, ast.Attribute) and child.attr == "det"
+                 and isinstance(child.value, ast.Attribute)
+                 and child.value.attr == "linalg")
+                    or (isinstance(child, ast.Name)
+                        and child.id == "SINGULAR_DET"
+                        and isinstance(child.ctx, ast.Load))):
+                sites.add(scope)
+            walk(child, scope)
+
+    walk(ast.parse(source), module)
+    return sorted(sites)
+
+
+# the suite's determinant bound draws well-conditioned random matrices; it
+# is not a singularity test
+SINGULARITY_SITES = ["fields.nonsingular", "suites.transformation_laws_suite"]
+
+
+def test_singularity_test_lives_in_nonsingular():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        sites += singularity_sites(path.read_text(encoding="utf-8"),
+                                   path.stem)
+    assert sorted(sites) == SINGULARITY_SITES
+
+
+def test_singularity_site_is_reported():
+    source = ("import numpy as np\n"
+              "SINGULAR_DET = 1e-12\n"
+              "class F:\n"
+              "    def __call__(self, M):\n"
+              "        return abs(np.linalg.det(M)) < SINGULAR_DET\n"
+              "def g(M):\n"
+              "    return M.det, SINGULAR_DET\n"
+              "def h(M):\n"
+              "    return np.linalg.inv(M)\n")
+    assert singularity_sites(source, "m") == ["m.F.__call__", "m.g"]
 
 
 def test_batch_compiler_handles_exactly_the_grammar_functions():
