@@ -24,6 +24,7 @@ from .fields import (
     base_names,
     bundle_names,
     fd_partials,
+    frame_partials,
 )
 from .transport import PathSpec, fundamental_solution
 
@@ -70,14 +71,11 @@ def curvature(g3, x, h=None, base_frame=None):
     R_{mu nu} = E_mu(G_nu) - E_nu(G_mu) + [G_mu, G_nu] - G_lam C^lam_{mu nu},
     with FD partials at a 1e-4 relative step. Without a frame E_mu = d_mu
     and C = 0."""
-    E = None if base_frame is None else base_frame(x)
-    D = fd_partials(g3, x, h, rel=FD_STEP_NESTED)   # D[t, nu, a, b]
-    if E is not None:
-        D = np.einsum("tm,tnab->mnab", E, D)        # E_mu(G_nu)
+    D = frame_partials(base_frame, g3, x, h, rel=FD_STEP_NESTED)  # E_mu(G_nu)
     stack = g3(x)
     T = D + np.einsum("mac,ncb->mnab", stack, stack)
     Rmn = T - T.transpose(1, 0, 2, 3)
-    if E is not None:
+    if base_frame is not None:
         C = anholonomy(base_frame, x, h)            # C[lam, mu, nu]
         Rmn = Rmn - np.einsum("lab,lmn->mnab", stack, C)
     return CurvatureValues(Rmn.transpose(2, 3, 0, 1))
@@ -138,20 +136,15 @@ def fibre_curvature_general(g2, frame, p, h=None):
     S = 0, and fibre coefficients -d_b G^a_mu."""
     n, r = g2.n, g2.r
     G = g2(p)
-    dG = fd_partials(g2, p, h, axes=range(n + r))
-
-    if frame is None:
-        XG = dG[:n] + np.einsum("bm,ban->man", G, dG[n:])   # X_mu(G)[mu,a,nu]
-        R2 = np.einsum("man->amn", XG) - np.einsum("nam->amn", XG)
-        S = np.zeros((n, n, n))
-        coeffs = -dG[n:].transpose(2, 1, 0)                 # [mu, a, b]
-        return R2, S, coeffs
-
-    E = frame(p)
-    if np.max(np.abs(E[:n, n:])) > 1e-12:
+    if frame is not None and np.max(np.abs(frame(p)[:n, n:])) > 1e-12:
         raise ValueError("the frame's fibre block must be vertical")
-    eG = np.einsum("ti,tan->ian", E, dG)      # e_I(G)[I, a, nu]
-    XG = eG[:n] + np.einsum("bm,ban->man", G, eG[n:])
+    eG = frame_partials(frame, g2, p, h)      # e_I(G)[I, a, nu]
+    XG = eG[:n] + np.einsum("bm,ban->man", G, eG[n:])   # X_mu(G)[mu,a,nu]
+    R2 = np.einsum("man->amn", XG) - np.einsum("nam->amn", XG)
+    coeffs = -np.einsum("bam->mab", eG[n:])              # [mu, a, b]
+    if frame is None:
+        return R2, np.zeros((n, n, n)), coeffs
+
     C = anholonomy(frame, p, h)
     Cb = C[:n, :n, :n]        # C^lam_{mu nu}
     Cf_bb = C[n:, :n, :n]     # C^a_{mu nu}
@@ -159,7 +152,6 @@ def fibre_curvature_general(g2, frame, p, h=None):
     Cb_mix = C[:n, :n, n:]    # C^lam_{mu b}
     Cf_ff = C[n:, n:, n:]     # C^a_{b d}
 
-    term0 = np.einsum("man->amn", XG) - np.einsum("nam->amn", XG)
     t1 = -Cf_bb
     mixed = np.einsum("bm,anb->amn", G, Cf_mix)   # G^b_mu C^a_{nu b}
     t2 = -mixed + mixed.transpose(0, 2, 1)
@@ -168,9 +160,9 @@ def fibre_curvature_general(g2, frame, p, h=None):
     paren = -Cb + base_mixed - base_mixed.transpose(0, 2, 1)
     t3 = np.einsum("al,lmn->amn", G, paren)
     t4 = np.einsum("bm,dn,abd->amn", G, G, Cf_ff)
-    R2 = term0 + t1 + t2 + t3 + t4
+    R2 = R2 + t1 + t2 + t3 + t4
 
-    coeffs = (-np.einsum("bam->mab", eG[n:])
+    coeffs = (coeffs
               - np.einsum("amb->mab", Cf_mix)
               + np.einsum("dm,adb->mab", G, Cf_ff)
               - np.einsum("al,lmb->mab", G, Cb_mix))

@@ -80,6 +80,10 @@ log = logging.getLogger("bundleconn.cli")
 DEFAULT_STEPS = 400
 DEFAULT_TOL = 1e-6
 DEFAULT_SAMPLES = 3
+# ceilings on the work one config can ask for, checked before anything is
+# allocated: RK4 steps of a path or geodesic, and points of a grid lattice
+MAX_STEPS = 1_000_000
+MAX_GRID_POINTS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +172,10 @@ def _is_number(v):
             and abs(v) <= sys.float_info.max)
 
 
-def _float_list(value, length, what, infinite=False):
-    """A list of `length` finite numbers; with `infinite`, +-Infinity too."""
-    allowed = (-math.inf, math.inf) if infinite else ()
+def _float_list(value, length, what):
+    """A list of `length` finite numbers."""
     if (not isinstance(value, (list, tuple)) or len(value) != length
-            or not all(_is_number(v) or v in allowed for v in value)):
+            or not all(_is_number(v) for v in value)):
         raise ConfigError(f"{what} must be a list of {length} numbers")
     return tuple(float(v) for v in value)
 
@@ -209,7 +212,7 @@ class Problem:
         self.region = self._build_region(cfg.get("region"))
         self._build_connection(_require(cfg, "connection",
                                         "a connection block or registry name"))
-        self._flag_steps = getattr(args, "steps", None)
+        self.args = args
         self.steps = self._effective(args, "steps", cfg, int, DEFAULT_STEPS)
         self.fd_step = self._effective(args, "fd_step", cfg, float, None)
         self.tol = self._effective(args, "tol", cfg, float, DEFAULT_TOL)
@@ -217,6 +220,8 @@ class Problem:
                                        DEFAULT_SAMPLES)
         if self.steps < 1:
             raise ConfigError(f"steps must be positive, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ConfigError(f"steps must be at most {MAX_STEPS}")
         if self.samples < 1:
             raise ConfigError(f"samples must be positive, got {self.samples}")
         if self.fd_step is not None and self.fd_step <= 0.0:
@@ -235,21 +240,14 @@ class Problem:
         return cast(value)
 
     def _build_region(self, spec):
+        """Per-axis [lo, hi] bounds; a null axis is unbounded."""
         if spec is None:
             return None
         if not isinstance(spec, list):
             raise ConfigError("region must be a list of per-axis bounds")
-        bounds = []
-        for axis in spec:
-            if axis is None:
-                bounds.append((-math.inf, math.inf))
-                continue
-            lo, hi = _float_list(axis, 2, "a region axis", infinite=True)
-            bounds.append((lo, hi))
-        try:
-            return Region(bounds)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(Region, [(-math.inf, math.inf) if axis is None
+                               else _float_list(axis, 2, "a region axis")
+                               for axis in spec])
 
     def _declared_dims(self, required):
         n = self.cfg.get("base_dim")
@@ -352,8 +350,10 @@ class Problem:
         steps = spec.get("steps", self.steps)
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
             raise ConfigError("path.steps must be a positive integer")
-        if self._flag_steps is not None:
-            steps = self._flag_steps
+        if steps > MAX_STEPS:
+            raise ConfigError(f"path.steps must be at most {MAX_STEPS}")
+        if self.args.steps is not None:
+            steps = self.args.steps
         if "exprs" in spec:
             exprs = _entries(spec["exprs"], self.n, "path.exprs")
             t0 = spec.get("t0", 0.0)
@@ -401,16 +401,21 @@ class Problem:
                               "entries")
         return frame
 
-    def effective(self):
-        return {"steps": self.steps, "fd_step": self.fd_step,
-                "tol": self.tol, "samples": self.samples}
+    def target(self):
+        """The problem a morphism maps into: the config's own target block,
+        read with the same flags, else this problem."""
+        spec = self.cfg.get("target")
+        if spec is None:
+            return self
+        if not isinstance(spec, dict):
+            raise ConfigError("target must be an object with its own "
+                              "connection block")
+        return Problem(spec, self.args)
 
-
-def _payload(command, prob, result, diagnostics):
-    return {"command": command,
-            "inputs": {"config": prob.cfg, "effective": prob.effective()},
-            "result": result,
-            "diagnostics": diagnostics}
+    def inputs(self):
+        return {"config": self.cfg,
+                "effective": {"steps": self.steps, "fd_step": self.fd_step,
+                              "tol": self.tol, "samples": self.samples}}
 
 
 def _grid_points(prob):
@@ -426,6 +431,9 @@ def _grid_points(prob):
     lo = _float_list(_require(grid, "lo", "grid corner"), prob.n, "grid.lo")
     hi = _float_list(_require(grid, "hi", "grid corner"), prob.n, "grid.hi")
     k = prob.samples
+    if k ** prob.n > MAX_GRID_POINTS:
+        raise ConfigError(f"a grid may hold at most {MAX_GRID_POINTS} "
+                          f"points; samples^{prob.n} is more")
     axes = [np.linspace(lo[i], hi[i], k) for i in range(prob.n)]
     return [tuple(float(axes[i][idx[i]]) for i in range(prob.n))
             for idx in np.ndindex(*([k] * prob.n))]
@@ -435,8 +443,7 @@ def _grid_points(prob):
 # commands
 
 
-def cmd_transport(args):
-    prob = Problem(load_config(args.config), args)
+def cmd_transport(prob):
     path = prob.build_path()
     init = _float_list(_require(prob.cfg, "initial",
                                 "the fibre vector to transport"),
@@ -453,11 +460,10 @@ def cmd_transport(args):
     result = {"final": {"value": res.final, "eq": eq}}
     diagnostics = {"transport_kind": prob.kind,
                    "max_residual": {"value": res.max_residual, "eq": eq}}
-    return _payload("transport", prob, result, diagnostics), 0
+    return result, diagnostics
 
 
-def cmd_geodesic(args):
-    prob = Problem(load_config(args.config), args)
+def cmd_geodesic(prob):
     g3 = prob.need_g3("geodesic integration")
     if g3.r != g3.n:
         raise ConfigError("geodesics need tangent-bundle coefficients "
@@ -473,45 +479,37 @@ def cmd_geodesic(args):
     result = {"final_position": {"value": res.final[:prob.n], "eq": eq},
               "final_velocity": {"value": res.final[prob.n:], "eq": eq}}
     diagnostics = {"max_residual": {"value": res.max_residual, "eq": eq}}
-    return _payload("geodesic", prob, result, diagnostics), 0
+    return result, diagnostics
 
 
-def cmd_curvature(args):
-    prob = Problem(load_config(args.config), args)
+def cmd_curvature(prob):
     cfg = prob.cfg
     if prob.kind == "general":
         # two-index connections: fibre curvature at one bundle point
         p = prob.bundle_point()
         R2, _, _ = fibre_curvature_general(prob.g2, None, p, prob.fd_step)
-        result = {"R2": {"value": R2, "eq": "3.24a"}}
-        diagnostics = {"max_abs": {"value": float(np.max(np.abs(R2))),
-                                   "eq": "3.24a"}}
-        return _payload("curvature", prob, result, diagnostics), 0
-    g3 = prob.g3
-    if "grid" in cfg or ("points" in cfg and "point" not in cfg):
-        pts = _grid_points(prob)
-        entries = []
-        worst = 0.0
-        for x in pts:
-            R = curvature(g3, x, prob.fd_step).R
-            m = float(np.max(np.abs(R)))
-            worst = max(worst, m)
-            entries.append({"point": list(x), "R": R, "max_abs": m,
-                            "eq": "4.27"})
+        eq = "3.24a"
+        result = {"R2": {"value": R2, "eq": eq}}
+        worst = float(np.max(np.abs(R2)))
+    elif "grid" in cfg or ("points" in cfg and "point" not in cfg):
+        eq, entries = "4.27", []
+        for x in _grid_points(prob):
+            R = curvature(prob.g3, x, prob.fd_step).R
+            entries.append({"point": list(x), "R": R,
+                            "max_abs": float(np.max(np.abs(R))), "eq": eq})
         result = {"grid": entries}
-        diagnostics = {"max_abs": {"value": worst, "eq": "4.27"}}
-        return _payload("curvature", prob, result, diagnostics), 0
-    x = prob.base_point()
-    frame = prob.frame("base_frame")
-    R = curvature(g3, x, prob.fd_step, frame).R
-    eq = "4.27" if frame is None else "6.40"
-    result = {"R": {"value": R, "eq": eq}}
-    diagnostics = {"max_abs": {"value": float(np.max(np.abs(R))), "eq": eq}}
-    return _payload("curvature", prob, result, diagnostics), 0
+        worst = max(entry["max_abs"] for entry in entries)
+    else:
+        x = prob.base_point()
+        frame = prob.frame("base_frame")
+        R = curvature(prob.g3, x, prob.fd_step, frame).R
+        eq = "4.27" if frame is None else "6.40"
+        result = {"R": {"value": R, "eq": eq}}
+        worst = float(np.max(np.abs(R)))
+    return result, {"max_abs": {"value": worst, "eq": eq}}
 
 
-def cmd_flatness(args):
-    prob = Problem(load_config(args.config), args)
+def cmd_flatness(prob):
     g3 = prob.need_g3("flatness certification")
     pts = _grid_points(prob)
     flat, worst = is_flat(g3, pts, prob.tol)
@@ -528,11 +526,10 @@ def cmd_flatness(args):
                                               steps_per_leg=prob.steps)
         result["fundamental"] = {"matrix": W, "residual": residual,
                                  "eq": "4.54"}
-    return _payload("flatness", prob, result, diagnostics), 0
+    return result, diagnostics
 
 
-def cmd_covd(args):
-    prob = Problem(load_config(args.config), args)
+def cmd_covd(prob):
     g3 = prob.need_g3("the covariant-derivative triangle")
     x = prob.base_point()
     direction = _float_list(_require(prob.cfg, "direction",
@@ -562,7 +559,7 @@ def cmd_covd(args):
                                                             - direct))),
                                "eq": "4.32, 4.36"},
     }
-    return _payload("covd", prob, result, diagnostics), 0
+    return result, diagnostics
 
 
 def _law_three_index(prob, fc):
@@ -635,8 +632,7 @@ FRAME_LAWS = {
 }
 
 
-def cmd_frames(args):
-    prob = Problem(load_config(args.config), args)
+def cmd_frames(prob):
     law = _require(prob.cfg, "law", "one of " + ", ".join(FRAME_LAWS))
     if not isinstance(law, str) or law not in FRAME_LAWS:
         raise ConfigError(f"unknown law {law!r}; expected one of "
@@ -648,23 +644,11 @@ def cmd_frames(args):
     result["law"] = law
     gap = float(np.max(np.abs(np.asarray(values[-2])
                               - np.asarray(values[-1]))))
-    return _payload("frames", prob, result,
-                    {diagnostic: {"value": gap, "eq": eq}}), 0
+    return result, {diagnostic: {"value": gap, "eq": eq}}
 
 
-def _target_problem(prob, args):
-    spec = prob.cfg.get("target")
-    if spec is None:
-        return prob
-    if not isinstance(spec, dict):
-        raise ConfigError("target must be an object with its own "
-                          "connection block")
-    return Problem(spec, args)
-
-
-def cmd_morphism(args):
-    prob = Problem(load_config(args.config), args)
-    target = _target_problem(prob, args)
+def cmd_morphism(prob):
+    target = prob.target()
     spec = _require(prob.cfg, "morphism",
                     "an object with base components and a fibre block")
     if not isinstance(spec, dict):
@@ -708,22 +692,14 @@ def cmd_morphism(args):
                                prob.fd_step)
         result["linear_defect"] = {"value": D, "eq": "5.14"}
     diagnostics = {"samples": {"value": len(pts), "eq": "5.11"}}
-    return _payload("morphism", prob, result, diagnostics), 0
+    return result, diagnostics
 
 
-def cmd_check(args):
-    if args.suite is not None:
-        results = [suites.run_suite(args.suite)]
-        inputs = {"suite": args.suite}
-    else:
-        results = suites.run_all()
-        inputs = {"suite": "all"}
-    passed = all(res["passed"] for res in results)
-    payload = {"command": "check",
-               "inputs": inputs,
-               "result": {"suites": results, "passed": passed},
-               "diagnostics": {}}
-    return payload, 0 if passed else 1
+def cmd_check(suite):
+    """The named property suite, or all of them when suite is None."""
+    results = suites.run_all() if suite is None else [suites.run_suite(suite)]
+    return {"suites": results,
+            "passed": all(res["passed"] for res in results)}, {}
 
 
 COMMANDS = {
@@ -768,12 +744,8 @@ def build_parser():
     return parser
 
 
-def _emit_error(command, exc):
-    error = {"type": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, ParseError):
-        error["offset"] = exc.offset
-    sys.stdout.write(dumps({"command": command, "error": error}) + "\n")
-    sys.stdout.flush()
+# malformed configs exit 2; every other EngineError is a numerical failure
+CONFIG_ERRORS = (ConfigError, ParseError, UnboundVariable, StepCountTooSmall)
 
 
 def main(argv=None):
@@ -783,18 +755,27 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        payload, code = args.fn(args)
-    except (ConfigError, ParseError, UnboundVariable,
-            StepCountTooSmall) as exc:
-        log.error("%s failed: %s", args.command, exc)
-        _emit_error(args.command, exc)
-        return 2
+        if args.command == "check":
+            inputs = {"suite": args.suite or "all"}
+            result, diagnostics = cmd_check(args.suite)
+            code = 0 if result["passed"] else 1
+        else:
+            prob = Problem(load_config(args.config), args)
+            inputs = prob.inputs()
+            result, diagnostics = args.fn(prob)
+            code = 0
     except EngineError as exc:
         log.error("%s failed: %s", args.command, exc)
-        _emit_error(args.command, exc)
-        return 1
-    log.info("%s finished in %.3fs", args.command,
-             time.perf_counter() - t0)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ParseError):
+            error["offset"] = exc.offset
+        payload = {"command": args.command, "error": error}
+        code = 2 if isinstance(exc, CONFIG_ERRORS) else 1
+    else:
+        log.info("%s finished in %.3fs", args.command,
+                 time.perf_counter() - t0)
+        payload = {"command": args.command, "inputs": inputs,
+                   "result": result, "diagnostics": diagnostics}
     sys.stdout.write(dumps(payload) + "\n")
     sys.stdout.flush()
     return code

@@ -24,6 +24,7 @@ from .fields import (
     bundle_names,
     compose_frame,
     fd_partials,
+    frame_partials,
     nonsingular,
 )
 
@@ -240,10 +241,7 @@ def transform_three_index(g3, change, x, base_frame=None, h=None):
     stack = g3(x)
     Bf = change.fibre_at(x)
     Bb = change.base_at(x)
-    dBf = fd_partials(change.fibre, x, h, axes=range(g3.n))
-    if base_frame is not None:
-        E = base_frame(x)
-        dBf = np.einsum("ts,tij->sij", E, dBf)
+    dBf = frame_partials(base_frame, change.fibre, x, h)
     core = np.stack([np.linalg.solve(Bf, stack[nu] @ Bf + dBf[nu])
                      for nu in range(g3.n)])
     return np.einsum("nm,nab->mab", Bb, core)

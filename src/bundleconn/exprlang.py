@@ -212,6 +212,14 @@ _CALL_IMPL = {
 }
 
 
+def _call_parts(node):
+    """(implementation, message label, argument nodes) of a function call,
+    or of '^', which is the function pow."""
+    if isinstance(node, BinOp):
+        return math.pow, "'^'", (node.lhs, node.rhs)
+    return _CALL_IMPL[node.func], node.func, node.args
+
+
 def _compile(ast, names):
     """Compile a node to a closure over a positional point: variables are
     resolved to their index in `names` now, so a name outside it raises
@@ -237,7 +245,7 @@ def _compile(ast, names):
     if isinstance(ast, Neg):
         f = _compile(ast.operand, names)
         return lambda env: -f(env)
-    if isinstance(ast, BinOp):
+    if isinstance(ast, BinOp) and ast.op != "^":
         lf = _compile(ast.lhs, names)
         rf = _compile(ast.rhs, names)
         op = ast.op
@@ -259,7 +267,7 @@ def _compile(ast, names):
                 if math.isfinite(v):
                     return v
                 raise NonFinite("overflow in '*'")
-        elif op == "/":
+        else:
             # the divisor is tested, not trapped: a numpy float divides by
             # zero to inf with a warning where a Python float raises
             def run(env):
@@ -270,19 +278,10 @@ def _compile(ast, names):
                 if math.isfinite(v):
                     return v
                 raise NonFinite("overflow in '/'")
-        else:
-            def run(env):
-                try:
-                    v = math.pow(lf(env), rf(env))
-                except (ValueError, OverflowError) as exc:
-                    raise NonFinite(f"'^': {exc}") from None
-                if math.isfinite(v):
-                    return v
-                raise NonFinite(f"'^' produced {v!r}")
         return run
-    impl = _CALL_IMPL[ast.func]
-    arg_fns = tuple(_compile(a, names) for a in ast.args)
-    name = ast.func
+    impl, name, args = _call_parts(ast)
+    arg_fns = tuple(_compile(a, names) for a in args)
+    # one closure per arity: a generic impl(*args) costs more per call
     if len(arg_fns) == 1:
         af = arg_fns[0]
 
@@ -361,10 +360,7 @@ def compile_batch(ast, names):
             ufunc = _BATCH_UFUNCS[node.op]
             lf, rf = build(node.lhs), build(node.rhs)
             return lambda cols: _finite_batch(ufunc(lf(cols), rf(cols)))
-        if isinstance(node, BinOp):
-            impl, args = math.pow, (node.lhs, node.rhs)
-        else:
-            impl, args = _CALL_IMPL[node.func], node.args
+        impl, _, args = _call_parts(node)
         elementwise = np.frompyfunc(impl, len(args), 1)
         arg_fns = tuple(build(a) for a in args)
 

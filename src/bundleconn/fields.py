@@ -31,10 +31,6 @@ class Region:
             if not lo < hi:
                 raise ValueError(f"empty interval ({lo}, {hi})")
 
-    @classmethod
-    def unbounded(cls, dim):
-        return cls([(-math.inf, math.inf)] * dim)
-
     @property
     def dim(self):
         return len(self.bounds)
@@ -47,7 +43,8 @@ class Region:
 
     def require(self, point):
         if not self.contains(point):
-            raise DomainExit(f"point {tuple(point)} outside region {self.bounds}")
+            raise DomainExit(f"point {tuple(float(c) for c in point)} "
+                             f"outside region {self.bounds}")
 
     def __repr__(self):
         return f"Region({list(self.bounds)})"
@@ -318,17 +315,26 @@ def fd_partials(f, x, h=None, axes=None, rel=FD_STEP_FIRST):
     return np.stack([fd_partial(f, x, axis, h, rel) for axis in axes])
 
 
+def frame_partials(frame, f, x, h=None, rel=FD_STEP_FIRST):
+    """Frame derivatives out[mu] = E_mu(f) = E[nu, mu] d_nu f of a scalar or
+    array field at x, from fd_partials; with frame None (the coordinate
+    frame E_mu = d_mu) the coordinate partials themselves."""
+    if frame is None:
+        return fd_partials(f, x, h, rel=rel)
+    E = frame(x)
+    return np.einsum("nm,n...->m...", E, fd_partials(f, x, h, rel=rel))
+
+
 def anholonomy(frame, x, h=None):
     """Anholonomy components C[lam, mu, nu] of a frame at a point, from
     finite-difference commutators solved against the frame matrix. Exactly
     antisymmetric in (mu, nu) by construction."""
     m = frame.dim
-    E = frame(x)
-    dE = fd_partials(frame, x, h, axes=range(m))   # dE[sig, rho, nu]
-    # bracket[rho, mu, nu] = E^sig_mu d_sig E^rho_nu - E^sig_nu d_sig E^rho_mu
-    term = np.einsum("sm,srn->rmn", E, dE)
+    # term[rho, mu, nu] = E_mu(E^rho_nu), so the bracket is
+    # [E_mu, E_nu]^rho = term[rho, mu, nu] - term[rho, nu, mu]
+    term = frame_partials(frame, frame, x, h).transpose(1, 0, 2)
     bracket = term - term.transpose(0, 2, 1)
-    C = np.linalg.solve(E, bracket.reshape(m, m * m)).reshape(m, m, m)
+    C = np.linalg.solve(frame(x), bracket.reshape(m, m * m)).reshape(m, m, m)
     return (C - C.transpose(0, 2, 1)) / 2.0
 
 
@@ -336,13 +342,10 @@ def lie_gamma(frame, X, x, h=None):
     """Lie coefficients of the field X = X^mu E_mu in the frame:
     L[nu, mu] = -E_mu(X^nu) - C[nu, mu, lam] X^lam."""
     X = as_section(X, frame.names, frame.region)
-    E = frame(x)
-    dX = fd_partials(X, x, h, axes=range(frame.dim))
+    EX = frame_partials(frame, X, x, h)             # EX[mu, nu] = E_mu(X^nu)
     Xv = X(x)
     C = anholonomy(frame, x, h)
-    # E_mu(X^nu) = E^sig_mu d_sig X^nu
-    EdX = np.einsum("sm,sn->nm", E, dX)
-    return -EdX - np.einsum("nml,l->nm", C, Xv)
+    return -EX.T - np.einsum("nml,l->nm", C, Xv)
 
 
 def lie_derivative(frame, X, S, x, h=None):
@@ -365,14 +368,6 @@ def lie_derivative(frame, X, S, x, h=None):
     return out
 
 
-def _directional_matrix_partials(frame, B, x, h=None):
-    """dirB[sigma, i, j] = E_sigma(B[i, j]): directional derivatives of a
-    matrix field along the frame vectors."""
-    E = frame(x)
-    dB = fd_partials(B, x, h, axes=range(frame.dim))
-    return np.einsum("ts,tij->sij", E, dB)
-
-
 def transform_anholonomy(frame, B, x, h=None):
     """Anholonomy of the changed frame Etilde_mu = B[nu, mu] E_nu, predicted
     from the original frame's anholonomy by the transformation law
@@ -381,7 +376,7 @@ def transform_anholonomy(frame, B, x, h=None):
     m = frame.dim
     Bv = nonsingular(B(x), SingularFrame,
                      f"singular change matrix at {tuple(x)}")
-    dirB = _directional_matrix_partials(frame, B, x, h)
+    dirB = frame_partials(frame, B, x, h)           # dirB[sig] = E_sig(B)
     C = anholonomy(frame, x, h)
     term = np.einsum("sm,srn->rmn", Bv, dirB)
     inner = (term - term.transpose(0, 2, 1)
@@ -396,8 +391,7 @@ def transform_lie_gamma(frame, B, X, x, h=None):
     Bv = nonsingular(B(x), SingularFrame,
                      f"singular change matrix at {tuple(x)}")
     Xv = X(x)
-    dirB = _directional_matrix_partials(frame, B, x, h)
-    XB = np.tensordot(Xv, dirB, axes=([0], [0]))
+    XB = np.tensordot(Xv, frame_partials(frame, B, x, h), axes=([0], [0]))
     L = lie_gamma(frame, X, x, h)
     return np.linalg.solve(Bv, L @ Bv + XB)
 

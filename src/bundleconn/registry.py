@@ -217,11 +217,8 @@ def make_cartan_flat(n=2):
 class ExampleRegistry:
     """Named example-connection builders, looked up by CLI configs."""
 
-    def __init__(self):
-        self._builders = {}
-
-    def register(self, name, builder):
-        self._builders[name] = builder
+    def __init__(self, builders):
+        self._builders = dict(builders)
 
     def names(self):
         return sorted(self._builders)
@@ -238,14 +235,10 @@ class ExampleRegistry:
                               f"{name!r}: {exc}") from exc
 
 
-def default_registry():
-    reg = ExampleRegistry()
-    reg.register("flat", make_flat)
-    reg.register("constant", make_constant)
-    reg.register("sphere-lc", make_sphere_lc)
-    reg.register("pure-gauge", make_pure_gauge)
-    reg.register("cartan-flat", make_cartan_flat)
-    return reg
-
-
-REGISTRY = default_registry()
+REGISTRY = ExampleRegistry({
+    "flat": make_flat,
+    "constant": make_constant,
+    "sphere-lc": make_sphere_lc,
+    "pure-gauge": make_pure_gauge,
+    "cartan-flat": make_cartan_flat,
+})

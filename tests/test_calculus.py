@@ -33,7 +33,11 @@ from bundleconn.connection import (
 from bundleconn.errors import NotFlat
 from bundleconn.fields import FrameField, MatrixField, fd_partial
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
-from bundleconn.transport import PathSpec, transport_linear
+from bundleconn.transport import (
+    PathSpec,
+    fundamental_solution,
+    transport_linear,
+)
 
 CONSTANT_STACK = np.array([
     [[0.0, 1.0], [0.0, 0.0]],
@@ -486,3 +490,51 @@ def test_curvature_values_container():
     R[0, 1, 1, 0] = -3.0
     cv = CurvatureValues(R)
     assert cv.matrix(0, 1)[0, 1] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# small-loop holonomy: transport around a coordinate parallelogram with
+# corner x and sides eps e_mu, eps e_nu is W = I - eps^2 R_(mu nu)(x) + O(eps^3),
+# an identity between 4.18/4.20 and 4.27 that takes no finite difference of
+# the coefficients
+
+
+def small_loop_holonomy(g3, x, mu, nu, eps, steps=400):
+    x = np.asarray(x, dtype=float)
+    e_mu, e_nu = eps * np.eye(len(x))[mu], eps * np.eye(len(x))[nu]
+    corners = [x, x + e_mu, x + e_mu + e_nu, x + e_nu, x]
+    return fundamental_solution(g3, PathSpec.from_points(corners,
+                                                         steps=steps))
+
+
+def richardson_loop_curvature(g3, x, mu, nu, eps=1e-2, steps=400):
+    """-R_(mu nu)(x) from the loops of sides eps and eps/2, plus its error
+    bound. The loop starts at a corner, so A(eps) = (W - I)/eps^2 is
+    -R + c eps + O(eps^2): 2 A(eps/2) - A(eps) cancels the first-order term,
+    and |A(eps/2) - A(eps)| (= |c| eps/2 to leading order) bounds what is
+    left, plus the rounding of `steps` RK4 steps scaled by 1/(eps/2)^2."""
+    A1, A2 = ((small_loop_holonomy(g3, x, mu, nu, e, steps) - np.eye(g3.r))
+              / e ** 2 for e in (eps, eps / 2.0))
+    rounding = 3.0 * steps * np.finfo(float).eps / (eps / 2.0) ** 2
+    return 2.0 * A2 - A1, float(np.max(np.abs(A2 - A1))) + rounding
+
+
+LOOP_CASES = {
+    "sphere-lc": (make_sphere_lc().g3, (1.0, 0.5), True),
+    "pure-gauge": (make_pure_gauge().g3, (0.4, 0.7), False),
+    "constant-noncommuting": (CoefficientField3.constant(CONSTANT_STACK),
+                              (0.3, 0.6), True),
+}
+
+
+@pytest.mark.parametrize("mu, nu", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("g3, x, curved", LOOP_CASES.values(),
+                         ids=list(LOOP_CASES))
+def test_small_loop_holonomy_is_minus_curvature(g3, x, curved, mu, nu):
+    R = curvature(g3, x).R[:, :, mu, nu]
+    minus_R, tol = richardson_loop_curvature(g3, x, mu, nu)
+    assert np.max(np.abs(minus_R + R)) <= tol
+    if curved:
+        # the opposite sign convention misses by about 2 |R|
+        assert np.max(np.abs(minus_R - R)) > tol
+

@@ -2,6 +2,7 @@
 contract (eq tags, sorted keys, 17-significant-digit floats), exit codes,
 byte-level determinism, and the documented examples."""
 
+import ast
 import contextlib
 import copy
 import io
@@ -24,6 +25,7 @@ from bundleconn.connection import (
     three_index_round_trip,
     two_index_round_trip,
 )
+from bundleconn.errors import ConfigError
 from bundleconn.fields import FrameField, lie_gamma_law
 from bundleconn.registry import REGISTRY
 
@@ -747,6 +749,21 @@ MALFORMED_CONFIGS = {
         "base_dim": None, "fibre_rank": 2, "point": [0.5, 0.5],
         "region": [[0.0, 1.0], [0.0, 1.0]],
         "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
+    # a null axis is the unbounded one; an infinite bound cannot be echoed
+    "region-infinite-bounds": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "region": [[-math.inf, math.inf], [0.0, 1.0]],
+        "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
+    # resource ceilings, rejected before anything is allocated
+    "steps-1e300": ("transport", {
+        "connection": "registry:sphere-lc", "steps": 1e300,
+        "path": {"exprs": ["1 + 0.2*t", "t"]}, "initial": [1.0, 0.0]}),
+    "path-steps-1e11": ("transport", {
+        "connection": "registry:sphere-lc", "initial": [1.0, 0.0],
+        "path": {"exprs": ["1 + 0.2*t", "t"], "steps": 100000000000}}),
+    "grid-30-axes": ("curvature", {
+        "connection": {"kind": "registry:flat", "params": {"n": 30}},
+        "grid": {"lo": [0.0] * 30, "hi": [1.0] * 30}}),
 }
 
 
@@ -778,6 +795,61 @@ def test_exit_1_domain_exit(tmp_path, capsys):
     code, payload = run_json(capsys, "transport", "--config", path)
     assert code == 1
     assert payload["error"]["type"] == "DomainExit"
+
+
+def test_resource_ceilings_are_inclusive():
+    parser = cli.build_parser()
+
+    def problem(*flags):
+        # 10 samples on 5 axes make a lattice of MAX_GRID_POINTS points
+        cfg = {"connection": {"kind": "registry:flat", "params": {"n": 5}},
+               "grid": {"lo": [0.0] * 5, "hi": [1.0] * 5},
+               "path": {"points": [[0.0] * 5, [1.0] * 5],
+                        "steps": cli.MAX_STEPS}}
+        return cli.Problem(cfg, parser.parse_args(
+            ["curvature", "--config", "unused.json", *flags]))
+
+    assert problem("--steps", str(cli.MAX_STEPS)).steps == cli.MAX_STEPS
+    with pytest.raises(ConfigError, match="^steps must be at most"):
+        problem("--steps", str(cli.MAX_STEPS + 1))
+    assert problem().build_path().steps == cli.MAX_STEPS
+    assert cli.MAX_GRID_POINTS == 10 ** 5
+    assert len(cli._grid_points(problem("--samples", "10"))) == 10 ** 5
+    with pytest.raises(ConfigError, match="^a grid may hold at most"):
+        cli._grid_points(problem("--samples", "11"))
+
+
+def domain_exit_point(payload):
+    """The point a DomainExit message names, read as a Python literal."""
+    message = payload["error"]["message"]
+    assert payload["error"]["type"] == "DomainExit"
+    return ast.literal_eval(message[len("point "):message.index(" outside")])
+
+
+def test_geodesic_domain_exit_names_plain_floats(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "connection": "registry:sphere-lc", "x0": [1.2, 0.0],
+        "v0": [37.0, 1.0], "T": 1.0, "steps": 40})
+    code, payload = run_json(capsys, "geodesic", "--config", path)
+    assert code == 1
+    point = domain_exit_point(payload)
+    assert len(point) == 2 and all(type(c) is float for c in point)
+    assert not 0.05 < point[0] < math.pi - 0.05
+
+
+def test_general_transport_domain_exit_names_plain_floats(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "base_dim": 2, "fibre_rank": 2,
+        "region": [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]],
+        "connection": {"kind": "two_index",
+                       "matrix": [["u2", "0"], ["0", "u1"]]},
+        "path": {"points": [[0.0, 0.0], [0.9, 0.9]], "steps": 40},
+        "initial": [0.9, 0.9]})
+    code, payload = run_json(capsys, "transport", "--config", path)
+    assert code == 1
+    point = domain_exit_point(payload)
+    assert len(point) == 4 and all(type(c) is float for c in point)
+    assert max(abs(c) for c in point[2:]) >= 1.0
 
 
 def test_exit_1_fundamental_matrix_of_curved_connection(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it,
-every import sits at module level, the batch expression compiler covers
-exactly the grammar's functions, and one function holds the singularity
-test."""
+every import sits at module level, every function, method and class the
+package defines is referenced somewhere, the batch expression compiler
+covers exactly the grammar's functions, and one function holds the
+singularity test."""
 
 import ast
 from pathlib import Path
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from bundleconn import exprlang
+from bundleconn.errors import NonFinite
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bundleconn"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source):
@@ -72,6 +75,83 @@ def test_function_local_import_is_reported():
               "        import sys\n"
               "    return math, path\n")
     assert function_imports(source) == [4, 6]
+
+
+def definitions_and_references(source, module):
+    """The (qualified name, name) of every function, method and class the
+    source defines, and the set of names it references: Name and Attribute
+    nodes and string constants, not counting a definition's references to
+    itself from its own body."""
+    defined, referenced = [], set()
+
+    def walk(node, enclosing, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                defined.append((f"{scope}.{child.name}", child.name))
+                walk(child, enclosing | {child.name}, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif (isinstance(child, ast.Constant)
+                  and isinstance(child.value, str)):
+                name = child.value
+            else:
+                name = None
+            if name is not None and name not in enclosing:
+                referenced.add(name)
+            walk(child, enclosing, scope)
+
+    walk(ast.parse(source), frozenset(), module)
+    return defined, referenced
+
+
+def unreferenced(sources, defining):
+    """Qualified names of the definitions in the `defining` modules of
+    {module: source} that no module references (dunder methods are called
+    by the language)."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        defs, refs = definitions_and_references(source, module)
+        referenced |= refs
+        if module in defining:
+            defined += defs
+    return sorted(qual for qual, name in defined
+                  if name not in referenced
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_definition_is_referenced():
+    sources = {f"{path.parent.name}/{path.stem}": path.read_text(
+        encoding="utf-8")
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    defining = {module for module in sources
+                if module.startswith(f"{SRC.name}/")}
+    assert unreferenced(sources, defining) == []
+
+
+def test_unreferenced_definition_is_reported():
+    package = ("class Box:\n"
+               "    def __init__(self):\n"
+               "        self.lo = 0\n"
+               "    def width(self):\n"
+               "        return self.width()\n"
+               "    def used(self):\n"
+               "        return 1\n"
+               "def helper():\n"
+               "    def inner():\n"
+               "        return 2\n"
+               "    return inner\n"
+               "def dead():\n"
+               "    return dead()\n"
+               "NAMES = ['named']\n"
+               "def named():\n"
+               "    return 3\n")
+    test = "from m import Box, helper\nBox().used()\nhelper()\n"
+    assert unreferenced({"m": package, "test_m": test}, {"m"}) == [
+        "m.Box.width", "m.dead"]
 
 
 def singularity_sites(source, module):
@@ -137,3 +217,21 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
     unknown = exprlang.Call("sinh", (exprlang.Var("x1"),))
     with pytest.raises(KeyError):
         exprlang.compile_batch(unknown, names)
+
+
+def test_power_is_the_function_pow():
+    # '^' runs through the closure of pow, under its own label
+    names = ("x1", "x2")
+    cols = (np.linspace(0.1, 3.0, 9), np.linspace(-2.5, 2.5, 9))
+    caret, call = (exprlang.parse(src) for src in ("x1^x2", "pow(x1, x2)"))
+    assert (exprlang.compile_batch(caret, names)(*cols).tobytes()
+            == exprlang.compile_batch(call, names)(*cols).tobytes())
+    caret, call = (exprlang.compile_fn(ast, names) for ast in (caret, call))
+    assert (np.array([caret(p) for p in zip(*cols)]).tobytes()
+            == np.array([call(p) for p in zip(*cols)]).tobytes())
+    with pytest.raises(NonFinite, match="^'\\^': math domain error$"):
+        caret((-2.0, 0.5))
+    with pytest.raises(NonFinite, match="^'\\^': math range error$"):
+        caret((10.0, 400.0))
+    with pytest.raises(NonFinite, match="^pow: math domain error$"):
+        call((-2.0, 0.5))
