@@ -71,7 +71,8 @@ def curvature(g3, x, h=None, base_frame=None):
     R_{mu nu} = E_mu(G_nu) - E_nu(G_mu) + [G_mu, G_nu] - G_lam C^lam_{mu nu},
     with FD partials at a 1e-4 relative step. Without a frame E_mu = d_mu
     and C = 0."""
-    D = frame_partials(base_frame, g3, x, h, rel=FD_STEP_NESTED)  # E_mu(G_nu)
+    E = None if base_frame is None else base_frame(x)
+    D = frame_partials(E, g3, x, h, rel=FD_STEP_NESTED)  # E_mu(G_nu)
     stack = g3(x)
     T = D + np.einsum("mac,ncb->mnab", stack, stack)
     Rmn = T - T.transpose(1, 0, 2, 3)
@@ -136,9 +137,10 @@ def fibre_curvature_general(g2, frame, p, h=None):
     S = 0, and fibre coefficients -d_b G^a_mu."""
     n, r = g2.n, g2.r
     G = g2(p)
-    if frame is not None and np.max(np.abs(frame(p)[:n, n:])) > 1e-12:
+    E = None if frame is None else frame(p)
+    if E is not None and np.max(np.abs(E[:n, n:])) > 1e-12:
         raise ValueError("the frame's fibre block must be vertical")
-    eG = frame_partials(frame, g2, p, h)      # e_I(G)[I, a, nu]
+    eG = frame_partials(E, g2, p, h)          # e_I(G)[I, a, nu]
     XG = eG[:n] + np.einsum("bm,ban->man", G, eG[n:])   # X_mu(G)[mu,a,nu]
     R2 = np.einsum("man->amn", XG) - np.einsum("nam->amn", XG)
     coeffs = -np.einsum("bam->mab", eG[n:])              # [mu, a, b]

@@ -241,7 +241,8 @@ def transform_three_index(g3, change, x, base_frame=None, h=None):
     stack = g3(x)
     Bf = change.fibre_at(x)
     Bb = change.base_at(x)
-    dBf = frame_partials(base_frame, change.fibre, x, h)
+    E = None if base_frame is None else base_frame(x)
+    dBf = frame_partials(E, change.fibre, x, h)
     core = np.stack([np.linalg.solve(Bf, stack[nu] @ Bf + dBf[nu])
                      for nu in range(g3.n)])
     return np.einsum("nm,nab->mab", Bb, core)

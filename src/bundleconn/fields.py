@@ -315,13 +315,12 @@ def fd_partials(f, x, h=None, axes=None, rel=FD_STEP_FIRST):
     return np.stack([fd_partial(f, x, axis, h, rel) for axis in axes])
 
 
-def frame_partials(frame, f, x, h=None, rel=FD_STEP_FIRST):
+def frame_partials(E, f, x, h=None, rel=FD_STEP_FIRST):
     """Frame derivatives out[mu] = E_mu(f) = E[nu, mu] d_nu f of a scalar or
-    array field at x, from fd_partials; with frame None (the coordinate
-    frame E_mu = d_mu) the coordinate partials themselves."""
-    if frame is None:
+    array field at x, from fd_partials and the frame matrix E at x; with E
+    None (the coordinate frame E_mu = d_mu) the coordinate partials."""
+    if E is None:
         return fd_partials(f, x, h, rel=rel)
-    E = frame(x)
     return np.einsum("nm,n...->m...", E, fd_partials(f, x, h, rel=rel))
 
 
@@ -330,11 +329,12 @@ def anholonomy(frame, x, h=None):
     finite-difference commutators solved against the frame matrix. Exactly
     antisymmetric in (mu, nu) by construction."""
     m = frame.dim
+    E = frame(x)
     # term[rho, mu, nu] = E_mu(E^rho_nu), so the bracket is
     # [E_mu, E_nu]^rho = term[rho, mu, nu] - term[rho, nu, mu]
-    term = frame_partials(frame, frame, x, h).transpose(1, 0, 2)
+    term = frame_partials(E, frame, x, h).transpose(1, 0, 2)
     bracket = term - term.transpose(0, 2, 1)
-    C = np.linalg.solve(frame(x), bracket.reshape(m, m * m)).reshape(m, m, m)
+    C = np.linalg.solve(E, bracket.reshape(m, m * m)).reshape(m, m, m)
     return (C - C.transpose(0, 2, 1)) / 2.0
 
 
@@ -342,7 +342,7 @@ def lie_gamma(frame, X, x, h=None):
     """Lie coefficients of the field X = X^mu E_mu in the frame:
     L[nu, mu] = -E_mu(X^nu) - C[nu, mu, lam] X^lam."""
     X = as_section(X, frame.names, frame.region)
-    EX = frame_partials(frame, X, x, h)             # EX[mu, nu] = E_mu(X^nu)
+    EX = frame_partials(frame(x), X, x, h)          # EX[mu, nu] = E_mu(X^nu)
     Xv = X(x)
     C = anholonomy(frame, x, h)
     return -EX.T - np.einsum("nml,l->nm", C, Xv)
@@ -376,7 +376,7 @@ def transform_anholonomy(frame, B, x, h=None):
     m = frame.dim
     Bv = nonsingular(B(x), SingularFrame,
                      f"singular change matrix at {tuple(x)}")
-    dirB = frame_partials(frame, B, x, h)           # dirB[sig] = E_sig(B)
+    dirB = frame_partials(frame(x), B, x, h)        # dirB[sig] = E_sig(B)
     C = anholonomy(frame, x, h)
     term = np.einsum("sm,srn->rmn", Bv, dirB)
     inner = (term - term.transpose(0, 2, 1)
@@ -391,7 +391,7 @@ def transform_lie_gamma(frame, B, X, x, h=None):
     Bv = nonsingular(B(x), SingularFrame,
                      f"singular change matrix at {tuple(x)}")
     Xv = X(x)
-    XB = np.tensordot(Xv, frame_partials(frame, B, x, h), axes=([0], [0]))
+    XB = np.tensordot(Xv, frame_partials(frame(x), B, x, h), axes=([0], [0]))
     L = lie_gamma(frame, X, x, h)
     return np.linalg.solve(Bv, L @ Bv + XB)
 

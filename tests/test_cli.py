@@ -837,6 +837,20 @@ def test_geodesic_domain_exit_names_plain_floats(tmp_path, capsys):
     assert not 0.05 < point[0] < math.pi - 0.05
 
 
+@pytest.mark.parametrize("steps", [8, 64, 1000])
+def test_geodesic_leaving_the_region_ends_as_domain_exit(tmp_path, capsys,
+                                                          steps):
+    # heads into the pole: the RK4 stages leave the region before the last
+    # step, whatever the step count
+    path = write_config(tmp_path, {
+        "connection": "registry:sphere-lc", "x0": [0.3, 0.0],
+        "v0": [-1.0, 0.0], "T": 1.0, "steps": steps})
+    code, payload = run_json(capsys, "geodesic", "--config", path)
+    assert code == 1
+    point = domain_exit_point(payload)
+    assert point[0] <= 0.05
+
+
 def test_general_transport_domain_exit_names_plain_floats(tmp_path, capsys):
     path = write_config(tmp_path, {
         "base_dim": 2, "fibre_rank": 2,

@@ -135,6 +135,21 @@ def test_anholonomy_antisymmetry_exact():
     assert np.array_equal(C, -C.transpose(0, 2, 1))
 
 
+def test_anholonomy_evaluates_the_frame_once_at_the_point():
+    x = (0.7, 0.4)
+    at_x = []
+
+    def matrix(x1, x2):
+        at_x.append((x1, x2) == x)
+        return [[1.0, math.sin(x2)], [x2 * x1, math.exp(x1 / 4)]]
+
+    frame = FrameField.from_callable(matrix, 2, XY)
+    anholonomy(frame, x)
+    # the frame at x, then two central-difference points per axis
+    assert at_x.count(True) == 1
+    assert len(at_x) == 5
+
+
 def test_lie_gamma_constant_field_coordinate_frame():
     frame = FrameField.identity(2, XY)
     L = lie_gamma(frame, (1.0, -2.0), (0.3, 0.4))

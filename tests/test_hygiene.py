@@ -1,8 +1,8 @@
 """Source hygiene: every name a package module imports is used in it,
 every import sits at module level, every function, method and class the
 package defines is referenced somewhere, the batch expression compiler
-covers exactly the grammar's functions, and one function holds the
-singularity test."""
+covers exactly the grammar's functions, one function holds the
+singularity test, and one function loops over RK4 steps."""
 
 import ast
 from pathlib import Path
@@ -201,6 +201,62 @@ def test_singularity_site_is_reported():
               "def h(M):\n"
               "    return np.linalg.inv(M)\n")
     assert singularity_sites(source, "m") == ["m.F.__call__", "m.g"]
+
+
+STEP_LOOP_READS = {"nsteps", "rhs", "rhs_many"}
+
+
+def rk4_step_sites(source, module):
+    """(qualified names of the functions that loop over RK4 steps, those
+    that name a defect). A step loop is a loop or comprehension that reads
+    `nsteps` or a right-hand side (`rhs`, `rhs_many`)."""
+    loops, defects = set(), set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, (ast.For, ast.While, ast.ListComp,
+                                  ast.SetComp, ast.DictComp,
+                                  ast.GeneratorExp)):
+                reads = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(child)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if reads & STEP_LOOP_READS:
+                    loops.add(scope)
+            if isinstance(child, ast.Name) and "defect" in child.id:
+                defects.add(scope)
+            walk(child, scope)
+
+    walk(ast.parse(source), module)
+    return sorted(loops), sorted(defects)
+
+
+def test_one_rk4_driver_loops_over_steps():
+    source = (SRC / "transport.py").read_text(encoding="utf-8")
+    assert rk4_step_sites(source, "transport") == (["transport._rk4"],
+                                                   ["transport._rk4"])
+
+
+def test_second_step_loop_and_defect_are_reported():
+    source = ("def _rk4(rhs, grid):\n"
+              "    for i in range(grid.nsteps):\n"
+              "        defect = rhs(i)\n"
+              "def driver(grid):\n"
+              "    def rhs(k):\n"
+              "        return k\n"
+              "    ys = [rhs(k) for k in grid.bases]\n"
+              "    while ys:\n"
+              "        ys.pop()\n"
+              "    return ys\n"
+              "def other(grid):\n"
+              "    def rhs(k):\n"
+              "        my_defect = k - 1\n"
+              "        return my_defect\n"
+              "    return [s for s in grid.ts]\n")
+    assert rk4_step_sites(source, "m") == (["m._rk4", "m.driver"],
+                                           ["m._rk4", "m.other.rhs"])
 
 
 def test_batch_compiler_handles_exactly_the_grammar_functions():

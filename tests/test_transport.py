@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from bundleconn import transport
 from bundleconn.connection import (
     AffineCoefficients,
     CoefficientField3,
     TwoIndexField,
     base_names,
 )
-from bundleconn.errors import DomainExit, StepCountTooSmall
+from bundleconn.errors import DomainExit, NonFinite, StepCountTooSmall
 from bundleconn.fields import MatrixField, ScalarField
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
@@ -392,3 +393,90 @@ def test_affine_gvecs_equal_per_node_loop(path_kind, inhom_kind):
                                     per_node_gvecs(aff, grid))
     assert np.array_equal(got.samples, want.samples)
     assert got.max_residual == want.max_residual
+
+
+# --- the batched right-hand sides of the midpoint defect ------------------------
+
+NONLINEAR_G2 = [["u1*x1 + u2", "u2*u2 - x2"], ["cos(u1)", "x1*u2"]]
+
+
+def run_driver(case):
+    """One run of a driver on a fixed config: its TransportResult."""
+    expr_path, poly_path = grid_paths()["expr"], grid_paths()["polyline"]
+    sphere = make_sphere_lc().g3
+    affine = AffineCoefficients.from_exprs(AFFINE_LINEAR, AFFINE_INHOM)
+    runs = {
+        "linear-vector": lambda: transport_linear(sphere, expr_path,
+                                                  [0.3, -0.2]),
+        "linear-skew-r3": lambda: transport_linear(
+            CoefficientField3.from_exprs(SKEW3), expr_path, [0.3, -0.2, 0.5]),
+        "linear-matrix": lambda: transport_linear(sphere, poly_path,
+                                                  np.eye(2)),
+        "affine": lambda: transport_affine(affine, poly_path, [0.3, -0.2]),
+        "general": lambda: transport_general(
+            TwoIndexField.from_exprs(NONLINEAR_G2, 2, 2), expr_path,
+            [0.3, 0.4]),
+        "geodesic": lambda: geodesic(sphere, (1.0, 0.2), (0.3, 0.7), 2.0, 64),
+    }
+    return runs[case]()
+
+
+@pytest.mark.parametrize("case", ["linear-vector", "linear-skew-r3",
+                                  "linear-matrix", "affine", "general",
+                                  "geodesic"])
+def test_batched_rhs_equals_per_step_rhs_bitwise(case, monkeypatch):
+    calls = []
+    rk4 = transport._rk4
+
+    def spy(rhs, rhs_many, y0, grid):
+        result = rk4(rhs, rhs_many, y0, grid)
+        calls.append((rhs, rhs_many, result, grid))
+        return result
+
+    monkeypatch.setattr(transport, "_rk4", spy)
+    run_driver(case)
+    (rhs, rhs_many, result, grid), = calls
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, len(result.samples), 300)
+    ys = result.samples[rows] * (1.0 + 0.01 * rng.standard_normal(
+        (len(rows),) + result.samples.shape[1:]))
+    nodes = 2 * grid.nsteps + 1 if grid.pos is None else len(grid.pos)
+    ks = rng.integers(0, nodes, len(rows))
+    many = rhs_many(ks, ys)
+    for j, (k, y) in enumerate(zip(ks, ys)):
+        one = rhs(k, y)
+        assert one.tobytes() == many[j].tobytes(), (k, y)
+
+
+# final values and max_residual of each driver on a fixed config, as .17g
+# strings: where the defect is evaluated must not move a last bit
+PINNED = {
+    "linear-vector": (["0.028265953095056515", "-0.3586246009380058"],
+                      "1.0296796889186933e-07"),
+    "linear-matrix": (["0.76289734031642775", "0.46378480342108297",
+                       "-0.72544244071386599", "0.61407600336098289"],
+                      "5.862360116272447e-08"),
+    "affine": (["1.7444259392540098", "-4.8099931438672234"],
+               "8.041553582055494e-08"),
+    "general": (["197.19494043678034", "22.992161864154298"],
+                "0.0007131705211378403"),
+    "geodesic": (["1.8102008654857762", "1.2951858085273653",
+                  "0.42029652875862211", "0.52518122029713654"],
+                 "5.8848333340036363e-07"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_final_and_max_residual_pinned(case):
+    result = run_driver(case)
+    final, residual = PINNED[case]
+    assert [format(v, ".17g") for v in result.final.ravel()] == final
+    assert format(result.max_residual, ".17g") == residual
+
+
+def test_general_transport_nonfinite_names_plain_floats():
+    g2 = TwoIndexField.from_callable(lambda x1, u1: [[math.inf]], 1, 1)
+    path = PathSpec.from_points([[0.53125], [1.0]], steps=16)
+    with pytest.raises(NonFinite) as info:
+        transport_general(g2, path, [1.53125])
+    assert str(info.value) == "non-finite array value at (0.53125, 1.53125)"
