@@ -19,7 +19,7 @@ from .fields import (
     FD_STEP_NESTED,
     FrameField,
     SectionField,
-    anholonomy,
+    _anholonomy,
     as_section,
     base_names,
     bundle_names,
@@ -77,7 +77,7 @@ def curvature(g3, x, h=None, base_frame=None):
     T = D + np.einsum("mac,ncb->mnab", stack, stack)
     Rmn = T - T.transpose(1, 0, 2, 3)
     if base_frame is not None:
-        C = anholonomy(base_frame, x, h)            # C[lam, mu, nu]
+        C = _anholonomy(base_frame, E, x, h)        # C[lam, mu, nu]
         Rmn = Rmn - np.einsum("lab,lmn->mnab", stack, C)
     return CurvatureValues(Rmn.transpose(2, 3, 0, 1))
 
@@ -147,7 +147,7 @@ def fibre_curvature_general(g2, frame, p, h=None):
     if frame is None:
         return R2, np.zeros((n, n, n)), coeffs
 
-    C = anholonomy(frame, p, h)
+    C = _anholonomy(frame, E, p, h)
     Cb = C[:n, :n, :n]        # C^lam_{mu nu}
     Cf_bb = C[n:, :n, :n]     # C^a_{mu nu}
     Cf_mix = C[n:, :n, n:]    # C^a_{mu b}

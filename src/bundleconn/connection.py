@@ -199,8 +199,7 @@ class CoordinateChange:
         return cls(base, fibre, n, r, region)
 
     def apply(self, p):
-        x = tuple(p[:self.n])
-        return tuple(self.base(x).tolist() + self.fibre(p).tolist())
+        return tuple(self.base.floats(p[:self.n]) + self.fibre.floats(p))
 
     def jacobians(self, p):
         """The Jacobian blocks at the bundle point p, fibre stencils first:

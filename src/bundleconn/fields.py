@@ -73,7 +73,7 @@ def _compile_entry(source, names):
     only over the same names, as the closure reads positions."""
     if isinstance(source, ScalarField):
         if not source._dynamic:
-            return _compile_entry(float(source._template), names)
+            return _compile_entry(source._template[0], names)
         _, fn, ast = source._dynamic[0]
         return fn, None, (ast if source.names == names else None)
     if isinstance(source, (int, float)):
@@ -93,9 +93,9 @@ def _compile_entry(source, names):
 
 class _FieldArray:
     """Array-valued field: a fixed-shape array of scalar entries (constants
-    folded into a template) or one whole-array callable. `values` evaluates
-    many points at once; expression entries are compiled for it on first
-    use."""
+    folded into a flat row-major template) or one whole-array callable.
+    `values` evaluates many points at once; expression entries are compiled
+    for it on first use."""
 
     def __init__(self, shape, names, region=None, entries=None, array_fn=None):
         self.shape = tuple(shape)
@@ -108,16 +108,11 @@ class _FieldArray:
             if grid.shape != self.shape:
                 raise ValueError(f"expected entries of shape {self.shape}, "
                                  f"got shape {grid.shape}")
-            template = np.zeros(self.shape)
-            dynamic = []
-            for idx in np.ndindex(self.shape):
-                fn, const, ast = _compile_entry(grid[idx], self.names)
-                if const is not None:
-                    template[idx] = const
-                else:
-                    dynamic.append((idx, fn, ast))
-            self._template = template
-            self._dynamic = dynamic
+            compiled = [_compile_entry(e, self.names) for e in grid.flat]
+            self._template = [0.0 if const is None else const
+                              for _, const, _ in compiled]
+            self._dynamic = [(pos, fn, ast) for pos, (fn, const, ast)
+                             in enumerate(compiled) if const is None]
 
     @classmethod
     def from_callable(cls, fn, shape, names, region=None):
@@ -125,18 +120,24 @@ class _FieldArray:
                    array_fn=lambda point: fn(*point))
 
     def __call__(self, point):
+        return np.array(self.floats(point)).reshape(self.shape)
+
+    def floats(self, point):
+        """The field at one point as a flat row-major list of Python floats:
+        the per-point core, with the region and finiteness checks."""
         if self.region is not None:
             self.region.require(point)
-        if self._array_fn is not None:
-            out = np.asarray(self._array_fn(point), dtype=float)
-            if out.shape != self.shape:
-                raise ValueError(f"callable returned shape {out.shape}, "
-                                 f"expected {self.shape}")
-        else:
+        if self._array_fn is None:
             out = self._template.copy()
-            for idx, fn, _ in self._dynamic:
-                out[idx] = fn(point)
-        if not np.isfinite(out).all():
+            for pos, fn, _ in self._dynamic:
+                out[pos] = float(fn(point))
+        else:
+            array = np.asarray(self._array_fn(point), dtype=float)
+            if array.shape != self.shape:
+                raise ValueError(f"callable returned shape {array.shape}, "
+                                 f"expected {self.shape}")
+            out = array.ravel().tolist()
+        if not all(map(math.isfinite, out)):
             raise NonFinite(f"non-finite array value at {tuple(point)}")
         return out
 
@@ -149,7 +150,7 @@ class _FieldArray:
         points = np.asarray(points, dtype=float)
         out = self._batch_values(points)
         if out is None:
-            out = np.stack([self(tuple(p)) for p in points])
+            out = np.stack([self(tuple(p.tolist())) for p in points])
         return out
 
     def _batch_values(self, points):
@@ -162,17 +163,16 @@ class _FieldArray:
                     (lo < points) & (points < hi)).all():
                 return None
         if self._batch is None:
-            self._batch = [(idx, compile_batch(ast, self.names))
-                           for idx, _, ast in self._dynamic]
-        out = np.empty((len(points),) + self.shape)
-        out[:] = self._template
+            self._batch = [(pos, compile_batch(ast, self.names))
+                           for pos, _, ast in self._dynamic]
+        out = np.tile(self._template, (len(points), 1))
         cols = points.T
         try:
-            for idx, fn in self._batch:
-                out[(slice(None),) + idx] = fn(*cols)
+            for pos, fn in self._batch:
+                out[:, pos] = fn(*cols)
         except NonFinite:
             return None
-        return out
+        return out.reshape((len(points),) + self.shape)
 
 
 class ScalarField(_FieldArray):
@@ -192,7 +192,7 @@ class ScalarField(_FieldArray):
         return cls(fn, names, region)
 
     def __call__(self, point):
-        return float(super().__call__(point))
+        return self.floats(point)[0]
 
 
 def as_scalar_field(source, names, region=None):
@@ -328,8 +328,12 @@ def anholonomy(frame, x, h=None):
     """Anholonomy components C[lam, mu, nu] of a frame at a point, from
     finite-difference commutators solved against the frame matrix. Exactly
     antisymmetric in (mu, nu) by construction."""
+    return _anholonomy(frame, frame(x), x, h)
+
+
+def _anholonomy(frame, E, x, h=None):
+    """anholonomy() from the frame matrix E already evaluated at x."""
     m = frame.dim
-    E = frame(x)
     # term[rho, mu, nu] = E_mu(E^rho_nu), so the bracket is
     # [E_mu, E_nu]^rho = term[rho, mu, nu] - term[rho, nu, mu]
     term = frame_partials(E, frame, x, h).transpose(1, 0, 2)
@@ -341,10 +345,15 @@ def anholonomy(frame, x, h=None):
 def lie_gamma(frame, X, x, h=None):
     """Lie coefficients of the field X = X^mu E_mu in the frame:
     L[nu, mu] = -E_mu(X^nu) - C[nu, mu, lam] X^lam."""
+    return _lie_gamma(frame, frame(x), X, x, h)
+
+
+def _lie_gamma(frame, E, X, x, h=None):
+    """lie_gamma() from the frame matrix E already evaluated at x."""
     X = as_section(X, frame.names, frame.region)
-    EX = frame_partials(frame(x), X, x, h)          # EX[mu, nu] = E_mu(X^nu)
+    EX = frame_partials(E, X, x, h)                 # EX[mu, nu] = E_mu(X^nu)
     Xv = X(x)
-    C = anholonomy(frame, x, h)
+    C = _anholonomy(frame, E, x, h)
     return -EX.T - np.einsum("nml,l->nm", C, Xv)
 
 
@@ -357,7 +366,7 @@ def lie_derivative(frame, X, S, x, h=None):
     coord_vec = E @ X(x)
     dS = fd_partials(S, x, h, axes=range(frame.dim))
     out = np.tensordot(coord_vec, dS, axes=([0], [0]))
-    L = lie_gamma(frame, X, x, h)
+    L = _lie_gamma(frame, E, X, x, h)
     Sval = S(x)
     for i in range(S.r):
         term = np.tensordot(L, Sval, axes=([1], [i]))
@@ -376,8 +385,9 @@ def transform_anholonomy(frame, B, x, h=None):
     m = frame.dim
     Bv = nonsingular(B(x), SingularFrame,
                      f"singular change matrix at {tuple(x)}")
-    dirB = frame_partials(frame(x), B, x, h)        # dirB[sig] = E_sig(B)
-    C = anholonomy(frame, x, h)
+    E = frame(x)
+    dirB = frame_partials(E, B, x, h)               # dirB[sig] = E_sig(B)
+    C = _anholonomy(frame, E, x, h)
     term = np.einsum("sm,srn->rmn", Bv, dirB)
     inner = (term - term.transpose(0, 2, 1)
              + np.einsum("sm,tn,rst->rmn", Bv, Bv, C))
@@ -390,9 +400,9 @@ def transform_lie_gamma(frame, B, X, x, h=None):
     X = as_section(X, frame.names, frame.region)
     Bv = nonsingular(B(x), SingularFrame,
                      f"singular change matrix at {tuple(x)}")
-    Xv = X(x)
-    XB = np.tensordot(Xv, frame_partials(frame(x), B, x, h), axes=([0], [0]))
-    L = lie_gamma(frame, X, x, h)
+    Xv, E = X(x), frame(x)
+    XB = np.tensordot(Xv, frame_partials(E, B, x, h), axes=([0], [0]))
+    L = _lie_gamma(frame, E, X, x, h)
     return np.linalg.solve(Bv, L @ Bv + XB)
 
 

@@ -5,6 +5,9 @@ and the limit-definition covariant derivative.
 Paths are integrated on a precomputed half-step grid: positions and
 velocities are evaluated once at every step boundary and midpoint, so the
 right-hand sides of the linear equations become cheap matrix evaluations.
+RK4 runs on the state as a flat list of floats; the right-hand sides that
+depend on it (general transport, geodesics) contract float field entries
+in one fixed order, which their batched forms repeat on numpy columns.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -159,32 +162,45 @@ def _check_finite(samples):
 
 def _rk4(rhs, rhs_many, y0, grid):
     """Classical RK4 over the grid; rhs(node_index, y) evaluates the
-    right-hand side at a half-step grid node, rhs_many(node_indices, ys) the
-    same at many nodes, row for row. The loop runs the four stages; every
-    step's midpoint defect comes after it, from one rhs_many call. Returns
-    the TransportResult with every step-boundary sample."""
-    y = np.array(y0, dtype=float)
-    samples = np.empty((grid.nsteps + 1,) + y.shape)
-    samples[0] = y
-    for i in range(grid.nsteps):
-        b = grid.bases[i]
-        h = grid.hs[i]
+    right-hand side at a half-step grid node on a flat float list,
+    rhs_many(node_indices, ys) at many nodes on arrays, row for row. The
+    stages run elementwise on float lists; every step's midpoint defect comes
+    after the loop, from one rhs_many call. Returns the TransportResult."""
+    y0 = np.array(y0, dtype=float)
+    samples = np.empty((grid.nsteps + 1,) + y0.shape)
+    rows = samples.reshape(grid.nsteps + 1, -1)
+    y = rows[0] = y0.ravel().tolist()
+    for i, (b, h) in enumerate(zip(grid.bases, map(float, grid.hs)), 1):
         k1 = rhs(b, y)
-        k2 = rhs(b + 1, y + 0.5 * h * k1)
-        k3 = rhs(b + 1, y + 0.5 * h * k2)
-        k4 = rhs(b + 2, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        samples[i + 1] = y
+        k2 = rhs(b + 1, [c + 0.5 * h * k for c, k in zip(y, k1)])
+        k3 = rhs(b + 1, [c + 0.5 * h * k for c, k in zip(y, k2)])
+        k4 = rhs(b + 2, [c + h * k for c, k in zip(y, k3)])
+        y = rows[i] = [c + h / 6.0 * (((p + 2.0 * q) + 2.0 * r) + s)
+                       for c, p, q, r, s in zip(y, k1, k2, k3, k4)]
     start, end = samples[:-1], samples[1:]
-    hs = grid.hs.reshape((-1,) + (1,) * y.ndim)
+    hs = grid.hs.reshape((-1,) + (1,) * y0.ndim)
     defect = end - start - hs * rhs_many(grid.bases + 1, 0.5 * (start + end))
     _check_finite(samples)
-    return TransportResult(y, samples, grid.ts, float(np.abs(defect).max()))
+    return TransportResult(samples[-1].copy(), samples, grid.ts,
+                           float(np.abs(defect).max()))
 
 
 def _degenerate(y0):
     y0 = np.asarray(y0, dtype=float)
     return TransportResult(y0.copy(), y0[None].copy(), np.zeros(1), 0.0)
+
+
+def _row_sums(G, v, scales):
+    """sum_l G[i, l] v[l] scales[i] for each row i of the flat entries G, in
+    l order: on floats for one point, on numpy columns for many, same bits."""
+    out = []
+    entries = iter(G)
+    for scale in scales:
+        total = 0.0
+        for vl in v:
+            total = total + next(entries) * vl * scale
+        out.append(total)
+    return out
 
 
 def transport_general(g2, path, p0):
@@ -195,11 +211,13 @@ def transport_general(g2, path, p0):
         return _degenerate(p0)
 
     def rhs(k, u):
-        return g2((*grid.pos[k].tolist(), *u.tolist())) @ grid.vel[k]
+        return _row_sums(g2.floats((*grid.pos[k].tolist(), *u)),
+                         grid.vel[k].tolist(), [1.0] * g2.r)
 
     def rhs_many(ks, us):
         G = g2.values(np.concatenate([grid.pos[ks], us], axis=1))
-        return (G @ grid.vel[ks][:, :, None])[:, :, 0]
+        return np.stack(_row_sums(G.reshape(len(ks), -1).T, grid.vel[ks].T,
+                                  [1.0] * g2.r), axis=1)
 
     return _rk4(rhs, rhs_many, p0, grid)
 
@@ -213,9 +231,10 @@ def _transport_linear_system(g3, grid, y0, gvecs=None):
     A = _linear_rhs_matrices(g3, grid)
     if gvecs is None:
         gvecs = np.zeros((len(grid.pos), g3.r))
+    shape = np.shape(y0)
 
     def rhs(k, y):
-        return A[k] @ y + gvecs[k]
+        return (A[k] @ np.array(y).reshape(shape) + gvecs[k]).ravel().tolist()
 
     def rhs_many(ks, ys):
         if ys.ndim == 2:            # vector states, as r x 1 columns
@@ -250,6 +269,13 @@ def transport_affine(aff, path, p0):
     return _transport_linear_system(aff.linear, grid, p0, gvecs)
 
 
+def _geodesic_acceleration(G, v):
+    """-sum_n sum_l G[n, m, l] v[l] v[n] for the flat (n, n, n) stack G, in
+    the order of np.einsum("nml,l,n->m"): the row (n, m) is scaled by v[n]."""
+    inner = _row_sums(G, v, [vn for vn in v for _ in v])
+    return [-sum(inner[m::len(v)]) for m in range(len(v))]
+
+
 def geodesic(g3, x0, v0, T, steps):
     """Geodesic trajectory of a linear connection on the tangent bundle
     (r = n): RK4 on the first-order system (x' = v,
@@ -260,25 +286,20 @@ def geodesic(g3, x0, v0, T, steps):
     n = g3.n
     if g3.r != n:
         raise ValueError("geodesics need tangent-bundle coefficients (r = n)")
-    state = np.concatenate([np.asarray(x0, dtype=float),
-                            np.asarray(v0, dtype=float)])
     # constant steps; the right-hand side depends on the state alone
     grid = _Grid(None, None, 2 * np.arange(steps),
                  np.full(steps, float(T) / steps),
                  float(T) * np.arange(steps + 1) / steps)
 
     def rhs(_, s):
-        x, v = s[:n], s[n:]
-        stack = g3(tuple(x.tolist()))
-        acc = -np.einsum("nml,l,n->m", stack, v, v)
-        return np.concatenate([v, acc])
+        return s[n:] + _geodesic_acceleration(g3.floats(s[:n]), s[n:])
 
     def rhs_many(_, ss):
-        xs, vs = ss[:, :n], ss[:, n:]
-        acc = -np.einsum("knml,kl,kn->km", g3.values(xs), vs, vs)
-        return np.concatenate([vs, acc], axis=1)
+        G = g3.values(ss[:, :n]).reshape(len(ss), -1).T
+        vs = list(ss[:, n:].T)
+        return np.stack(vs + _geodesic_acceleration(G, vs), axis=1)
 
-    return _rk4(rhs, rhs_many, state, grid)
+    return _rk4(rhs, rhs_many, [*x0, *v0], grid)
 
 
 def covariant_derivative_limit(g3, F, Y, x, eps=None):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from bundleconn.calculus import curvature
 from bundleconn.errors import (
     DomainExit,
     EngineError,
@@ -34,6 +35,7 @@ from bundleconn.fields import (
     transform_lie_gamma,
 )
 from bundleconn.morphism import BundleMorphism, jacobi_natural
+from bundleconn.registry import make_sphere_lc
 
 XY = ("x1", "x2")
 
@@ -101,6 +103,25 @@ def test_scalar_field_from_callable_checks_finiteness():
         f((0.0,))
 
 
+def test_callable_entry_returning_an_int_gives_float64():
+    field = SectionField([lambda x1, x2: 2, lambda x1, x2: -1], XY)
+    value = field((0.5, 0.25))
+    assert value.dtype == np.float64
+    assert value.tolist() == [2.0, -1.0]
+    assert all(type(c) is float for c in field.floats((0.5, 0.25)))
+    assert field.values(np.array([(0.5, 0.25)])).dtype == np.float64
+    scalar = ScalarField.from_callable(lambda x1, x2: 3, XY)
+    assert type(scalar((0.5, 0.25))) is float
+
+
+def test_callable_entry_returning_nan_raises_the_array_message():
+    field = SectionField(["x1", lambda x1, x2: math.nan], XY)
+    for evaluate in (field, field.floats):
+        with pytest.raises(NonFinite) as info:
+            evaluate((0.5, 0.25))
+        assert str(info.value) == "non-finite array value at (0.5, 0.25)"
+
+
 def test_matrix_field_constant_template():
     M = MatrixField.from_exprs([["1", "0"], ["x1", "2"]], ("x1",))
     out = M((3.0,))
@@ -135,19 +156,47 @@ def test_anholonomy_antisymmetry_exact():
     assert np.array_equal(C, -C.transpose(0, 2, 1))
 
 
-def test_anholonomy_evaluates_the_frame_once_at_the_point():
-    x = (0.7, 0.4)
+def counting_frame(x):
+    """A callable frame and the list of its evaluations, True where at x."""
     at_x = []
 
     def matrix(x1, x2):
         at_x.append((x1, x2) == x)
         return [[1.0, math.sin(x2)], [x2 * x1, math.exp(x1 / 4)]]
 
-    frame = FrameField.from_callable(matrix, 2, XY)
+    return FrameField.from_callable(matrix, 2, XY), at_x
+
+
+def test_anholonomy_evaluates_the_frame_once_at_the_point():
+    x = (0.7, 0.4)
+    frame, at_x = counting_frame(x)
     anholonomy(frame, x)
     # the frame at x, then two central-difference points per axis
     assert at_x.count(True) == 1
     assert len(at_x) == 5
+
+
+FRAME_CALLERS = {
+    "lie_gamma": lambda frame, x: lie_gamma(frame, ["x1*x2", "1"], x),
+    "lie_derivative": lambda frame, x: lie_derivative(
+        frame, ["x1*x2", "1"],
+        TensorField(1, 1, [["x1", "x2"], ["1", "x1*x2"]], XY), x),
+    "transform_anholonomy": lambda frame, x: transform_anholonomy(
+        frame, MatrixField.from_exprs([["2", "x1"], ["0", "1"]], XY), x),
+    "transform_lie_gamma": lambda frame, x: transform_lie_gamma(
+        frame, MatrixField.from_exprs([["2", "x1"], ["0", "1"]], XY),
+        ["x1*x2", "1"], x),
+    "curvature": lambda frame, x: curvature(
+        make_sphere_lc().g3, x, base_frame=frame),
+}
+
+
+@pytest.mark.parametrize("caller", list(FRAME_CALLERS))
+def test_anholonomy_callers_evaluate_the_frame_once_at_the_point(caller):
+    x = (0.7, 0.4)
+    frame, at_x = counting_frame(x)
+    FRAME_CALLERS[caller](frame, x)
+    assert at_x.count(True) == 1
 
 
 def test_lie_gamma_constant_field_coordinate_frame():
@@ -329,8 +378,8 @@ def batch_points(k=2000, seed=3):
 
 
 def stacked(field, points):
-    """The per-point reference: one __call__ per row."""
-    return np.stack([field(tuple(p)) for p in points])
+    """The per-point reference: one __call__ per row, at plain floats."""
+    return np.stack([field(tuple(p.tolist())) for p in points])
 
 
 def first_error(fn):
@@ -400,6 +449,17 @@ def test_values_raises_at_the_first_bad_point_not_the_first_bad_entry():
     kind, message = first_error(lambda: field.values(points))
     assert (kind, message) == first_error(lambda: stacked(field, points))
     assert kind is NonFinite and message.startswith("ln")
+
+
+def test_values_fallback_errors_name_plain_floats():
+    with pytest.raises(NonFinite) as info:
+        MatrixField.from_exprs([["x1", "x2"]], XY).values(
+            np.array([(1.0, 1.0), (math.inf, 0.5)]))
+    assert str(info.value) == "variable x1 is inf"
+    field = MatrixField.from_exprs([["x1", "x2"]], XY, ALL_OPS_REGION)
+    with pytest.raises(DomainExit) as info:
+        field.values(np.array([(1.0, 1.0), (2.5, 0.5)]))
+    assert str(info.value).startswith("point (2.5, 0.5) outside region")
 
 
 def test_callable_fields_take_the_per_point_loop():

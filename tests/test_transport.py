@@ -19,6 +19,7 @@ from bundleconn.fields import MatrixField, ScalarField
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
+    _geodesic_acceleration,
     _grid,
     _linear_rhs_matrices,
     _transport_linear_system,
@@ -443,9 +444,25 @@ def test_batched_rhs_equals_per_step_rhs_bitwise(case, monkeypatch):
     nodes = 2 * grid.nsteps + 1 if grid.pos is None else len(grid.pos)
     ks = rng.integers(0, nodes, len(rows))
     many = rhs_many(ks, ys)
-    for j, (k, y) in enumerate(zip(ks, ys)):
-        one = rhs(k, y)
-        assert one.tobytes() == many[j].tobytes(), (k, y)
+    for j, (k, y) in enumerate(zip(ks.tolist(), ys)):
+        # the per-step right-hand side takes and returns flat float lists
+        one = rhs(k, y.ravel().tolist())
+        assert all(type(c) is float for c in one), (k, y)
+        assert np.array(one).tobytes() == many[j].tobytes(), (k, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_geodesic_acceleration_equals_einsum_bytewise(n):
+    rng = np.random.default_rng(n)
+    for trial in range(500):
+        G = rng.standard_normal((n, n, n)) * 10.0 ** rng.integers(
+            -3, 3, (n, n, n))
+        if trial % 5 == 0:
+            G[rng.random((n, n, n)) < 0.5] = 0.0    # signed-zero products
+        v = rng.standard_normal(n)
+        want = -np.einsum("nml,l,n->m", G, v, v)
+        got = _geodesic_acceleration(G.ravel().tolist(), v.tolist())
+        assert np.array(got).tobytes() == want.tobytes(), (G, v)
 
 
 # final values and max_residual of each driver on a fixed config, as .17g
