@@ -207,9 +207,9 @@ def nabla_hat_oracle(g2, zbar, zhat, p, h=None):
 def is_flat(g3, sample_points, tol=1e-6):
     """True plus the max |R| over the samples when the connection is flat
     to within tol there."""
-    worst = 0.0
-    for x in sample_points:
-        worst = max(worst, float(np.max(np.abs(curvature(g3, x).R))))
+    # np.max, unlike max(), carries a NaN through to the verdict
+    worst = float(np.max([np.abs(curvature(g3, x).R).max()
+                          for x in sample_points], initial=0.0))
     return worst <= tol, worst
 
 

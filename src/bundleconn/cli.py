@@ -33,7 +33,6 @@ from .calculus import (
 from .connection import (
     AffineCoefficients,
     CoefficientField3,
-    CoordinateChange,
     FrameChange,
     TwoIndexField,
     bundle_region,
@@ -44,6 +43,7 @@ from .connection import (
 from .errors import (
     ConfigError,
     EngineError,
+    NonFinite,
     NotFlat,
     ParseError,
     StepCountTooSmall,
@@ -92,7 +92,7 @@ MAX_GRID_POINTS = 100_000
 
 def _format_float(value):
     if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite number {value!r}")
+        raise NonFinite(f"cannot serialize non-finite number {value!r}")
     return format(value, ".17g")
 
 
@@ -147,8 +147,16 @@ def load_config(path):
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def finite(token):
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigError(f"{token} in config {path} is not finite")
+        return value
+
     try:
-        cfg = json.loads(raw.decode("utf-8"))
+        cfg = json.loads(raw.decode("utf-8"), parse_float=finite,
+                         parse_constant=finite)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -167,7 +175,7 @@ def _require(cfg, key, what):
 
 
 def _is_number(v):
-    """A finite number (json.loads reads NaN, Infinity and 1e400)."""
+    """A finite number (a float flag may read nan or inf)."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
 
@@ -574,8 +582,7 @@ def _law_three_index(prob, fc):
 def _law_two_index(prob, fc):
     p = prob.bundle_point()
     change, change_inv = (
-        CoordinateChange.vector_bundle(base_names(prob.n), fibre, prob.n,
-                                       prob.r)
+        BundleMorphism.vector(base_names(prob.n), fibre, prob.n, prob.r)
         for fibre in (fc.fibre, fc.inverse().fibre))
     forward, back = two_index_round_trip(prob.g2, change, change_inv, p)
     return "3.22", (forward, back, prob.g2(p))
@@ -755,28 +762,30 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.command == "check":
-            inputs = {"suite": args.suite or "all"}
-            result, diagnostics = cmd_check(args.suite)
-            code = 0 if result["passed"] else 1
-        else:
-            prob = Problem(load_config(args.config), args)
-            inputs = prob.inputs()
-            result, diagnostics = args.fn(prob)
-            code = 0
+        # an overflow or NaN ends in NonFinite, not in a numpy warning
+        with np.errstate(all="ignore"):
+            if args.command == "check":
+                inputs = {"suite": args.suite or "all"}
+                result, diagnostics = cmd_check(args.suite)
+                code = 0 if result["passed"] else 1
+            else:
+                prob = Problem(load_config(args.config), args)
+                inputs = prob.inputs()
+                result, diagnostics = args.fn(prob)
+                code = 0
+            out = dumps({"command": args.command, "inputs": inputs,
+                         "result": result, "diagnostics": diagnostics})
     except EngineError as exc:
         log.error("%s failed: %s", args.command, exc)
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             error["offset"] = exc.offset
-        payload = {"command": args.command, "error": error}
+        out = dumps({"command": args.command, "error": error})
         code = 2 if isinstance(exc, CONFIG_ERRORS) else 1
     else:
         log.info("%s finished in %.3fs", args.command,
                  time.perf_counter() - t0)
-        payload = {"command": args.command, "inputs": inputs,
-                   "result": result, "diagnostics": diagnostics}
-    sys.stdout.write(dumps(payload) + "\n")
+    sys.stdout.write(out + "\n")
     sys.stdout.flush()
     return code
 

@@ -1,5 +1,5 @@
-"""Connection coefficient types (2-index, 3-index, affine), adapted frames,
-and the coefficient transformation laws.
+"""Connection coefficient types (2-index, 3-index, affine) and the
+coefficient transformation laws.
 
 Storage conventions (docs/conventions.md): 2-index coefficients are an
 (r, n) array G[a, mu] over bundle coordinates x1..xn,u1..ur; 3-index
@@ -19,7 +19,6 @@ from .fields import (
     MatrixField,
     Region,
     _FieldArray,
-    as_section,
     base_names,
     bundle_names,
     compose_frame,
@@ -27,6 +26,7 @@ from .fields import (
     frame_partials,
     nonsingular,
 )
+from .morphism import jacobi_natural
 
 
 def bundle_region(base, r):
@@ -172,43 +172,6 @@ class FrameChange:
                              (self.fibre, self.fibre_at))))
 
 
-class CoordinateChange:
-    """Fibre-preserving coordinate change: n base components xtilde(x) and
-    r fibre components utilde(x, u). Only the forward maps are stored;
-    inverse Jacobians are obtained numerically."""
-
-    def __init__(self, base, fibre, n, r, region=None):
-        self.n = n
-        self.r = r
-        self.base = as_section(base, base_names(n), region)
-        self.fibre = as_section(fibre, bundle_names(n, r),
-                                bundle_region(region, r))
-        if self.base.shape != (n,) or self.fibre.shape != (r,):
-            raise ValueError("component count does not match dimensions")
-
-    @classmethod
-    def identity(cls, n, r):
-        return cls(base_names(n), bundle_names(n, r)[n:], n, r)
-
-    @classmethod
-    def vector_bundle(cls, base, fibre_matrix, n, r, region=None):
-        """utilde = M(x) u for a matrix field M over the base."""
-        fibre = _FieldArray.from_callable(
-            lambda *p: fibre_matrix(p[:n]) @ np.asarray(p[n:], dtype=float),
-            (r,), bundle_names(n, r), bundle_region(region, r))
-        return cls(base, fibre, n, r, region)
-
-    def apply(self, p):
-        return tuple(self.base.floats(p[:self.n]) + self.fibre.floats(p))
-
-    def jacobians(self, p):
-        """The Jacobian blocks at the bundle point p, fibre stencils first:
-        (d utilde^a / d u^b, d utilde^a / d x^nu, d xtilde^alpha / d x^mu)."""
-        dfibre = fd_partials(self.fibre, p).T
-        base = fd_partials(self.base, tuple(p[:self.n])).T
-        return dfibre[:, self.n:], dfibre[:, :self.n], base
-
-
 def two_index_from_linear(g3, p):
     """G[a, mu](x, u) = -G3[mu, a, b](x) u^b."""
     x = tuple(p[:g3.n])
@@ -223,14 +186,20 @@ def two_index_from_affine(aff, p):
 
 
 def transform_two_index(g2, change, p):
-    """2-index law under a fibre-preserving coordinate change, evaluated at
-    the point p given in the old coordinates:
+    """2-index law under a fibre-preserving coordinate change (a
+    BundleMorphism), evaluated at the point p given in the old coordinates
+    with the blocks of jacobi_natural:
     Gtilde[a, mu] = (d utilde^a/d u^b G[b, nu] + d utilde^a/d x^nu)
                     * (d x^nu / d xtilde^mu)."""
+    n, r = change.n, change.r
+    if (change.n_out, change.r_out) != (n, r):
+        raise ValueError(f"a coordinate change keeps the dimensions "
+                         f"({n}, {r}), not ({change.n_out}, {change.r_out})")
     G = g2(p)
-    A_fib, A_mix, J = change.jacobians(p)
-    nonsingular(J, SingularJacobian, f"singular base Jacobian at {tuple(p)}")
-    return (A_fib @ G + A_mix) @ np.linalg.inv(J)
+    J = jacobi_natural(change, p)
+    base = nonsingular(J[:n, :n], SingularJacobian,
+                       f"singular base Jacobian at {tuple(p)}")
+    return (J[n:, n:] @ G + J[n:, :n]) @ np.linalg.inv(base)
 
 
 def transform_three_index(g3, change, x, base_frame=None, h=None):
@@ -281,18 +250,6 @@ def transform_inhomogeneous(G, change, x):
     """Inhomogeneous-term law: Gtilde = inv(Bf) G Bb (purely algebraic)."""
     Gv = G(x) if isinstance(G, MatrixField) else np.asarray(G, dtype=float)
     return np.linalg.solve(change.fibre_at(x), Gv) @ change.base_at(x)
-
-
-def adapted_frame_matrix(g2, p):
-    """Adapted frame block matrix [[I, 0], [G, I]] at p and its closed-form
-    inverse [[I, 0], [-G, I]] (the adapted coframe)."""
-    G = g2(p)
-    n, r = g2.n, g2.r
-    M = np.eye(n + r)
-    M[n:, :n] = G
-    Minv = np.eye(n + r)
-    Minv[n:, :n] = -G
-    return M, Minv
 
 
 def fibre_coefficients(g2, p, h=None):

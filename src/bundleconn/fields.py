@@ -38,8 +38,7 @@ class Region:
     def contains(self, point):
         if len(point) != self.dim:
             return False
-        return all(lo < float(c) < hi
-                   for c, (lo, hi) in zip(point, self.bounds))
+        return all(lo < c < hi for c, (lo, hi) in zip(point, self.bounds))
 
     def require(self, point):
         if not self.contains(point):
@@ -150,8 +149,8 @@ class _FieldArray:
         points = np.asarray(points, dtype=float)
         out = self._batch_values(points)
         if out is None:
-            out = np.stack([self(tuple(p.tolist())) for p in points])
-        return out
+            out = np.array([self.floats(tuple(p.tolist())) for p in points])
+        return out.reshape((len(points),) + self.shape)
 
     def _batch_values(self, points):
         if (self._array_fn is not None or points.shape[1] != len(self.names)
@@ -172,7 +171,7 @@ class _FieldArray:
                 out[:, pos] = fn(*cols)
         except NonFinite:
             return None
-        return out.reshape((len(points),) + self.shape)
+        return out
 
 
 class ScalarField(_FieldArray):
@@ -295,7 +294,7 @@ class TensorField(_FieldArray):
 
 def fd_partial(f, x, axis, h=None, rel=FD_STEP_FIRST):
     """Central difference (f(x + h e) - f(x - h e)) / 2h of a scalar or
-    array field along one coordinate axis. Default step
+    array field along one axis, NonFinite unless finite. Default step
     h = rel * max(1, |x_axis|): FD_STEP_FIRST for first derivatives,
     FD_STEP_NESTED for the outer derivative of a nested stencil."""
     if h is None:
@@ -304,7 +303,11 @@ def fd_partial(f, x, axis, h=None, rel=FD_STEP_FIRST):
     xm = list(xp)
     xp[axis] += h
     xm[axis] -= h
-    return (f(xp) - f(xm)) / (2.0 * h)
+    quotient = (f(xp) - f(xm)) / (2.0 * h)
+    if not np.isfinite(quotient).all():
+        raise NonFinite(f"non-finite difference quotient along axis {axis} "
+                        f"at {tuple(float(c) for c in x)}")
+    return quotient
 
 
 def fd_partials(f, x, h=None, axes=None, rel=FD_STEP_FIRST):

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connection import adapted_frame_matrix
 from .fields import (
     FD_STEP_NESTED,
     MatrixField,
@@ -16,14 +15,14 @@ from .fields import (
     bundle_names,
     fd_partials,
 )
-from .transport import _check_finite
 
 
 class BundleMorphism:
     """A pair of maps: fibre components F^{a'}(x, u) over base components
     f^{mu'}(x). The target base point of any bundle point is always computed
     as f of the source base point, so the projections intertwine by
-    construction. Dimensions may differ between source and target."""
+    construction. Dimensions may differ between source and target; a
+    fibre-preserving coordinate change (xtilde(x), utilde(x, u)) keeps them."""
 
     def __init__(self, base_components, fibre_components, n, r,
                  region=None, base_region=None, matrix=None):
@@ -59,8 +58,8 @@ class BundleMorphism:
         return cls(base_names(n), bundle_names(n, r)[n:], n, r)
 
     def apply(self, p):
-        """Target bundle point of a source bundle point."""
-        return np.concatenate([self.base(tuple(p[:self.n])), self.fibre(p)])
+        """Target bundle point of a source bundle point, as plain floats."""
+        return tuple(self.base.floats(p[:self.n]) + self.fibre.floats(p))
 
 
 def compose(outer, inner):
@@ -86,8 +85,19 @@ def jacobi_natural(m, p, h=None):
     J = np.zeros((m.n_out + m.r_out, n + r))
     J[:m.n_out, :n] = fd_partials(m.base, tuple(p[:n]), h).T
     J[m.n_out:] = fd_partials(m.fibre, p, h, axes=range(n + r)).T
-    _check_finite(J)
     return J
+
+
+def adapted_frame_matrix(g2, p):
+    """Adapted frame block matrix [[I, 0], [G, I]] at p and its closed-form
+    inverse [[I, 0], [-G, I]] (the adapted coframe)."""
+    G = g2(p)
+    n, r = g2.n, g2.r
+    M = np.eye(n + r)
+    M[n:, :n] = G
+    Minv = np.eye(n + r)
+    Minv[n:, :n] = -G
+    return M, Minv
 
 
 def jacobi_adapted(m, g2_src, g2_tgt, p, h=None):
@@ -106,10 +116,9 @@ def jacobi_adapted(m, g2_src, g2_tgt, p, h=None):
 def preserves_connection(m, g2_src, g2_tgt, sample_points, tol=1e-6):
     """True plus the max |lower-left adapted block| over the samples when
     the morphism carries the first connection into the second there."""
-    worst = 0.0
-    for p in sample_points:
-        _, block = jacobi_adapted(m, g2_src, g2_tgt, p)
-        worst = max(worst, float(np.max(np.abs(block))))
+    blocks = (jacobi_adapted(m, g2_src, g2_tgt, p)[1] for p in sample_points)
+    # np.max, unlike max(), carries a NaN through to the verdict
+    worst = float(np.max([np.abs(b).max() for b in blocks], initial=0.0))
     return worst <= tol, worst
 
 

@@ -28,7 +28,6 @@ from .calculus import (
 from .connection import (
     AffineCoefficients,
     CoefficientField3,
-    CoordinateChange,
     FrameChange,
     TwoIndexField,
     three_index_round_trip,
@@ -180,12 +179,12 @@ def transformation_laws_suite():
         back_base = [lambda y1, y2, mu=mu:
                      float(Minv[mu] @ (np.array((y1, y2)) - shift))
                      for mu in range(2)]
-        change = CoordinateChange.vector_bundle(fwd_base, S, 2, 2)
+        change = BundleMorphism.vector(fwd_base, S, 2, 2)
         S_inv = MatrixField.from_callable(
             lambda y1, y2: np.linalg.inv(
                 S(tuple(Minv @ (np.array((y1, y2)) - shift)))),
             (2, 2), BASE_NAMES)
-        change_inv = CoordinateChange.vector_bundle(back_base, S_inv, 2, 2)
+        change_inv = BundleMorphism.vector(back_base, S_inv, 2, 2)
         _, back = two_index_round_trip(g2, change, change_inv, p)
         worst["3.22"] = max(worst["3.22"], _rel(back, g2(p)))
 

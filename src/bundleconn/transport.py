@@ -182,12 +182,7 @@ def _rk4(rhs, rhs_many, y0, grid):
     defect = end - start - hs * rhs_many(grid.bases + 1, 0.5 * (start + end))
     _check_finite(samples)
     return TransportResult(samples[-1].copy(), samples, grid.ts,
-                           float(np.abs(defect).max()))
-
-
-def _degenerate(y0):
-    y0 = np.asarray(y0, dtype=float)
-    return TransportResult(y0.copy(), y0[None].copy(), np.zeros(1), 0.0)
+                           float(np.abs(defect).max(initial=0.0)))
 
 
 def _row_sums(G, v, scales):
@@ -207,8 +202,6 @@ def transport_general(g2, path, p0):
     """Parallel transport for a general connection:
     du^a/dt = +G[a, mu](x(t), u) dx^mu/dt."""
     grid = _grid(path)
-    if grid.nsteps == 0:
-        return _degenerate(p0)
 
     def rhs(k, u):
         return _row_sums(g2.floats((*grid.pos[k].tolist(), *u)),
@@ -216,8 +209,8 @@ def transport_general(g2, path, p0):
 
     def rhs_many(ks, us):
         G = g2.values(np.concatenate([grid.pos[ks], us], axis=1))
-        return np.stack(_row_sums(G.reshape(len(ks), -1).T, grid.vel[ks].T,
-                                  [1.0] * g2.r), axis=1)
+        return np.stack(_row_sums(G.reshape(len(ks), g2.r * g2.n).T,
+                                  grid.vel[ks].T, [1.0] * g2.r), axis=1)
 
     return _rk4(rhs, rhs_many, p0, grid)
 
@@ -246,10 +239,7 @@ def _transport_linear_system(g3, grid, y0, gvecs=None):
 
 def transport_linear(g3, path, X0):
     """Linear parallel transport: dY^a/dt = -G3[mu, a, b] Y^b dx^mu/dt."""
-    grid = _grid(path)
-    if grid.nsteps == 0:
-        return _degenerate(X0)
-    return _transport_linear_system(g3, grid, X0)
+    return _transport_linear_system(g3, _grid(path), X0)
 
 
 def fundamental_solution(g3, path):
@@ -263,8 +253,6 @@ def transport_affine(aff, path, p0):
     + Ginh[a, mu] dx^mu/dt. With a zero inhomogeneous part this follows
     the exact step sequence of transport_linear."""
     grid = _grid(path)
-    if grid.nsteps == 0:
-        return _degenerate(p0)
     gvecs = (aff.inhom.values(grid.pos) @ grid.vel[:, :, None])[:, :, 0]
     return _transport_linear_system(aff.linear, grid, p0, gvecs)
 

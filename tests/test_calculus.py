@@ -452,6 +452,17 @@ def test_is_flat_rejects_sphere():
     assert worst >= 0.1
 
 
+def test_is_flat_does_not_fold_away_a_nan():
+    # [G_1, G_2] overflows to inf - inf at the first sample only
+    g3 = CoefficientField3.from_exprs(
+        [[["0", "1e200"], ["1e200", "0"]],
+         [["1e200", "0"], ["0", "-1e200"]]])
+    with np.errstate(all="ignore"):
+        flat, worst = is_flat(g3, [(0.5, 0.5), (0.2, 0.3)])
+    assert not flat
+    assert math.isnan(worst)
+
+
 def test_flat_fundamental_zero():
     W, residual = flat_fundamental_matrix(g3_zero(), (0.0, 0.0), (1.0, 2.0))
     assert np.array_equal(W, np.eye(2))

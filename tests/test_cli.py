@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from bundleconn import cli
 from bundleconn.calculus import curvature_law
 from bundleconn.connection import (
-    CoordinateChange,
     FrameChange,
     base_names,
     three_index_round_trip,
@@ -27,6 +26,7 @@ from bundleconn.connection import (
 )
 from bundleconn.errors import ConfigError
 from bundleconn.fields import FrameField, lie_gamma_law
+from bundleconn.morphism import BundleMorphism
 from bundleconn.registry import REGISTRY
 
 HALF_PI = math.pi / 2.0
@@ -381,7 +381,7 @@ def test_frames_prints_the_shared_law_values(tmp_path, capsys):
 
     p = (1.1, 0.4, 0.7, -0.2)
     change, change_inv = (
-        CoordinateChange.vector_bundle(list(names), fibre, 2, 2)
+        BundleMorphism.vector(list(names), fibre, 2, 2)
         for fibre in (fc.fibre, fc.inverse().fibre))
     forward2, back2 = two_index_round_trip(sphere.g2, change, change_inv, p)
 
@@ -764,6 +764,10 @@ MALFORMED_CONFIGS = {
     "grid-30-axes": ("curvature", {
         "connection": {"kind": "registry:flat", "params": {"n": 30}},
         "grid": {"lo": [0.0] * 30, "hi": [1.0] * 30}}),
+    # a key no command reads is still echoed under inputs.config
+    "unread-key-nan": ("curvature", {
+        "connection": "registry:sphere-lc", "point": [1.1, 0.4],
+        "note": math.nan}),
 }
 
 
@@ -928,6 +932,63 @@ def test_exit_1_division_by_zero_at_a_grid_point(tmp_path, capsys):
                                 "message": "division by zero"}
     assert caught == []
     assert "Warning" not in capsys.readouterr().err
+
+
+HUGE_STACKS = [[["0", "1e200"], ["1e200", "0"]],
+               [["1e200", "0"], ["0", "-1e200"]]]
+NON_FINITE_RUNS = {
+    # the finite-difference quotient overflows
+    "curvature-stencil": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "connection": {"kind": "three_index",
+                       "stacks": [[["1e307*sin(100*x1)", "0"], ["0", "0"]],
+                                  [["0", "0"], ["0", "0"]]]}}),
+    # [G_mu, G_nu] overflows
+    "curvature-commutator": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "connection": {"kind": "three_index", "stacks": HUGE_STACKS}}),
+    # a NaN curvature must not read as flat
+    "flatness-verdict": ("flatness", {
+        "base_dim": 2, "fibre_rank": 2, "points": [[0.5, 0.5]],
+        "connection": {"kind": "three_index", "stacks": HUGE_STACKS}}),
+    "morphism-stencil": ("morphism", {
+        "connection": "registry:flat", "point": [0.5, 0.5, 1.0, 2.0],
+        "morphism": {"base": ["x1", "x2"],
+                     "fibre": ["1e307*sin(100*x1)", "u2"]}}),
+}
+
+
+@pytest.mark.parametrize("command, cfg", NON_FINITE_RUNS.values(),
+                         ids=list(NON_FINITE_RUNS))
+def test_exit_1_non_finite_result_is_one_json_line(tmp_path, capsys,
+                                                   command, cfg):
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "NonFinite"
+    assert caught == []
+    assert "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+def test_exit_2_non_finite_number_under_an_unread_key(tmp_path, capsys,
+                                                      number):
+    path = tmp_path / "config.json"
+    path.write_text('{"connection": "registry:sphere-lc", '
+                    f'"point": [1.1, 0.4], "note": {number}}}',
+                    encoding="utf-8")
+    code, out = run(capsys, "curvature", "--config", str(path))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"] == f"{number} in config {path} is not finite"
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ import pytest
 from bundleconn.connection import (
     AffineCoefficients,
     CoefficientField3,
-    CoordinateChange,
     FrameChange,
     TwoIndexField,
-    adapted_frame_matrix,
     base_names,
     fibre_coefficients,
     transform_inhomogeneous,
@@ -24,6 +22,7 @@ from bundleconn.connection import (
 from bundleconn.errors import ConfigError, DomainExit, SingularJacobian
 from bundleconn.exprlang import evaluate, parse, pretty
 from bundleconn.fields import FrameField, MatrixField, Region
+from bundleconn.morphism import BundleMorphism, adapted_frame_matrix
 from bundleconn.registry import (
     REGISTRY,
     derivative,
@@ -94,7 +93,7 @@ def test_affine_split_round_trip():
 
 def test_transform_two_index_identity():
     g2 = TwoIndexField.from_linear(CoefficientField3.constant(CONSTANT_STACK))
-    cc = CoordinateChange.identity(2, 2)
+    cc = BundleMorphism.identity(2, 2)
     p = (0.3, 0.9, 1.0, -1.0)
     assert np.allclose(transform_two_index(g2, cc, p), g2(p), atol=1e-9)
 
@@ -102,23 +101,32 @@ def test_transform_two_index_identity():
 def test_transform_two_index_shear():
     # utilde = u1 + x1 turns the zero connection into Gtilde = 1
     g2 = TwoIndexField.zero(1, 1)
-    cc = CoordinateChange(["x1"], ["u1 + x1"], 1, 1)
+    cc = BundleMorphism(["x1"], ["u1 + x1"], 1, 1)
     out = transform_two_index(g2, cc, (0.3, 0.7))
     assert out[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_transform_two_index_base_rescale():
     g2 = TwoIndexField.from_exprs([["5"]], 1, 1)
-    cc = CoordinateChange(["2*x1"], ["u1"], 1, 1)
+    cc = BundleMorphism(["2*x1"], ["u1"], 1, 1)
     out = transform_two_index(g2, cc, (0.4, 2.2))
     assert out[0, 0] == pytest.approx(2.5, abs=1e-9)
 
 
 def test_transform_two_index_singular_jacobian():
     g2 = TwoIndexField.zero(1, 1)
-    cc = CoordinateChange(["x1^2"], ["u1"], 1, 1)
+    cc = BundleMorphism(["x1^2"], ["u1"], 1, 1)
     with pytest.raises(SingularJacobian):
         transform_two_index(g2, cc, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("base, fibre", [(["x1"], ["u1"]),
+                                          (["x1", "x2"], ["u1", "u1"])])
+def test_transform_two_index_rejects_a_dimension_change(base, fibre):
+    g2 = TwoIndexField.zero(2, 1)
+    change = BundleMorphism(base, fibre, 2, 1)
+    with pytest.raises(ValueError, match="keeps the dimensions"):
+        transform_two_index(g2, change, (0.3, 0.7, 1.0))
 
 
 def test_two_index_law_consistent_with_three_index_law():
@@ -137,7 +145,7 @@ def test_two_index_law_consistent_with_three_index_law():
     fc = FrameChange(
         MatrixField.constant(bb, base_names(2)),
         MatrixField.from_callable(lambda *x: bf(x), (2, 2), base_names(2)))
-    cc = CoordinateChange(
+    cc = BundleMorphism(
         ["2*x1", "x1 + x2"],
         ["u1 - x1*u2", "u2"],   # utilde = inv(bf) u
         2, 2)

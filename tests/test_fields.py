@@ -462,6 +462,24 @@ def test_values_fallback_errors_name_plain_floats():
     assert str(info.value).startswith("point (2.5, 0.5) outside region")
 
 
+@pytest.mark.parametrize("field", [
+    MatrixField.from_callable(lambda x1, x2: [[x1, x2, 1.0]] * 2, (2, 3), XY),
+    MatrixField.from_exprs(ALL_OPS_ROWS, XY, ALL_OPS_REGION),
+    ScalarField.from_callable(lambda x1, x2: x1 * x2, XY),
+], ids=["callable", "expressions", "scalar-callable"])
+def test_values_of_no_points_is_empty(field):
+    assert field.values(np.empty((0, 2))).shape == (0,) + field.shape
+
+
+def test_fd_partial_rejects_a_non_finite_quotient():
+    field = MatrixField.from_exprs([["1e307*sin(100*x1)", "x2"]], XY)
+    with pytest.raises(NonFinite) as info, np.errstate(over="ignore"):
+        fd_partial(field, (0.5, 0.25), 0)
+    assert str(info.value) == ("non-finite difference quotient along axis 0 "
+                               "at (0.5, 0.25)")
+    assert np.isfinite(fd_partial(field, (0.5, 0.25), 1)).all()
+
+
 def test_callable_fields_take_the_per_point_loop():
     calls = []
 

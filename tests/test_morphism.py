@@ -120,6 +120,19 @@ def test_preserves_connection_verdicts():
     assert ok
 
 
+def test_preserves_connection_does_not_fold_away_a_nan():
+    # the target coframe times the 1e200 base Jacobian overflows, and the
+    # source frame's zero multiplies that inf into a NaN block entry
+    m = BundleMorphism(["x1", "1e200*x2"], ["u1"], 2, 1)
+    tgt = TwoIndexField.from_exprs([["0", "1e200"]], 2, 1)
+    pts = [(0.5, 1.0, 2.0), (0.1, 0.2, 0.3)]
+    with np.errstate(all="ignore"):
+        ok, worst = preserves_connection(m, TwoIndexField.zero(2, 1), tgt,
+                                         pts)
+    assert not ok
+    assert np.isnan(worst)
+
+
 def test_vb_coeffs_constant_flat():
     g3 = CoefficientField3.zero(2, 2)
     m = BundleMorphism.vector(["x1", "x2"], [["2", "1"], ["0", "3"]], 2, 2)

@@ -69,6 +69,29 @@ def test_zero_length_path_returns_initial_value():
     assert out.samples.shape == (1, 2)
 
 
+def _callable_zero_length_transports():
+    g3 = CoefficientField3.from_callable(
+        lambda x1, x2: np.array(CONSTANT_STACK) * x1, 2, 2)
+    inhom = MatrixField.from_callable(lambda x1, x2: [[x1, 1.0], [0.0, x2]],
+                                      (2, 2), base_names(2))
+    g2 = TwoIndexField.from_callable(
+        lambda x1, x2, u1, u2: [[u2, x1], [u1, 0.0]], 2, 2)
+    return {"linear": lambda path, y0: transport_linear(g3, path, y0),
+            "affine": lambda path, y0: transport_affine(
+                AffineCoefficients(g3, inhom), path, y0),
+            "general": lambda path, y0: transport_general(g2, path, y0)}
+
+
+@pytest.mark.parametrize("kind", ["linear", "affine", "general"])
+def test_zero_length_path_with_callable_fields_returns_initial_value(kind):
+    path = PathSpec.from_points([[0.5, 0.5], [0.5, 0.5]], steps=100)
+    out = _callable_zero_length_transports()[kind](path, [1.0, -2.0])
+    assert np.array_equal(out.final, [1.0, -2.0])
+    assert out.max_residual == 0.0
+    assert out.samples.shape == (1, 2)
+    assert np.array_equal(out.ts, [0.0])
+
+
 # --- general transport ----------------------------------------------------------
 
 def test_general_transport_flat_is_identity():
