@@ -154,9 +154,19 @@ def load_config(path):
             raise ConfigError(f"{token} in config {path} is not finite")
         return value
 
+    def integer(token):
+        try:
+            return int(token)
+        except ValueError:
+            raise ConfigError(
+                f"an integer in config {path} has {len(token.lstrip('-'))} "
+                f"digits, more than {sys.get_int_max_str_digits()}") from None
+
     try:
         cfg = json.loads(raw.decode("utf-8"), parse_float=finite,
-                         parse_constant=finite)
+                         parse_int=integer, parse_constant=finite)
+    except RecursionError:
+        raise ConfigError(f"config {path} is nested too deeply") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

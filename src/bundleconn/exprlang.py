@@ -10,6 +10,7 @@ infinity at any node raises NonFinite instead of propagating.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ FUNCTION_ARITY = {
     "exp": 1, "ln": 1, "sqrt": 1, "abs": 1,
     "pow": 2,
 }
+MAX_DEPTH = 100
 
 
 class ExprAst:
@@ -101,11 +103,15 @@ def _tokenize(source):
 
 
 class _Parser:
-    """Recursive descent over the token list, one method per grammar rule."""
+    """Recursive descent over the token list, one method per grammar rule.
+    Each rule returns (node, depth of its tree); both the tree and the
+    nesting of the descent stop at MAX_DEPTH levels, so parsing and every
+    later walk of the tree recurse a bounded number of times."""
 
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
+        self.level = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -115,47 +121,65 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def deeper(self, depth, off):
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} "
+                             "levels", off)
+        return depth + 1
+
+    def descend(self, rule, off):
+        """rule() one nesting level down (a parenthesis, a function
+        argument, the operand of unary minus or the exponent of '^')."""
+        self.level = self.deeper(self.level, off)
+        out = rule()
+        self.level -= 1
+        return out
+
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+            op, _, off = self.advance()
+            rhs, d = self.term()
+            node, depth = BinOp(op, node, rhs), self.deeper(max(depth, d), off)
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.unary())
-        return node
+            op, _, off = self.advance()
+            rhs, d = self.unary()
+            node, depth = BinOp(op, node, rhs), self.deeper(max(depth, d), off)
+        return node, depth
 
     def unary(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
+            off = self.advance()[2]
+            operand, d = self.descend(self.unary, off)
+            return Neg(operand), self.deeper(d, off)
         return self.power()
 
     def power(self):
-        node = self.atom()
+        node, depth = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
-            return BinOp("^", node, self.unary())
-        return node
+            off = self.advance()[2]
+            rhs, d = self.descend(self.unary, off)
+            return BinOp("^", node, rhs), self.deeper(max(depth, d), off)
+        return node, depth
 
     def atom(self):
         kind, text, off = self.advance()
         if kind == "num":
-            return Const(float(text))
+            return Const(float(text)), 1
         if kind == "ident":
             if self.peek()[0] != "(":
-                return Var(text)
+                return Var(text), 1
             if text not in FUNCTION_ARITY:
                 raise ParseError(f"unknown function {text!r}", off)
             self.advance()
-            args = [self.expr()]
+            args = [self.descend(self.expr, off)]
             while self.peek()[0] == ",":
                 self.advance()
-                args.append(self.expr())
+                args.append(self.descend(self.expr, off))
             k2, _, off2 = self.advance()
             if k2 != ")":
                 raise ParseError("unbalanced parenthesis, expected ')'", off2)
@@ -164,9 +188,10 @@ class _Parser:
                     f"{text} takes {FUNCTION_ARITY[text]} argument(s), got {len(args)}",
                     off,
                 )
-            return Call(text, tuple(args))
+            return (Call(text, tuple(a for a, _ in args)),
+                    self.deeper(max(d for _, d in args), off))
         if kind == "(":
-            node = self.expr()
+            node = self.descend(self.expr, off)
             k2, _, off2 = self.advance()
             if k2 != ")":
                 raise ParseError("unbalanced parenthesis, expected ')'", off2)
@@ -178,9 +203,10 @@ class _Parser:
 
 def parse(source):
     """Parse source text into an ExprAst. Raises ParseError with the byte
-    offset where the problem starts."""
+    offset where the problem starts, also for a tree or a nesting deeper
+    than MAX_DEPTH levels."""
     parser = _Parser(_tokenize(source))
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, text, off = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {text!r}", off)
@@ -189,7 +215,8 @@ def parse(source):
 
 def pretty(ast):
     """Render an AST back to source. Fully parenthesized, so the output
-    reparses to a structurally identical tree."""
+    reparses to a structurally identical tree, as long as its nesting
+    stays within MAX_DEPTH."""
     if isinstance(ast, Const):
         return repr(float(ast.value))
     if isinstance(ast, Var):
@@ -220,10 +247,11 @@ def _call_parts(node):
     return _CALL_IMPL[node.func], node.func, node.args
 
 
-def _compile(ast, names):
+def _compile(ast, names, checked):
     """Compile a node to a closure over a positional point: variables are
     resolved to their index in `names` now, so a name outside it raises
-    UnboundVariable at compile time rather than per evaluation."""
+    UnboundVariable at compile time rather than per evaluation. Unchecked
+    leaves are operator.itemgetter, for points the caller has checked."""
     if isinstance(ast, Const):
         value = float(ast.value)
         if not math.isfinite(value):
@@ -235,6 +263,8 @@ def _compile(ast, names):
             idx = names.index(name)
         except ValueError:
             raise UnboundVariable(name) from None
+        if not checked:
+            return operator.itemgetter(idx)
 
         def get(env):
             v = env[idx]
@@ -243,11 +273,11 @@ def _compile(ast, names):
             raise NonFinite(f"variable {name} is {v!r}")
         return get
     if isinstance(ast, Neg):
-        f = _compile(ast.operand, names)
+        f = _compile(ast.operand, names, checked)
         return lambda env: -f(env)
     if isinstance(ast, BinOp) and ast.op != "^":
-        lf = _compile(ast.lhs, names)
-        rf = _compile(ast.rhs, names)
+        lf = _compile(ast.lhs, names, checked)
+        rf = _compile(ast.rhs, names, checked)
         op = ast.op
         if op == "+":
             def run(env):
@@ -280,7 +310,7 @@ def _compile(ast, names):
                 raise NonFinite("overflow in '/'")
         return run
     impl, name, args = _call_parts(ast)
-    arg_fns = tuple(_compile(a, names) for a in args)
+    arg_fns = tuple(_compile(a, names, checked) for a in args)
     # one closure per arity: a generic impl(*args) costs more per call
     if len(arg_fns) == 1:
         af = arg_fns[0]
@@ -307,10 +337,11 @@ def _compile(ast, names):
     return run
 
 
-def compile_fn(ast, names):
+def compile_fn(ast, names, checked=True):
     """Compile an AST into a closure over a positional coordinate tuple
-    ordered as `names`."""
-    return _compile(ast, tuple(names))
+    ordered as `names`; checked=False leaves the test of non-finite
+    coordinates to the caller."""
+    return _compile(ast, tuple(names), checked)
 
 
 def evaluate(ast, scope):
@@ -320,6 +351,36 @@ def evaluate(ast, scope):
     the result or any intermediate is NaN or infinite.
     """
     return compile_fn(ast, scope)(tuple(float(v) for v in scope.values()))
+
+
+def stage(ast, ahead, parts=None):
+    """Split an AST in two: every maximal subtree that reads names in
+    `ahead` and no other becomes a leaf Var(f"@{i}") of the spine and
+    parts[i] (appended to `parts` if given); returns (spine, parts). The
+    parts, then the spine on their values, run the tree's operations in
+    its order."""
+    parts = [] if parts is None else parts
+
+    def leaf(node):
+        parts.append(node)
+        return Var(f"@{len(parts) - 1}")
+
+    def split(node):
+        # (spine, True if it reads only ahead, False if nothing, None else)
+        if isinstance(node, (Const, Var)):
+            return node, isinstance(node, Var) and (node.name in ahead or None)
+        kids = ((node.operand,) if isinstance(node, Neg) else
+                (node.lhs, node.rhs) if isinstance(node, BinOp) else node.args)
+        kids = [split(kid) for kid in kids]
+        if all(reads is not None for _, reads in kids):
+            return node, any(reads for _, reads in kids)
+        kids = [leaf(kid) if reads else kid for kid, reads in kids]
+        return (Neg(*kids) if isinstance(node, Neg) else
+                BinOp(node.op, *kids) if isinstance(node, BinOp) else
+                Call(node.func, tuple(kids))), None
+
+    spine, reads = split(ast)
+    return (leaf(spine) if reads else spine), parts
 
 
 _BATCH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,

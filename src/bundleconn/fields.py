@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from .errors import DomainExit, NonFinite, SingularFrame
-from .exprlang import Const, ExprAst, compile_batch, compile_fn, parse
+from .exprlang import (Const, ExprAst, compile_batch, compile_fn, parse,
+                       stage)
 
 SINGULAR_DET = 1e-12
 FD_STEP_FIRST = 1e-5
@@ -139,6 +140,43 @@ class _FieldArray:
         if not all(map(math.isfinite, out)):
             raise NonFinite(f"non-finite array value at {tuple(point)}")
         return out
+
+    def on_grid(self, xs):
+        """at(k, rest) == self.floats((*xs[k].tolist(), *rest)) bitwise, for
+        a (K, n) grid over the first n names and a float list rest: at()
+        walks only the spines of the entries (exprlang.stage), on one row
+        of their base-only parts, evaluated for all K rows at once. A
+        callable, a failing batch or a non-finite rest takes floats."""
+        def plain(k, rest):
+            return self.floats((*xs[k].tolist(), *rest))
+
+        if (self._array_fn is not None
+                or any(ast is None for _, _, ast in self._dynamic)):
+            return plain
+        n, parts = xs.shape[1], []
+        spines = [(pos, stage(ast, self.names[:n], parts)[0])
+                  for pos, _, ast in self._dynamic]
+        try:
+            table = np.column_stack([xs] + [
+                compile_batch(part, self.names[:n])(*xs.T) for part in parts])
+        except NonFinite:
+            return plain
+        names = (self.names[:n] + tuple(f"@{i}" for i in range(len(parts)))
+                 + self.names[n:])
+        spines = [(pos, compile_fn(spine, names, checked=False))
+                  for pos, spine in spines]
+
+        def at(k, rest):
+            if not all(map(math.isfinite, rest)):
+                return plain(k, rest)
+            row = table[k].tolist()
+            if self.region is not None:
+                self.region.require((*row[:n], *rest))
+            out, env = self._template.copy(), row + rest
+            for pos, fn in spines:
+                out[pos] = fn(env)
+            return out
+        return at
 
     def values(self, points):
         """The field at every row of a (K, dim) point array, shape

@@ -193,12 +193,11 @@ def make_pure_gauge(alpha="x1*x2", n=2):
     source = alpha
     ast = parse(alpha) if isinstance(alpha, str) else alpha
     partials = [derivative(ast, f"x{mu + 1}") for mu in range(n)]
-    stacks = [[["0", pretty(d)], [pretty(_neg(d)), "0"]] for d in partials]
+    stacks = [[["0", d], [_neg(d), "0"]] for d in partials]
     g3 = CoefficientField3.from_exprs(stacks)
     gauge = MatrixField.from_exprs(
-        [[pretty(Call("cos", (ast,))), pretty(_neg(Call("sin", (ast,))))],
-         [pretty(Call("sin", (ast,))), pretty(Call("cos", (ast,)))]],
-        base_names(n))
+        [[Call("cos", (ast,)), _neg(Call("sin", (ast,)))],
+         [Call("sin", (ast,)), Call("cos", (ast,))]], base_names(n))
     return Example("pure-gauge", "linear", n, 2, g3,
                    TwoIndexField.from_linear(g3), gauge=gauge,
                    params={"alpha": source if isinstance(source, str)

@@ -7,7 +7,10 @@ velocities are evaluated once at every step boundary and midpoint, so the
 right-hand sides of the linear equations become cheap matrix evaluations.
 RK4 runs on the state as a flat list of floats; the right-hand sides that
 depend on it (general transport, geodesics) contract float field entries
-in one fixed order, which their batched forms repeat on numpy columns.
+in one fixed order, which their batched forms repeat on numpy columns. The
+two-index entries are staged on the grid (_FieldArray.on_grid): their
+base-only subtrees are evaluated at every node first, so a step evaluates
+only the fibre-dependent spine, with the same bits.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -202,10 +205,10 @@ def transport_general(g2, path, p0):
     """Parallel transport for a general connection:
     du^a/dt = +G[a, mu](x(t), u) dx^mu/dt."""
     grid = _grid(path)
+    at, ones = g2.on_grid(grid.pos), [1.0] * g2.r
 
     def rhs(k, u):
-        return _row_sums(g2.floats((*grid.pos[k].tolist(), *u)),
-                         grid.vel[k].tolist(), [1.0] * g2.r)
+        return _row_sums(at(k, u), grid.vel[k].tolist(), ones)
 
     def rhs_many(ks, us):
         G = g2.values(np.concatenate([grid.pos[ks], us], axis=1))

@@ -42,8 +42,10 @@ CONSTANT_STACKS = [
 
 
 def write_config(tmp_path, cfg):
+    """Write a config dict as JSON, or a string as the raw file text."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -648,6 +650,17 @@ def test_exit_2_step_count_too_small(tmp_path, capsys):
     assert payload["error"]["type"] == "StepCountTooSmall"
 
 
+UNREAD_KEY = ('{"connection": "registry:sphere-lc", "point": [1.1, 0.4], '
+              '"note": %s}')
+
+
+def two_index_entry(entry):
+    return {"base_dim": 2, "fibre_rank": 2, "initial": [1.0, 0.0],
+            "path": {"points": [[0.0, 0.0], [1.0, 1.0]], "steps": 40},
+            "connection": {"kind": "two_index",
+                           "matrix": [[entry, "0"], ["0", "0"]]}}
+
+
 MALFORMED_CONFIGS = {
     "law-object": ("frames", frames_config({})),
     "law-number": ("frames", frames_config(3)),
@@ -768,17 +781,36 @@ MALFORMED_CONFIGS = {
     "unread-key-nan": ("curvature", {
         "connection": "registry:sphere-lc", "point": [1.1, 0.4],
         "note": math.nan}),
+    # raw text: json.dumps cannot write these two
+    "unread-key-5000-digit-integer": ("curvature", UNREAD_KEY % ("1" * 5000)),
+    "unread-key-nested-100000-deep": ("curvature", UNREAD_KEY % (
+        "[" * 100000 + "]" * 100000)),
+    # expressions nested past exprlang.MAX_DEPTH: a ParseError
+    "expression-200-parentheses": ("transport", two_index_entry(
+        "(" * 200 + "u1" + ")" * 200)),
+    "expression-1000-unary-minus": ("transport", two_index_entry(
+        "-" * 1000 + "u1")),
+    "expression-999-term-sum": ("transport", two_index_entry(
+        "+".join(["u1"] * 999))),
 }
+# the error type of the MALFORMED_CONFIGS entries that are not ConfigError
+MALFORMED_TYPES = dict.fromkeys(
+    ["expression-200-parentheses", "expression-1000-unary-minus",
+     "expression-999-term-sum"], "ParseError")
 
 
-@pytest.mark.parametrize("command, cfg", MALFORMED_CONFIGS.values(),
-                         ids=list(MALFORMED_CONFIGS))
-def test_exit_2_malformed_config(tmp_path, capsys, command, cfg):
+@pytest.mark.parametrize(
+    "command, cfg, error_type",
+    [(command, cfg, MALFORMED_TYPES.get(name, "ConfigError"))
+     for name, (command, cfg) in MALFORMED_CONFIGS.items()],
+    ids=list(MALFORMED_CONFIGS))
+def test_exit_2_malformed_config(tmp_path, capsys, command, cfg,
+                                 error_type):
     code, out = run(capsys, command, "--config", write_config(tmp_path, cfg))
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["type"] == "ConfigError"
+    assert json.loads(lines[0])["error"]["type"] == error_type
 
 
 def test_exit_2_unknown_law_lists_the_laws(tmp_path, capsys):

@@ -10,8 +10,10 @@ from hypothesis import given, strategies as st
 
 from bundleconn.errors import NonFinite, ParseError, UnboundVariable
 from bundleconn.exprlang import (
-    BinOp, Call, Const, Neg, Var, compile_fn, evaluate, parse, pretty,
+    MAX_DEPTH, BinOp, Call, Const, Neg, Var, compile_fn, evaluate, parse,
+    pretty, stage,
 )
+from bundleconn.registry import make_pure_gauge
 
 from _oracle_parser import (
     ERROR_CASES,
@@ -218,3 +220,81 @@ def test_whitespace_ignored():
 def test_scientific_literals():
     assert evaluate(parse("1.5e-3"), {}) == 1.5e-3
     assert evaluate(parse("2E+2"), {}) == 200.0
+
+
+# nesting at the limit parses; one level more is a ParseError at the byte
+# where the level starts (a '(' or function name, a '-', '^' or operator)
+DEPTH_CASES = {
+    "parentheses": (lambda d: "(" * d + "x1" + ")" * d, MAX_DEPTH),
+    "unary-minus": (lambda d: "-" * d + "x1", MAX_DEPTH),
+    "plus-chain": (lambda d: "+".join(["x1"] * (d + 1)), 3 * MAX_DEPTH - 1),
+    "power-chain": (lambda d: "x1^" * d + "2", 3 * MAX_DEPTH + 2),
+    "calls": (lambda d: "sin(" * d + "x1" + ")" * d, 4 * MAX_DEPTH),
+}
+
+
+@pytest.mark.parametrize("source, offset", DEPTH_CASES.values(),
+                         ids=list(DEPTH_CASES))
+def test_nesting_deeper_than_max_depth_is_a_parse_error(source, offset):
+    parse(source(MAX_DEPTH - 1))
+    with pytest.raises(ParseError, match="nested deeper than 100 levels") as e:
+        parse(source(MAX_DEPTH + 1))
+    assert e.value.offset == offset
+
+
+def test_nesting_far_past_the_limit_does_not_recurse():
+    for source in ("(" * 200 + "x1" + ")" * 200, "-" * 1000 + "x1",
+                   "+".join(["x1"] * 999), "x1^" * 5000 + "2"):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(source)
+
+
+def test_registry_derivatives_are_not_reparsed():
+    # the pure-gauge coefficients are derivative trees of alpha, passed as
+    # trees: rendered with a parenthesis per node, this alpha's derivative
+    # would nest past the limit that alpha itself is within
+    alpha = "-" * 60 + "x1*x2"
+    parse(alpha)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse(pretty(parse(alpha)))
+    ex = make_pure_gauge(alpha)
+    assert ex.g3((0.3, 0.5))[0, 0, 1] == 0.5
+
+
+BENCH_ENTRY = "-((0.1659*cos(x1 + x2))*u1 + (0.4901*x2)*u2)"
+
+
+def test_stage_lifts_the_maximal_base_subtrees():
+    spine, parts = stage(parse(BENCH_ENTRY), ("x1", "x2"))
+    assert parts == [parse("0.1659*cos(x1 + x2)"), parse("0.4901*x2")]
+    assert spine == Neg(BinOp("+", BinOp("*", Var("@0"), Var("u1")),
+                              BinOp("*", Var("@1"), Var("u2"))))
+
+
+@pytest.mark.parametrize("source, spine, parts", [
+    ("2*3 + u1", parse("2*3 + u1"), []),     # constants stay in the spine
+    ("0.5*x1", Var("@0"), ["0.5*x1"]),        # a base-only entry is one leaf
+    ("u1*u2", parse("u1*u2"), []),
+    ("pow(u1, x2) + x1",
+     BinOp("+", Call("pow", (Var("u1"), Var("@0"))), Var("@1")),
+     ["x2", "x1"]),
+])
+def test_stage_spine_and_parts(source, spine, parts):
+    assert stage(parse(source), ("x1", "x2")) == (spine,
+                                                  [parse(p) for p in parts])
+
+
+def test_stage_appends_to_the_given_parts():
+    parts = [parse("x1")]
+    spine, out = stage(parse("u1*sin(x2)"), ("x1", "x2"), parts)
+    assert out is parts and parts[1] == parse("sin(x2)")
+    assert spine == BinOp("*", Var("u1"), Var("@1"))
+
+
+def test_unchecked_leaves_read_without_the_finiteness_test():
+    ast = parse("u1 + x1")
+    with pytest.raises(NonFinite, match="variable u1 is inf"):
+        compile_fn(ast, ("x1", "u1"))((1.0, math.inf))
+    assert compile_fn(ast, ("x1", "u1"), checked=False)((1.0, 2.0)) == 3.0
+    with pytest.raises(NonFinite, match="overflow in '\\+'"):
+        compile_fn(ast, ("x1", "u1"), checked=False)((1.0, math.inf))

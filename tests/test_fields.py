@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundleconn.calculus import curvature
 from bundleconn.errors import (
@@ -13,7 +14,7 @@ from bundleconn.errors import (
     NonFinite,
     SingularFrame,
 )
-from bundleconn.exprlang import FUNCTION_ARITY
+from bundleconn.exprlang import FUNCTION_ARITY, BinOp, Call, Const, Neg, Var
 from bundleconn.fields import (
     FD_STEP_FIRST,
     FD_STEP_NESTED,
@@ -499,3 +500,104 @@ def test_callable_fields_take_the_per_point_loop():
     nan_field = SectionField(["x1", lambda x1, x2: float("nan")], XY)
     assert (first_error(lambda: nan_field.values(points))
             == first_error(lambda: stacked(nan_field, points)))
+
+
+# --- staged evaluation on a grid: on_grid(xs) -------------------------------
+
+XU = bundle_names(2, 2)
+
+
+def outcome(fn):
+    """The float bits fn() returns, or the type and message it raises."""
+    try:
+        return np.array(fn()).tobytes()
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def entry_trees():
+    leaves = st.one_of(
+        st.builds(Const, st.floats(min_value=0.0, max_value=3.0)),
+        st.builds(Var, st.sampled_from(XU)))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+            st.builds(lambda f, a: Call(f, (a,)),
+                      st.sampled_from(sorted(f for f, n in
+                                             FUNCTION_ARITY.items()
+                                             if n == 1)),
+                      children),
+            st.builds(lambda a, b: Call("pow", (a, b)), children, children))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+coordinate = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(entry_trees(), min_size=4, max_size=4),
+       xs=st.lists(st.tuples(coordinate, coordinate), min_size=1,
+                   max_size=6),
+       rests=st.lists(st.lists(st.one_of(
+           coordinate, st.sampled_from([math.inf, -math.inf, math.nan])),
+           min_size=2, max_size=2), min_size=1, max_size=4),
+       region=st.sampled_from([None, Region([(-2.5, 2.5)] * 4)]))
+def test_on_grid_equals_floats_bitwise(entries, xs, rests, region):
+    field = MatrixField.from_exprs([entries[:2], entries[2:]], XU, region)
+    xs = np.array(xs)
+    at = field.on_grid(xs)
+    for k in range(len(xs)):
+        for rest in rests:
+            assert outcome(lambda: at(k, list(rest))) == outcome(
+                lambda: field.floats((*xs[k].tolist(), *rest)))
+
+
+BENCH_ROWS = [["-((0.1659*cos(x1 + x2))*u1 + (0.4901*x2)*u2)", "0.5*x1"],
+              ["0.3*sin(u2)*x1", "u1*cos(x2) + 2"]]
+
+
+def test_on_grid_walks_only_the_spine(monkeypatch):
+    field = MatrixField.from_exprs(BENCH_ROWS, XU)
+    xs = batch_points(9)
+    expected = [field.floats((*x.tolist(), 0.7, -1.3)) for x in xs]
+
+    def no_per_point_calls(self, point):
+        raise AssertionError("the staged path evaluated a whole entry")
+
+    monkeypatch.setattr(MatrixField, "floats", no_per_point_calls)
+    at = field.on_grid(xs)
+    got = [at(k, [0.7, -1.3]) for k in range(len(xs))]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("field", [
+    MatrixField.from_callable(lambda *p: [[p[0] * p[2], 1.0]] * 2, (2, 2),
+                              XU),
+    MatrixField.from_exprs([["ln(x1 - 0.5)*u1", "u2"], ["0", "x2"]], XU),
+    MatrixField.from_exprs([[lambda *p: p[0] * p[2], "u2"], ["0", "x2"]], XU),
+], ids=["callable", "failing-batch", "callable-entry"])
+def test_on_grid_falls_back_to_floats(field, monkeypatch):
+    xs = batch_points(9)
+    calls = []
+    floats = MatrixField.floats
+    monkeypatch.setattr(MatrixField, "floats",
+                        lambda self, p: calls.append(p) or floats(self, p))
+    at = field.on_grid(xs)
+    for k in range(len(xs)):
+        assert outcome(lambda: at(k, [0.7, -1.3])) == outcome(
+            lambda: floats(field, (*xs[k].tolist(), 0.7, -1.3)))
+    assert len(calls) == len(xs)
+
+
+def test_on_grid_sends_a_non_finite_rest_to_floats():
+    field = MatrixField.from_exprs(BENCH_ROWS, XU)
+    at = field.on_grid(batch_points(3))
+    with pytest.raises(NonFinite, match="^variable u2 is nan$"):
+        at(1, [0.5, math.nan])
+    # an unread coordinate raises nothing, as in floats
+    field = MatrixField.from_exprs([["u1*x1", "x2"], ["1", "cos(x1)"]], XU)
+    xs = batch_points(3)
+    assert (field.on_grid(xs)(1, [0.5, math.inf])
+            == field.floats((*xs[1].tolist(), 0.5, math.inf)))

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it,
 every import sits at module level, every function, method and class the
 package defines is referenced somewhere, the batch expression compiler
-covers exactly the grammar's functions, one function holds the
+covers exactly the grammar's functions, in whole trees and in staged ones
+(exprlang.stage), one function holds the
 singularity test, and one function loops over RK4 steps."""
 
 import ast
@@ -259,6 +260,18 @@ def test_second_step_loop_and_defect_are_reported():
                                            ["m._rk4", "m.other.rhs"])
 
 
+def staged_values(node, cols, us):
+    """A tree over (x1, x2, u1) evaluated the staged way, as bytes per
+    point: the base-only parts in one batch, then the spine per point."""
+    spine, parts = exprlang.stage(node, ("x1", "x2"))
+    table = [exprlang.compile_batch(part, ("x1", "x2"))(*cols)
+             for part in parts]
+    names = ("x1", "x2", *(f"@{i}" for i in range(len(parts))), "u1")
+    fn = exprlang.compile_fn(spine, names, checked=False)
+    rows = np.column_stack([*cols, *table, us]).tolist()
+    return np.array([fn(row) for row in rows]).tobytes()
+
+
 def test_batch_compiler_handles_exactly_the_grammar_functions():
     # compile_batch dispatches calls through _CALL_IMPL, like compile_fn
     assert set(exprlang._CALL_IMPL) == set(exprlang.FUNCTION_ARITY)
@@ -270,6 +283,21 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
         batch = exprlang.compile_batch(node, names)(*cols)
         point = exprlang.compile_fn(node, names)
         assert np.array_equal(batch, [point(p) for p in zip(*cols)]), func
+    # staged: the function as a base-only part (compile_batch) and, with
+    # a fibre argument, in the spine (compile_fn with unchecked leaves)
+    xu = ("x1", "x2", "u1")
+    us = np.linspace(0.2, 1.3, 7)
+    for func, arity in [*exprlang.FUNCTION_ARITY.items(), ("^", 2)]:
+        for args in (("x1", "x2"), ("u1", "x2")):
+            leaves = tuple(exprlang.Var(n) for n in args[:arity])
+            call = (exprlang.BinOp("^", *leaves) if func == "^"
+                    else exprlang.Call(func, leaves))
+            node = exprlang.BinOp("*", call, exprlang.Var("u1"))
+            whole = exprlang.compile_fn(node, xu)
+            points = np.column_stack([*cols, us]).tolist()
+            expected = [whole(p) for p in points]
+            assert (staged_values(node, cols, us)
+                    == np.array(expected).tobytes()), (func, args)
     unknown = exprlang.Call("sinh", (exprlang.Var("x1"),))
     with pytest.raises(KeyError):
         exprlang.compile_batch(unknown, names)

@@ -1,13 +1,17 @@
 """Transport, fundamental solutions, geodesics, and the limit covariant
 derivative."""
 
+import contextlib
+import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from bundleconn import transport
+from bundleconn import cli, transport
 from bundleconn.connection import (
     AffineCoefficients,
     CoefficientField3,
@@ -520,3 +524,107 @@ def test_general_transport_nonfinite_names_plain_floats():
     with pytest.raises(NonFinite) as info:
         transport_general(g2, path, [1.53125])
     assert str(info.value) == "non-finite array value at (0.53125, 1.53125)"
+
+
+# --- two-index transport with staged base subtrees -------------------------------
+
+STAGED_ROWS = [["-((0.1659*cos(x1 + x2))*u1 + (0.4901*x2)*u2)",
+                "-((0.3*sin(x1))*u1 + (0.2*x1*x2)*u2)"],
+               ["0.3*sin(u2)*x1", "0.5*u1*cos(x2)"]]
+
+
+def staged_rows_callable(x1, x2, u1, u2):
+    """STAGED_ROWS as Python arithmetic, in the same operation order."""
+    return [[-((0.1659 * math.cos(x1 + x2)) * u1 + (0.4901 * x2) * u2),
+             -((0.3 * math.sin(x1)) * u1 + (0.2 * x1 * x2) * u2)],
+            [0.3 * math.sin(u2) * x1, 0.5 * u1 * math.cos(x2)]]
+
+
+@pytest.mark.parametrize("path", [
+    PathSpec.from_exprs(["0.3 + 0.5*t", "0.2 + sin(t)"], 0.0, 1.0, steps=300),
+    PathSpec.from_points([[0.7, 0.5], [-0.9, -0.3], [0.2, -0.6]], steps=300),
+], ids=["expr", "polyline"])
+def test_callable_two_index_transport_equals_the_staged_one(path):
+    staged = transport_general(TwoIndexField.from_exprs(STAGED_ROWS, 2, 2),
+                               path, [1.1, 0.4])
+    plain = transport_general(
+        TwoIndexField.from_callable(staged_rows_callable, 2, 2), path,
+        [1.1, 0.4])
+    assert staged.samples.tobytes() == plain.samples.tobytes()
+    assert staged.max_residual == plain.max_residual
+
+
+def test_two_index_transport_memory_peak():
+    # the staged table is one (K, n + P) float array: no grid-sized list
+    g2 = TwoIndexField.from_exprs(STAGED_ROWS, 2, 2)
+    path = PathSpec.from_exprs(["0.3 + 0.5*t", "0.2 + sin(t)"], 0.0, 1.0,
+                               steps=4000)
+    tracemalloc.start()
+    try:
+        transport_general(g2, path, [1.0, 0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
+
+
+def two_index_config(entry, initial, points, region=None):
+    cfg = {"base_dim": 2, "fibre_rank": 2, "initial": initial,
+           "path": {"points": points, "steps": 200},
+           "connection": {"kind": "two_index",
+                          "matrix": [[entry, "0"], ["0", "u2"]]}}
+    if region is not None:
+        cfg["region"] = region
+    return cfg
+
+
+VERTEX_055 = [[1.0, 0.0], [0.55, 0.5], [0.2, 1.0]]
+
+# the stdout of each config, recorded before the base-only subtrees were
+# staged: the staged path must fail with the same bytes
+TWO_INDEX_FAILURES = {
+    "overflow-while-integrating": (
+        two_index_config("u1*u1*30", [1.0, 0.0], [[0.0, 0.0], [1.0, 1.0]]),
+        "NonFinite", "overflow in '*'"),
+    "range-error": (
+        two_index_config("exp(u1*400)*x1", [1.0, 0.0],
+                         [[0.1, 0.0], [1.0, 1.0]]),
+        "NonFinite", "exp: math range error"),
+    "fibre-region-left-by-u": (
+        two_index_config("u1", [1.0, 0.5], [[0.0, 0.0], [3.0, 2.0]],
+                         [[-5.0, 5.0], [-5.0, 5.0], [-2.0, 2.0],
+                          [-2.0, 2.0]]),
+        "DomainExit", "point (0.6975, 0.465, 2.008668399164956, "
+        "0.7959971774294673) outside region ((-5.0, 5.0), (-5.0, 5.0), "
+        "(-2.0, 2.0), (-2.0, 2.0))"),
+    "base-region-left-by-the-path": (
+        two_index_config("0.5*u2*x1 + cos(x2)*u1", [1.0, 0.5],
+                         [[0.1, 0.1], [1.0, 1.0]], [[0.0, 0.6], [0.0, 2.0]]),
+        "DomainExit", "point (0.60175, 0.60175, 1.6651980273325535, "
+        "0.8258024423145274) outside region ((0.0, 0.6), (0.0, 2.0), "
+        "(-inf, inf), (-inf, inf))"),
+    "failing-batch-falls-back": (
+        two_index_config("ln(x1 - 0.5)*u1", [1.0, 0.5], VERTEX_055),
+        "NonFinite", "ln: math domain error"),
+    "zero-divisor-from-a-staged-part": (
+        two_index_config("u1/(x1 - 0.55)", [1.0, 0.5], VERTEX_055),
+        "NonFinite", "division by zero"),
+    "division-in-the-spine": (
+        two_index_config("cos(x1)/(u1 - 0.5)", [0.5, 0.5], VERTEX_055),
+        "NonFinite", "division by zero"),
+}
+
+
+@pytest.mark.parametrize("cfg, kind, message", TWO_INDEX_FAILURES.values(),
+                         ids=list(TWO_INDEX_FAILURES))
+def test_two_index_transport_failures_keep_their_stdout(tmp_path, cfg, kind,
+                                                        message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["transport", "--config", str(path)])
+    assert code == 1
+    assert out.getvalue() == ('{"command": "transport", "error": '
+                              f'{{"message": {json.dumps(message)}, '
+                              f'"type": "{kind}"}}}}\n')
