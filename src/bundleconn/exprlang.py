@@ -213,19 +213,28 @@ def parse(source):
     return node
 
 
-def pretty(ast):
-    """Render an AST back to source. Fully parenthesized, so the output
-    reparses to a structurally identical tree, as long as its nesting
-    stays within MAX_DEPTH."""
+# per operator: its binding level (loosest 1, unary minus 3, atoms 5) and
+# the levels its lhs and rhs need to go without parentheses
+_BINDING = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
+            "^": (4, 5, 3)}
+
+
+def pretty(ast, need=0):
+    """Render an AST back to source with only the parentheses that the
+    precedence rules need (`need` is the binding level of the context), so
+    parse(pretty(ast)) == ast for every tree that parse returns."""
     if isinstance(ast, Const):
-        return repr(float(ast.value))
+        return repr(float(ast.value)) if ast.value != math.inf else "1e999"
     if isinstance(ast, Var):
         return ast.name
+    if isinstance(ast, Call):
+        return f"{ast.func}({', '.join(pretty(a) for a in ast.args)})"
     if isinstance(ast, Neg):
-        return f"(-{pretty(ast.operand)})"
-    if isinstance(ast, BinOp):
-        return f"({pretty(ast.lhs)} {ast.op} {pretty(ast.rhs)})"
-    return f"{ast.func}({', '.join(pretty(a) for a in ast.args)})"
+        level, text = 3, f"-{pretty(ast.operand, 3)}"
+    else:
+        level, lhs, rhs = _BINDING[ast.op]
+        text = f"{pretty(ast.lhs, lhs)} {ast.op} {pretty(ast.rhs, rhs)}"
+    return f"({text})" if level < need else text
 
 
 def _cot(x):

@@ -11,6 +11,7 @@ E_lam; the Lie-coefficient matrix is L[nu, mu], row = upper index.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -31,15 +32,16 @@ class Region:
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ValueError(f"empty interval ({lo}, {hi})")
+        self.lo, self.hi = tuple(zip(*self.bounds)) or ((), ())
 
     @property
     def dim(self):
         return len(self.bounds)
 
     def contains(self, point):
-        if len(point) != self.dim:
-            return False
-        return all(lo < c < hi for c, (lo, hi) in zip(point, self.bounds))
+        return (len(point) == self.dim
+                and all(map(operator.lt, self.lo, point))
+                and all(map(operator.lt, point, self.hi)))
 
     def require(self, point):
         if not self.contains(point):
@@ -95,7 +97,9 @@ class _FieldArray:
     """Array-valued field: a fixed-shape array of scalar entries (constants
     folded into a flat row-major template) or one whole-array callable.
     `values` evaluates many points at once; expression entries are compiled
-    for it on first use."""
+    for it on first use. A repeated expression (same AST repr: 0.0 is not
+    -0.0) is evaluated once and copied, _copies[i] = (to, from); compiled
+    expressions check their values, so only callables need a final scan."""
 
     def __init__(self, shape, names, region=None, entries=None, array_fn=None):
         self.shape = tuple(shape)
@@ -111,8 +115,15 @@ class _FieldArray:
             compiled = [_compile_entry(e, self.names) for e in grid.flat]
             self._template = [0.0 if const is None else const
                               for _, const, _ in compiled]
-            self._dynamic = [(pos, fn, ast) for pos, (fn, const, ast)
-                             in enumerate(compiled) if const is None]
+            first, self._dynamic, self._copies = {}, [], []
+            for pos, (fn, const, ast) in enumerate(compiled):
+                key = pos if ast is None else repr(ast)
+                if const is None and first.setdefault(key, pos) == pos:
+                    self._dynamic.append((pos, fn, ast))
+                elif const is None:
+                    self._copies.append((pos, first[key]))
+            self._zeros = {p for p, c in enumerate(compiled) if c[1] == 0.0}
+            self._ast_only = all(ast is not None for *_, ast in self._dynamic)
 
     @classmethod
     def from_callable(cls, fn, shape, names, region=None):
@@ -131,6 +142,10 @@ class _FieldArray:
             out = self._template.copy()
             for pos, fn, _ in self._dynamic:
                 out[pos] = float(fn(point))
+            for pos, src in self._copies:
+                out[pos] = out[src]
+            if self._ast_only:
+                return out
         else:
             array = np.asarray(self._array_fn(point), dtype=float)
             if array.shape != self.shape:
@@ -150,8 +165,7 @@ class _FieldArray:
         def plain(k, rest):
             return self.floats((*xs[k].tolist(), *rest))
 
-        if (self._array_fn is not None
-                or any(ast is None for _, _, ast in self._dynamic)):
+        if self._array_fn is not None or not self._ast_only:
             return plain
         n, parts = xs.shape[1], []
         spines = [(pos, stage(ast, self.names[:n], parts)[0])
@@ -175,6 +189,8 @@ class _FieldArray:
             out, env = self._template.copy(), row + rest
             for pos, fn in spines:
                 out[pos] = fn(env)
+            for pos, src in self._copies:
+                out[pos] = out[src]
             return out
         return at
 
@@ -191,8 +207,8 @@ class _FieldArray:
         return out.reshape((len(points),) + self.shape)
 
     def _batch_values(self, points):
-        if (self._array_fn is not None or points.shape[1] != len(self.names)
-                or any(ast is None for _, _, ast in self._dynamic)):
+        if (self._array_fn is not None or not self._ast_only
+                or points.shape[1] != len(self.names)):
             return None
         if self.region is not None:
             lo, hi = np.array(self.region.bounds).T
@@ -209,6 +225,8 @@ class _FieldArray:
                 out[:, pos] = fn(*cols)
         except NonFinite:
             return None
+        for pos, src in self._copies:
+            out[:, pos] = out[:, src]
         return out
 
 

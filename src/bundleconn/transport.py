@@ -7,10 +7,11 @@ velocities are evaluated once at every step boundary and midpoint, so the
 right-hand sides of the linear equations become cheap matrix evaluations.
 RK4 runs on the state as a flat list of floats; the right-hand sides that
 depend on it (general transport, geodesics) contract float field entries
-in one fixed order, which their batched forms repeat on numpy columns. The
-two-index entries are staged on the grid (_FieldArray.on_grid): their
-base-only subtrees are evaluated at every node first, so a step evaluates
-only the fibre-dependent spine, with the same bits.
+through one index plan per driver call (_contract), in np.einsum order and
+without the entries that are the constant 0.0, which their batched forms
+repeat on numpy columns. The two-index entries are staged on the grid
+(_FieldArray.on_grid): their base-only subtrees are evaluated at every
+node first, so a step evaluates only the fibre-dependent spine.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -19,6 +20,7 @@ every step in one batched right-hand-side call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,16 +190,34 @@ def _rk4(rhs, rhs_many, y0, grid):
                            float(np.abs(defect).max(initial=0.0)))
 
 
-def _row_sums(G, v, scales):
-    """sum_l G[i, l] v[l] scales[i] for each row i of the flat entries G, in
-    l order: on floats for one point, on numpy columns for many, same bits."""
+def _index_plan(field, rows):
+    """The rows of _contract without the pairs whose entry of field is the
+    constant 0.0 (every pair for field None or a whole-array callable). Same
+    bits while v is finite: a sum from +0.0 is never -0.0, so adding +-0.0
+    leaves it as it is."""
+    zeros = () if field is None or field._array_fn else field._zeros
+    return [[(k, [(p, l) for p, l in pairs if p not in zeros])
+             for k, pairs in row] for row in rows]
+
+
+def _contract(plan, G, v, zero=0.0):
+    """out[i] sums from 0 the inner sums (k, pairs) of plan[i], each the sum
+    from zero of G[p] * v[l] (times v[k] unless k is None) over its pairs,
+    on floats or on numpy columns (zero a zero column) with the same bits."""
     out = []
-    entries = iter(G)
-    for scale in scales:
-        total = 0.0
-        for vl in v:
-            total = total + next(entries) * vl * scale
-        out.append(total)
+    for row in plan:
+        acc = 0
+        for k, pairs in row:
+            total = zero
+            if k is None:
+                for p, l in pairs:
+                    total = total + G[p] * v[l]
+            else:
+                vk = v[k]
+                for p, l in pairs:
+                    total = total + G[p] * v[l] * vk
+            acc = acc + total
+        out.append(acc)
     return out
 
 
@@ -205,15 +225,18 @@ def transport_general(g2, path, p0):
     """Parallel transport for a general connection:
     du^a/dt = +G[a, mu](x(t), u) dx^mu/dt."""
     grid = _grid(path)
-    at, ones = g2.on_grid(grid.pos), [1.0] * g2.r
+    n, at = g2.n, g2.on_grid(grid.pos)
+    plan = _index_plan(g2 if np.isfinite(grid.vel).all() else None,
+                       [[(None, [(a * n + mu, mu) for mu in range(n)])]
+                        for a in range(g2.r)])
 
     def rhs(k, u):
-        return _row_sums(at(k, u), grid.vel[k].tolist(), ones)
+        return _contract(plan, at(k, u), grid.vel[k].tolist())
 
     def rhs_many(ks, us):
         G = g2.values(np.concatenate([grid.pos[ks], us], axis=1))
-        return np.stack(_row_sums(G.reshape(len(ks), g2.r * g2.n).T,
-                                  grid.vel[ks].T, [1.0] * g2.r), axis=1)
+        return np.stack(_contract(plan, G.reshape(len(ks), g2.r * n).T,
+                                  grid.vel[ks].T, np.zeros(len(ks))), axis=1)
 
     return _rk4(rhs, rhs_many, p0, grid)
 
@@ -260,17 +283,23 @@ def transport_affine(aff, path, p0):
     return _transport_linear_system(aff.linear, grid, p0, gvecs)
 
 
-def _geodesic_acceleration(G, v):
-    """-sum_n sum_l G[n, m, l] v[l] v[n] for the flat (n, n, n) stack G, in
-    the order of np.einsum("nml,l,n->m"): the row (n, m) is scaled by v[n]."""
-    inner = _row_sums(G, v, [vn for vn in v for _ in v])
-    return [-sum(inner[m::len(v)]) for m in range(len(v))]
+def _geodesic_rows(n):
+    """The dense plan of -G3[nu, m, lam] v^lam v^nu, in einsum("nml,l,n->m")
+    order: row m sums over nu the sums over lam of (G v[lam]) v[nu]."""
+    return [[(nu, [((nu * n + m) * n + lam, lam) for lam in range(n)])
+             for nu in range(n)] for m in range(n)]
+
+
+def _geodesic_acceleration(plan, G, v, zero=0.0):
+    """-G3[nu, m, lam] v^lam v^nu over a plan of _geodesic_rows(n)."""
+    return [-a for a in _contract(plan, G, v, zero)]
 
 
 def geodesic(g3, x0, v0, T, steps):
     """Geodesic trajectory of a linear connection on the tangent bundle
     (r = n): RK4 on the first-order system (x' = v,
-    v'^m = -G3[nu, m, lam] v^lam v^nu). Samples hold (x, v) rows."""
+    v'^m = -G3[nu, m, lam] v^lam v^nu). Samples hold (x, v) rows. A
+    non-finite velocity takes the dense plan, as 0 * inf is NaN."""
     if int(steps) < MIN_STEPS:
         raise StepCountTooSmall(f"N = {steps} < {MIN_STEPS} RK4 steps")
     steps = int(steps)
@@ -281,14 +310,20 @@ def geodesic(g3, x0, v0, T, steps):
     grid = _Grid(None, None, 2 * np.arange(steps),
                  np.full(steps, float(T) / steps),
                  float(T) * np.arange(steps + 1) / steps)
+    dense = _geodesic_rows(n)
+    sparse = _index_plan(g3, dense)
 
     def rhs(_, s):
-        return s[n:] + _geodesic_acceleration(g3.floats(s[:n]), s[n:])
+        v = s[n:]
+        plan = sparse if all(map(math.isfinite, v)) else dense
+        return v + _geodesic_acceleration(plan, g3.floats(s[:n]), v)
 
     def rhs_many(_, ss):
         G = g3.values(ss[:, :n]).reshape(len(ss), -1).T
         vs = list(ss[:, n:].T)
-        return np.stack(vs + _geodesic_acceleration(G, vs), axis=1)
+        plan = sparse if np.isfinite(ss[:, n:]).all() else dense
+        acc = _geodesic_acceleration(plan, G, vs, np.zeros(len(ss)))
+        return np.stack(vs + acc, axis=1)
 
     return _rk4(rhs, rhs_many, [*x0, *v0], grid)
 

@@ -8,6 +8,7 @@ import copy
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -1144,6 +1145,60 @@ def test_mutated_valid_configs_end_in_one_json_line(tmp_path_factory, data):
         _mutate(cfg, data)
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--config", str(path)])
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert isinstance(json.loads(lines[0]), dict)
+
+
+def _vocabulary(node, keys, strings):
+    """The keys and string values of a config, at every depth."""
+    if isinstance(node, dict):
+        keys.update(node)
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            _vocabulary(item, keys, strings)
+    elif isinstance(node, str):
+        strings.add(node)
+    return keys, strings
+
+
+_KEYS, _STRINGS = set(), set()
+for _, _cfg in VALID_CONFIGS:
+    _vocabulary(_cfg, _KEYS, _STRINGS)
+
+# leaves: small integers, huge ones (a "@digits:k" placeholder, written
+# as k nines, past the 4,300-digit conversion limit too), any float (NaN
+# and infinities are written as JSON's extensions), the strings of the
+# valid configs and arbitrary text; containers are keyed by the config
+# vocabulary or arbitrary text
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-50, 50),
+              st.integers(1, 5000).map("@digits:{}".format), st.floats(),
+              st.sampled_from(sorted(_STRINGS)), st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.sampled_from(sorted(_KEYS)) | st.text(max_size=4),
+                        children, max_size=6)),
+    max_leaves=24)
+
+
+@pytest.mark.parametrize("command",
+                         [c for c in cli.COMMANDS if c != "check"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(doc=_JSON, nesting=st.sampled_from([0, 0, 0, 3, 2000, 100_000]))
+def test_arbitrary_json_documents_end_in_one_json_line(
+        tmp_path_factory, command, doc, nesting):
+    text = re.sub(r'"@digits:(\d+)"', lambda m: "9" * int(m.group(1)),
+                  json.dumps(doc))
+    if nesting:     # the document deep inside an object
+        text = '{"note": ' + "[" * nesting + text + "]" * nesting + "}"
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_text(text, encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main([command, "--config", str(path)])

@@ -250,15 +250,24 @@ def test_nesting_far_past_the_limit_does_not_recurse():
 
 
 def test_registry_derivatives_are_not_reparsed():
-    # the pure-gauge coefficients are derivative trees of alpha, passed as
-    # trees: rendered with a parenthesis per node, this alpha's derivative
-    # would nest past the limit that alpha itself is within
+    # pretty adds no parenthesis that precedence makes redundant, so a tree
+    # within the nesting limit renders to source within it; the pure-gauge
+    # coefficients, derivative trees of alpha, are still passed as trees
     alpha = "-" * 60 + "x1*x2"
-    parse(alpha)
-    with pytest.raises(ParseError, match="nested deeper"):
-        parse(pretty(parse(alpha)))
+    assert pretty(parse(alpha)) == "-" * 60 + "x1 * x2"
+    assert parse(pretty(parse(alpha))) == parse(alpha)
     ex = make_pure_gauge(alpha)
     assert ex.g3((0.3, 0.5))[0, 0, 1] == 0.5
+
+
+@pytest.mark.parametrize("source", [
+    *(make(MAX_DEPTH - 1) for make, _ in DEPTH_CASES.values()),
+    "a-(b-c)", "(a^b)^c", "a^b^c", "a^-b", "-a^2", "(-a)^2", "a*-b",
+    "a/(b*c)", "-(a*b)", "--a", "a - -b", "x^(y*z)", "(x*y)^z", "1e400",
+    "pow(a, b)^2", "((a + b)) + c"])
+def test_pretty_round_trips_what_parse_accepts(source):
+    ast = parse(source)
+    assert parse(pretty(ast)) == ast
 
 
 BENCH_ENTRY = "-((0.1659*cos(x1 + x2))*u1 + (0.4901*x2)*u2)"

@@ -61,6 +61,16 @@ def test_region_membership():
         region.require((2.0, 0.0))
 
 
+def test_region_membership_is_strict_and_nan_is_outside():
+    region = Region([(0.0, 1.0), (-math.inf, math.inf)])
+    assert region.lo == (0.0, -math.inf) and region.hi == (1.0, math.inf)
+    for point in [(1.0, 0.0), (math.nan, 0.0), (0.5, math.nan),
+                  (0.5, math.inf), (0.5,), (0.5, 0.0, 0.0)]:
+        assert not region.contains(point), point
+    assert region.contains((np.float64(0.5), -1e308))
+    assert Region([]).contains(())
+
+
 def test_region_rejects_empty_interval():
     with pytest.raises(ValueError):
         Region([(1.0, 1.0)])
@@ -601,3 +611,54 @@ def test_on_grid_sends_a_non_finite_rest_to_floats():
     xs = batch_points(3)
     assert (field.on_grid(xs)(1, [0.5, math.inf])
             == field.floats((*xs[1].tolist(), 0.5, math.inf)))
+
+
+# --- repeated entries: evaluated once per point, then copied ------------------
+
+POLE = "1/(x1 - 1.25)"
+
+
+def test_repeated_entries_are_evaluated_once_and_copied():
+    field = MatrixField.from_exprs([[POLE, "x2"], [POLE, POLE]], XY)
+    assert [pos for pos, _, _ in field._dynamic] == [0, 1]
+    assert field._copies == [(2, 0), (3, 0)]
+    points = batch_points(6)
+    want = np.array([[1.0 / (x1 - 1.25), x2, 1.0 / (x1 - 1.25),
+                      1.0 / (x1 - 1.25)] for x1, x2 in points.tolist()])
+    got = [field.floats(tuple(p)) for p in points.tolist()]
+    assert np.array(got).tobytes() == want.tobytes()
+    assert field.values(points).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda field, p: field.floats(p),
+    lambda field, p: field.values(np.array([p])),
+], ids=["floats", "values"])
+def test_repeated_entry_fails_as_its_first_occurrence(evaluate):
+    field = MatrixField.from_exprs([["x2", POLE], [POLE, "ln(x1 - 2)"]], XY)
+    with pytest.raises(NonFinite, match="^division by zero$"):
+        evaluate(field, (1.25, 0.5))
+    with pytest.raises(NonFinite, match="^ln: math domain error$"):
+        evaluate(field, (1.0, 0.5))
+
+
+def test_signed_zero_constants_keep_entries_apart():
+    plus, minus = (BinOp("*", Var("x1"), Const(z)) for z in (0.0, -0.0))
+    assert plus == minus                    # 0.0 == -0.0 in the dataclass
+    field = MatrixField.from_exprs([[plus, minus]], ("x1",))
+    assert field._copies == []
+    for row in (field.floats((1.0,)), field.values(np.array([[1.0]]))[0, 0]):
+        assert [math.copysign(1.0, v) for v in row] == [1.0, -1.0]
+
+
+def test_on_grid_copies_repeated_entries():
+    entries = [["u1*sin(x1)", "u2 + x2"], ["u1*sin(x1)", "u2 + x2"]]
+    field = MatrixField.from_exprs(entries, XU)
+    assert field._copies == [(2, 0), (3, 1)]
+    xs = batch_points(7)
+    at = field.on_grid(xs)
+    for k, x in enumerate(xs.tolist()):
+        point = (*x, 0.7, -1.3)
+        want = [ScalarField(e, XU)(point) for row in entries for e in row]
+        assert np.array(at(k, [0.7, -1.3])).tobytes() == np.array(
+            want).tobytes()

@@ -19,12 +19,15 @@ from bundleconn.connection import (
     base_names,
 )
 from bundleconn.errors import DomainExit, NonFinite, StepCountTooSmall
-from bundleconn.fields import MatrixField, ScalarField
+from bundleconn.fields import MatrixField, ScalarField, _FieldArray
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
+    _contract,
     _geodesic_acceleration,
+    _geodesic_rows,
     _grid,
+    _index_plan,
     _linear_rhs_matrices,
     _transport_linear_system,
     covariant_derivative_limit,
@@ -426,6 +429,10 @@ def test_affine_gvecs_equal_per_node_loop(path_kind, inhom_kind):
 # --- the batched right-hand sides of the midpoint defect ------------------------
 
 NONLINEAR_G2 = [["u1*x1 + u2", "u2*u2 - x2"], ["cos(u1)", "x1*u2"]]
+# constant zeros and a repeated entry
+SPARSE_G2 = [["u1*x1 + u2", "0"], ["u1*x1 + u2", "cos(u1)"]]
+SPARSE_STACK = [[["0", "0.3*x1*x2"], ["0.3*x1*x2", "0"]],
+                [["0.1*x2", "0"], ["0", "0.3*x1*x2"]]]
 
 
 def run_driver(case):
@@ -445,13 +452,19 @@ def run_driver(case):
             TwoIndexField.from_exprs(NONLINEAR_G2, 2, 2), expr_path,
             [0.3, 0.4]),
         "geodesic": lambda: geodesic(sphere, (1.0, 0.2), (0.3, 0.7), 2.0, 64),
+        "general-sparse": lambda: transport_general(
+            TwoIndexField.from_exprs(SPARSE_G2, 2, 2), expr_path, [0.3, 0.4]),
+        "geodesic-sparse": lambda: geodesic(
+            CoefficientField3.from_exprs(SPARSE_STACK), (1.0, 0.2),
+            (0.3, 0.7), 2.0, 64),
     }
     return runs[case]()
 
 
 @pytest.mark.parametrize("case", ["linear-vector", "linear-skew-r3",
                                   "linear-matrix", "affine", "general",
-                                  "geodesic"])
+                                  "geodesic", "general-sparse",
+                                  "geodesic-sparse"])
 def test_batched_rhs_equals_per_step_rhs_bitwise(case, monkeypatch):
     calls = []
     rk4 = transport._rk4
@@ -488,8 +501,97 @@ def test_geodesic_acceleration_equals_einsum_bytewise(n):
             G[rng.random((n, n, n)) < 0.5] = 0.0    # signed-zero products
         v = rng.standard_normal(n)
         want = -np.einsum("nml,l,n->m", G, v, v)
-        got = _geodesic_acceleration(G.ravel().tolist(), v.tolist())
+        got = _geodesic_acceleration(_geodesic_rows(n), G.ravel().tolist(),
+                                     v.tolist())
         assert np.array(got).tobytes() == want.tobytes(), (G, v)
+
+
+# entries of the plan fields: constant zeros of both signs, constants, and
+# expressions in x1 > 0, repeated across the array ("-0*x1" is a live -0.0)
+PLAN_EXPRS = ["0.5*x1 - 1.25", "-0*x1", "x1*x1 + 1.5", "cos(x1)"]
+
+
+def plan_field(rng, shape, zero_rows):
+    """A field over x1..xn (n = shape[-1]) of random PLAN_EXPRS entries and
+    constants, with each index slice in zero_rows set to the constant 0.0."""
+    entries = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        scale = 10.0 ** rng.integers(-3, 3)
+        pool = [0.0, -0.0, float(rng.standard_normal() * scale), *PLAN_EXPRS]
+        entries[idx] = pool[rng.integers(len(pool))]
+    for rows in zero_rows:
+        entries[rows] = 0.0
+    return _FieldArray(shape, base_names(shape[-1]), entries=entries.tolist())
+
+
+def signed_zero_vectors(rng, k, n):
+    v = rng.standard_normal((k, n))
+    v[rng.random((k, n)) < 0.2] = 0.0
+    v[rng.random((k, n)) < 0.2] = -0.0
+    return v
+
+
+def einsum_geodesic(G, v):
+    return -np.einsum("nml,l,n->m", G, v, v)
+
+
+def ordered_row_sums(G, v):
+    """sum_mu G[a, mu] v[mu] from 0.0 in mu order (np.einsum sums these rows
+    in another order for n >= 3)."""
+    out = np.zeros(len(G))
+    for a, row in enumerate(G):
+        for g, vl in zip(row, v):
+            out[a] = out[a] + g * vl
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_plan_equals_dense_plan_and_einsum_bytewise(n):
+    # geodesic rows (against einsum) and general-transport rows (against
+    # ordered row sums), with and without their constant-0.0 entries, on
+    # floats and on numpy columns
+    rng = np.random.default_rng(100 + n)
+    general_rows = [[(None, [(a * n + mu, mu) for mu in range(n)])]
+                    for a in range(n)]
+    for trial in range(60):
+        # output row m without entries; now and then every row
+        m = int(rng.integers(n))
+        geo, gen = (((slice(None), m),), (m,)) if trial % 3 == 0 else ((), ())
+        if trial % 10 == 0:
+            geo = gen = (Ellipsis,)
+        fields = {
+            "geodesic": (plan_field(rng, (n, n, n), geo), _geodesic_rows(n),
+                         einsum_geodesic, _geodesic_acceleration),
+            "general": (plan_field(rng, (n, n), gen), general_rows,
+                        ordered_row_sums, _contract),
+        }
+        points = np.column_stack([0.2 + rng.random(8), rng.random((8, n - 1))])
+        vs = signed_zero_vectors(rng, 8, n)
+        for name, (field, dense, reference, contract) in fields.items():
+            sparse = _index_plan(field, dense)
+            G = field.values(points)
+            columns = contract(sparse, G.reshape(8, -1).T, list(vs.T),
+                               np.zeros(8))
+            for j, (p, v) in enumerate(zip(points, vs)):
+                flat = field.floats(tuple(p.tolist()))
+                want = reference(np.reshape(flat, field.shape), v)
+                for plan in (dense, sparse):
+                    got = np.array(contract(plan, flat, v.tolist()))
+                    assert got.tobytes() == want.tobytes(), (name, field, v)
+                row = np.array([c[j] for c in columns])
+                assert row.tobytes() == want.tobytes(), (name, field, v)
+
+
+def test_index_plan_skips_only_constant_zeros():
+    g3 = CoefficientField3.from_exprs([[["0", "x1"], ["2", "x1"]],
+                                       [["-0*x1", "0.0"], ["0", "x2"]]])
+    rows = _geodesic_rows(2)
+    assert _index_plan(g3, rows) == [[(0, [(1, 1)]), (1, [(4, 0)])],
+                                     [(0, [(2, 0), (3, 1)]), (1, [(7, 1)])]]
+    assert _index_plan(None, rows) == rows
+    callable_g3 = CoefficientField3.from_callable(
+        lambda x1, x2: np.zeros((2, 2, 2)), 2, 2)
+    assert _index_plan(callable_g3, rows) == rows
 
 
 # final values and max_residual of each driver on a fixed config, as .17g
@@ -568,6 +670,18 @@ def test_two_index_transport_memory_peak():
     assert peak <= 2.5e6
 
 
+def test_geodesic_memory_peak():
+    # the index plans are built once per call: no step-sized list
+    g3 = make_sphere_lc().g3
+    tracemalloc.start()
+    try:
+        geodesic(g3, (1.0, 0.2), (0.3, 0.7), 2.0, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
 def two_index_config(entry, initial, points, region=None):
     cfg = {"base_dim": 2, "fibre_rank": 2, "initial": initial,
            "path": {"points": points, "steps": 200},
@@ -626,5 +740,51 @@ def test_two_index_transport_failures_keep_their_stdout(tmp_path, cfg, kind,
         code = cli.main(["transport", "--config", str(path)])
     assert code == 1
     assert out.getvalue() == ('{"command": "transport", "error": '
+                              f'{{"message": {json.dumps(message)}, '
+                              f'"type": "{kind}"}}}}\n')
+
+
+GUARD_STACKS = [[["0", "0"], ["0", "1e200*x1"]], [["0", "0"], ["0", "0"]]]
+REPEATED_POLE = "1/(x1 - 1.25)"
+
+# stdout recorded before the constant-zero entries were skipped: a velocity
+# that overflows to inf meets 0 * inf = NaN in the dense contraction, and
+# the sparse one must not turn that into a different failure; a repeated
+# entry fails where its first occurrence does
+CONTRACTION_FAILURES = {
+    "infinite-velocity": ("geodesic", {
+        "base_dim": 2, "fibre_rank": 2,
+        "connection": {"kind": "three_index", "stacks": GUARD_STACKS},
+        "x0": [1.0, 0.5], "v0": [1e100, 1e100], "T": 1.0, "steps": 16},
+        "NonFinite", "variable x1 is nan"),
+    "infinite-velocity-in-a-region": ("geodesic", {
+        "base_dim": 2, "fibre_rank": 2, "region": [[0.1, 3.0], None],
+        "connection": {"kind": "three_index", "stacks": GUARD_STACKS},
+        "x0": [1.0, 0.5], "v0": [1e100, 1e100], "T": 1.0, "steps": 16},
+        "DomainExit", "point (3.125e+98, 3.125e+98) outside region "
+        "((0.1, 3.0), (-inf, inf))"),
+    "repeated-entry-at-its-pole": ("transport", {
+        "base_dim": 2, "fibre_rank": 2,
+        "connection": {"kind": "three_index", "stacks": [
+            [["0", REPEATED_POLE], [REPEATED_POLE, "0"]],
+            [["0", "0"], ["0", REPEATED_POLE]]]},
+        "path": {"points": [[1.0, 0.0], [1.5, 0.5]], "steps": 8},
+        "initial": [1.0, 0.5]},
+        "NonFinite", "division by zero"),
+}
+
+
+@pytest.mark.parametrize("command, cfg, kind, message",
+                         CONTRACTION_FAILURES.values(),
+                         ids=list(CONTRACTION_FAILURES))
+def test_contraction_failures_keep_their_stdout(tmp_path, command, cfg, kind,
+                                                message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--config", str(path)])
+    assert code == 1
+    assert out.getvalue() == (f'{{"command": "{command}", "error": '
                               f'{{"message": {json.dumps(message)}, '
                               f'"type": "{kind}"}}}}\n')
