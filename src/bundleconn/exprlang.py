@@ -10,7 +10,6 @@ infinity at any node raises NonFinite instead of propagating.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,11 +255,10 @@ def _call_parts(node):
     return _CALL_IMPL[node.func], node.func, node.args
 
 
-def _compile(ast, names, checked):
+def _compile(ast, names):
     """Compile a node to a closure over a positional point: variables are
     resolved to their index in `names` now, so a name outside it raises
-    UnboundVariable at compile time rather than per evaluation. Unchecked
-    leaves are operator.itemgetter, for points the caller has checked."""
+    UnboundVariable at compile time rather than per evaluation."""
     if isinstance(ast, Const):
         value = float(ast.value)
         if not math.isfinite(value):
@@ -272,8 +270,6 @@ def _compile(ast, names, checked):
             idx = names.index(name)
         except ValueError:
             raise UnboundVariable(name) from None
-        if not checked:
-            return operator.itemgetter(idx)
 
         def get(env):
             v = env[idx]
@@ -282,11 +278,11 @@ def _compile(ast, names, checked):
             raise NonFinite(f"variable {name} is {v!r}")
         return get
     if isinstance(ast, Neg):
-        f = _compile(ast.operand, names, checked)
+        f = _compile(ast.operand, names)
         return lambda env: -f(env)
     if isinstance(ast, BinOp) and ast.op != "^":
-        lf = _compile(ast.lhs, names, checked)
-        rf = _compile(ast.rhs, names, checked)
+        lf = _compile(ast.lhs, names)
+        rf = _compile(ast.rhs, names)
         op = ast.op
         if op == "+":
             def run(env):
@@ -319,7 +315,7 @@ def _compile(ast, names, checked):
                 raise NonFinite("overflow in '/'")
         return run
     impl, name, args = _call_parts(ast)
-    arg_fns = tuple(_compile(a, names, checked) for a in args)
+    arg_fns = tuple(_compile(a, names) for a in args)
     # one closure per arity: a generic impl(*args) costs more per call
     if len(arg_fns) == 1:
         af = arg_fns[0]
@@ -346,11 +342,10 @@ def _compile(ast, names, checked):
     return run
 
 
-def compile_fn(ast, names, checked=True):
+def compile_fn(ast, names):
     """Compile an AST into a closure over a positional coordinate tuple
-    ordered as `names`; checked=False leaves the test of non-finite
-    coordinates to the caller."""
-    return _compile(ast, tuple(names), checked)
+    ordered as `names`."""
+    return _compile(ast, tuple(names))
 
 
 def evaluate(ast, scope):
@@ -360,6 +355,44 @@ def evaluate(ast, scope):
     the result or any intermediate is NaN or infinite.
     """
     return compile_fn(ast, scope)(tuple(float(v) for v in scope.values()))
+
+
+# the names a kernel's source may call: the grammar functions under their
+# own names ('^' is pow), the finiteness test, and inf for unbounded axes
+KERNEL_GLOBALS = {**_CALL_IMPL, "isfinite": math.isfinite, "inf": math.inf}
+
+
+def ssa_lines(asts, names):
+    """Unchecked statements t{j} = ... of a compiled kernel (fields), one per
+    operator node with compile_fn's IEEE operations in its order, over v{i}
+    (names[i]): (statements, each AST's value, operands to test). A NaN or
+    infinity at a node makes an operation raise or reaches a value or an
+    operand that could turn it finite: a divisor, the argument of exp, both
+    of pow and '^'. Only generated names, float reprs and KERNEL_GLOBALS
+    keys reach the statements."""
+    lines, tested = [], []
+
+    def emit(node):
+        if isinstance(node, Const):
+            return f"({float(node.value)!r})"
+        if isinstance(node, Var):
+            return f"v{names.index(node.name)}"
+        if isinstance(node, Neg):
+            text = f"-{emit(node.operand)}"
+        elif isinstance(node, BinOp) and node.op != "^":
+            lhs, rhs = emit(node.lhs), emit(node.rhs)
+            tested.extend([rhs] if node.op == "/" else [])
+            text = f"{lhs} {node.op} {rhs}"
+        else:
+            func = node.func if isinstance(node, Call) else "pow"
+            args = [emit(arg) for arg in _call_parts(node)[2]]
+            tested.extend(args if func in ("exp", "pow") else [])
+            text = f"{func}({', '.join(args)})"
+        lines.append(f"t{len(lines)} = {text}")
+        return f"t{len(lines) - 1}"
+
+    values = [emit(ast) for ast in asts]
+    return lines, values, tested
 
 
 def stage(ast, ahead, parts=None):

@@ -16,8 +16,8 @@ import operator
 import numpy as np
 
 from .errors import DomainExit, NonFinite, SingularFrame
-from .exprlang import (Const, ExprAst, compile_batch, compile_fn, parse,
-                       stage)
+from .exprlang import (KERNEL_GLOBALS, Const, ExprAst, compile_batch,
+                       compile_fn, parse, ssa_lines, stage)
 
 SINGULAR_DET = 1e-12
 FD_STEP_FIRST = 1e-5
@@ -158,18 +158,18 @@ class _FieldArray:
 
     def on_grid(self, xs):
         """at(k, rest) == self.floats((*xs[k].tolist(), *rest)) bitwise, for
-        a (K, n) grid over the first n names and a float list rest: at()
-        walks only the spines of the entries (exprlang.stage), on one row
-        of their base-only parts, evaluated for all K rows at once. A
-        callable, a failing batch or a non-finite rest takes floats."""
+        a (K, n) grid over the first n names and a float list rest: at() is
+        a kernel (_kernel) of the spines of the entries (exprlang.stage), on
+        one row of their base-only parts, evaluated for all K rows at once.
+        A callable or a failing batch takes floats."""
         def plain(k, rest):
             return self.floats((*xs[k].tolist(), *rest))
 
         if self._array_fn is not None or not self._ast_only:
             return plain
         n, parts = xs.shape[1], []
-        spines = [(pos, stage(ast, self.names[:n], parts)[0])
-                  for pos, _, ast in self._dynamic]
+        spines = [stage(ast, self.names[:n], parts)[0]
+                  for _, _, ast in self._dynamic]
         try:
             table = np.column_stack([xs] + [
                 compile_batch(part, self.names[:n])(*xs.T) for part in parts])
@@ -177,22 +177,55 @@ class _FieldArray:
             return plain
         names = (self.names[:n] + tuple(f"@{i}" for i in range(len(parts)))
                  + self.names[n:])
-        spines = [(pos, compile_fn(spine, names, checked=False))
-                  for pos, spine in spines]
+        return self._kernel(spines, names, plain, table)
 
-        def at(k, rest):
-            if not all(map(math.isfinite, rest)):
-                return plain(k, rest)
-            row = table[k].tolist()
-            if self.region is not None:
-                self.region.require((*row[:n], *rest))
-            out, env = self._template.copy(), row + rest
-            for pos, fn in spines:
-                out[pos] = fn(env)
-            for pos, src in self._copies:
-                out[pos] = out[src]
-            return out
-        return at
+    def kernel(self):
+        """kernel(p) == self.floats(p) for a point p of Python floats, one
+        compiled function (_kernel) worth its ~0.25 ms only to a solver that
+        evaluates at thousands of points; floats itself for a callable."""
+        if self._array_fn is not None or not self._ast_only:
+            return self.floats
+        return self._kernel([ast for *_, ast in self._dynamic], self.names,
+                            self.floats)
+
+    def _kernel(self, asts, names, fallback, table=None):
+        """Compile kernel(p) over `names`, or kernel(k, p) reading the first
+        names from table[k]: one frame that tests the region bounds as
+        Region.contains does and returns the flat list of the entry ASTs
+        (exprlang.ssa_lines), or fallback(...) of its arguments after a
+        libm error, a zero divisor, a point outside, or a non-finite value
+        or tested operand, so every value and error is fallback's."""
+        head = 0 if table is None else table.shape[1]
+        coords = [i for i, name in enumerate(names) if name in self.names]
+        if self.region is not None and self.region.dim != len(coords):
+            return fallback
+        lines, values, tested = ssa_lines(asts, names)
+        out = [repr(c) for c in self._template]
+        for (pos, *_), value in zip(self._dynamic, values):
+            out[pos] = value
+        for pos, src in self._copies:
+            out[pos] = out[src]
+        checks = [v for v in dict.fromkeys(values + tested) if v[0] != "("]
+        bounds = [f"{lo!r} < v{i} < {hi!r}" for i, (lo, hi) in
+                  zip(coords, self.region.bounds if self.region else ())]
+        v, args = [f"v{i}" for i in range(len(names))], "k, p" if head else "p"
+        source = "\n".join([
+            f"def kernel({args}):",
+            f"    if len(p) == {len(names) - head}:",
+            f"        [{', '.join(v[:head])}] = table[k].tolist()" * bool(head),
+            f"        [{', '.join(v[head:])}] = p",
+            f"        if {' and '.join(bounds) or 'True'}:",
+            "            try:",
+            *(f"                {line}" for line in lines or ["pass"]),
+            "            except (ValueError, OverflowError, ZeroDivisionError):",
+            "                pass",
+            "            else:",
+            f"                if isfinite({' + '.join(checks) or '0.0'}):",
+            f"                    return [{', '.join(out)}]",
+            f"    return fallback({args})"])
+        namespace = dict(KERNEL_GLOBALS, fallback=fallback, table=table)
+        exec(compile(source, "<kernel>", "exec"), namespace)
+        return namespace.pop("kernel")    # no cycle through its globals
 
     def values(self, points):
         """The field at every row of a (K, dim) point array, shape

@@ -11,7 +11,10 @@ through one index plan per driver call (_contract), in np.einsum order and
 without the entries that are the constant 0.0, which their batched forms
 repeat on numpy columns. The two-index entries are staged on the grid
 (_FieldArray.on_grid): their base-only subtrees are evaluated at every
-node first, so a step evaluates only the fibre-dependent spine.
+node first, so a step evaluates only the fibre-dependent spine. Both
+state-dependent right-hand sides evaluate their field through one
+compiled kernel per call (_FieldArray.kernel, on_grid), which falls back
+to the checked closures per point.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -312,11 +315,12 @@ def geodesic(g3, x0, v0, T, steps):
                  float(T) * np.arange(steps + 1) / steps)
     dense = _geodesic_rows(n)
     sparse = _index_plan(g3, dense)
+    coefficients = g3.kernel()
 
     def rhs(_, s):
         v = s[n:]
         plan = sparse if all(map(math.isfinite, v)) else dense
-        return v + _geodesic_acceleration(plan, g3.floats(s[:n]), v)
+        return v + _geodesic_acceleration(plan, coefficients(s[:n]), v)
 
     def rhs_many(_, ss):
         G = g3.values(ss[:, :n]).reshape(len(ss), -1).T

@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 from bundleconn.errors import NonFinite, ParseError, UnboundVariable
 from bundleconn.exprlang import (
     MAX_DEPTH, BinOp, Call, Const, Neg, Var, compile_fn, evaluate, parse,
-    pretty, stage,
+    pretty, ssa_lines, stage,
 )
+from bundleconn.fields import ScalarField
 from bundleconn.registry import make_pure_gauge
 
 from _oracle_parser import (
@@ -301,9 +302,13 @@ def test_stage_appends_to_the_given_parts():
 
 
 def test_unchecked_leaves_read_without_the_finiteness_test():
+    # a compiled kernel reads its leaves unchecked: an infinite one reaches
+    # the value, and the checked closure it falls back to names the leaf
     ast = parse("u1 + x1")
     with pytest.raises(NonFinite, match="variable u1 is inf"):
         compile_fn(ast, ("x1", "u1"))((1.0, math.inf))
-    assert compile_fn(ast, ("x1", "u1"), checked=False)((1.0, 2.0)) == 3.0
-    with pytest.raises(NonFinite, match="overflow in '\\+'"):
-        compile_fn(ast, ("x1", "u1"), checked=False)((1.0, math.inf))
+    assert ssa_lines([ast], ("x1", "u1")) == (["t0 = v1 + v0"], ["t0"], [])
+    kernel = ScalarField(ast, ("x1", "u1")).kernel()
+    assert kernel([1.0, 2.0]) == [3.0]
+    with pytest.raises(NonFinite, match="^variable u1 is inf$"):
+        kernel([1.0, math.inf])

@@ -1,7 +1,13 @@
 """Field containers, finite differences, and the Lie-calculus toolkit."""
 
+import functools
+import gc
+import io
 import math
 import random
+import re
+import tokenize
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +20,9 @@ from bundleconn.errors import (
     NonFinite,
     SingularFrame,
 )
-from bundleconn.exprlang import FUNCTION_ARITY, BinOp, Call, Const, Neg, Var
+from bundleconn import fields
+from bundleconn.exprlang import (FUNCTION_ARITY, MAX_DEPTH, BinOp, Call, Const,
+                                 Neg, Var, parse, ssa_lines)
 from bundleconn.fields import (
     FD_STEP_FIRST,
     FD_STEP_NESTED,
@@ -662,3 +670,203 @@ def test_on_grid_copies_repeated_entries():
         want = [ScalarField(e, XU)(point) for row in entries for e in row]
         assert np.array(at(k, [0.7, -1.3])).tobytes() == np.array(
             want).tobytes()
+
+
+# --- compiled per-point kernels: kernel() and on_grid ------------------------
+
+# signed zeros, subnormals, huge and non-finite values, and the region
+# bounds of KERNEL_REGIONS, which are outside (open intervals)
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, math.inf,
+           -math.inf, math.nan, 2.5, -2.5, 2.0, -1.0]
+kernel_coordinate = st.one_of(coordinate, st.sampled_from(SPECIAL))
+
+
+def kernel_trees():
+    """Trees over XU with every grammar function, '^' and '/', and
+    constants of both signs, tiny and huge."""
+    leaves = st.one_of(
+        st.builds(Const, st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e-320,
+                                          1e308])),
+        st.builds(Var, st.sampled_from(XU)))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+            st.builds(lambda f, a: Call(f, (a,)),
+                      st.sampled_from(sorted(f for f, n in
+                                             FUNCTION_ARITY.items()
+                                             if n == 1)),
+                      children),
+            st.builds(lambda a, b: Call("pow", (a, b)), children, children))
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+KERNEL_REGIONS = [
+    None,
+    Region([(-2.5, 2.5)] * 4),
+    Region([(-math.inf, 2.0), (-1.0, math.inf), (-math.inf, math.inf),
+            (-math.inf, math.inf)]),
+    Region([(-3.0, 3.0)] * 3),          # wrong dimension: always outside
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(kernel_trees(), min_size=4, max_size=4),
+       points=st.lists(st.lists(kernel_coordinate, min_size=4, max_size=4),
+                       min_size=1, max_size=6),
+       region=st.sampled_from(KERNEL_REGIONS))
+def test_kernel_equals_floats_bitwise(entries, points, region):
+    field = MatrixField.from_exprs([entries[:2], [entries[0], entries[3]]],
+                                   XU, region)
+    kernel = field.kernel()
+    at = field.on_grid(np.array([p[:2] for p in points]))
+    for k, p in enumerate(points):
+        assert outcome(lambda: kernel(p)) == outcome(lambda: field.floats(p))
+        assert outcome(lambda: at(k, p[2:])) == outcome(
+            lambda: field.floats(p))
+
+
+@pytest.mark.parametrize("source", [
+    "x1/(u1*1e308*1e10)", "exp(-(u1*1e308*1e10))", "pow(u1*1e308*1e10, 0)",
+    "(u1*1e308*1e10)^(-1)"])
+def test_kernel_tests_the_operands_that_absorb_an_infinity(source):
+    # unchecked, the overflow would end in 0.0 or 1.0: the kernel tests the
+    # divisor, the argument of exp and both of pow, so it falls back
+    field = ScalarField(source, XU)
+    point = [0.5, 0.5, 2.0, 1.0]
+    for evaluate in (field.floats, field.kernel(),
+                     lambda p: field.on_grid(np.array([p[:2]]))(0, p[2:])):
+        with pytest.raises(NonFinite, match="^overflow in '\\*'$"):
+            evaluate(point)
+
+
+@pytest.mark.parametrize("region", KERNEL_REGIONS[1:3])
+def test_kernel_region_bounds_are_open(region):
+    field = MatrixField.from_exprs([["x1*u1", "x2 + u2"]], XU, region)
+    for axis, (lo, hi) in enumerate(region.bounds):
+        for bound in (lo, hi):
+            point = [0.5, 0.5, 0.5, 0.5]
+            point[axis] = bound
+            assert outcome(lambda: field.kernel()(point)) == outcome(
+                lambda: field.floats(point)) == (
+                DomainExit, f"point {tuple(point)} outside region "
+                f"{region.bounds}")
+
+
+def test_kernel_of_a_region_of_the_wrong_dimension_always_exits():
+    field = MatrixField.from_exprs([["x1*u1", "2"]], XU,
+                                   Region([(-3.0, 3.0)] * 3))
+    with pytest.raises(DomainExit):
+        field.floats([0.5, 0.5, 1.0, 1.0])
+    with pytest.raises(DomainExit):
+        field.kernel()([0.5, 0.5, 1.0, 1.0])
+    # a point as short as the region is inside, and u2 is never read
+    assert field.kernel()([0.5, 0.5, 1.0]) == field.floats(
+        [0.5, 0.5, 1.0]) == [0.5, 2.0]
+
+
+def test_kernel_without_a_region_ignores_an_unread_infinity():
+    field = MatrixField.from_exprs([["2*x1", "sin(u1)"]], XU)
+    point = [0.5, math.inf, 1.0, -math.inf]
+    assert field.kernel()(point) == field.floats(point) == [1.0, math.sin(1.0)]
+
+
+def kernel_source(field, monkeypatch):
+    """The source text field.kernel() compiles."""
+    sources = []
+    compile_ = compile
+    monkeypatch.setattr(fields, "compile",
+                        lambda text, *a: sources.append(text)
+                        or compile_(text, *a), raising=False)
+    field.kernel()
+    return sources[-1]
+
+
+SSA_NAME = re.compile(r"[tv]\d+")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=kernel_trees())
+def test_kernel_statements_hold_only_generated_names(tree):
+    lines, values, tested = ssa_lines([tree], XU)
+    assert set(values + tested) <= {
+        *(line.split(" = ")[0] for line in lines),
+        *(f"v{i}" for i in range(len(XU)))} | {
+        v for v in values + tested if v.startswith("(")}
+    for line in lines:
+        for tok in tokenize.generate_tokens(io.StringIO(line).readline):
+            if tok.type == tokenize.NAME:
+                assert (SSA_NAME.fullmatch(tok.string)
+                        or tok.string in FUNCTION_ARITY), line
+            elif tok.type == tokenize.NUMBER:
+                assert repr(float(tok.string)) == tok.string, line
+            elif tok.type == tokenize.OP:
+                assert tok.string in "+-*/(),=", line
+            else:
+                assert tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER)
+
+
+def test_kernel_source_names_no_variable_of_the_field(monkeypatch):
+    names = ("__import__", "exec")
+    field = MatrixField.from_exprs(
+        [[BinOp("+", Var("__import__"), Var("exec")), "sin(exec)"]], names,
+        Region([(-1.0, 1.0), (0.0, math.inf)]))
+    source = kernel_source(field, monkeypatch)
+    assert "import" not in source and "exec" not in source
+    idents = {tok.string for tok in tokenize.generate_tokens(
+        io.StringIO(source).readline) if tok.type == tokenize.NAME}
+    fixed = {"def", "kernel", "p", "if", "len", "and", "try", "except",
+             "ValueError", "OverflowError", "ZeroDivisionError", "pass",
+             "else", "return", "fallback", "isfinite", "inf"}
+    assert idents - fixed <= set(FUNCTION_ARITY) | {
+        i for i in idents if SSA_NAME.fullmatch(i)}
+    assert field.kernel()([0.5, 2.0]) == field.floats([0.5, 2.0])
+
+
+def tree_depth(node):
+    kids = ((node.operand,) if isinstance(node, Neg) else
+            (node.lhs, node.rhs) if isinstance(node, BinOp) else
+            node.args if isinstance(node, Call) else ())
+    return 1 + max(map(tree_depth, kids), default=0)
+
+
+DEEP = {
+    "unary-minus": "-" * 99 + "x1",
+    "division": functools.reduce(lambda s, _: f"x1/({s} + 2)", range(49),
+                                 "x1"),
+    "calls": functools.reduce(
+        lambda s, f: f"{f}({s})",
+        ["sin", "cos", "exp", "ln", "abs", "sqrt", "tan", "cot"] * 12
+        + ["sin", "cos", "exp"], "x1"),
+    "power": "^".join(["x1"] * 100),
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP))
+def test_kernel_compiles_trees_max_depth_deep(case):
+    # SSA form has one statement per node, so no nesting limit of the
+    # Python compiler applies
+    ast = parse(DEEP[case])
+    assert tree_depth(ast) in (MAX_DEPTH - 1, MAX_DEPTH)
+    field = ScalarField(ast, ("x1",))
+    fell_back = []
+    kernel = field._kernel([ast], ("x1",),
+                           lambda p: fell_back.append(p) or field.floats(p))
+    for x in (0.7, 1.1, 1.3):
+        assert outcome(lambda: kernel([x])) == outcome(
+            lambda: field.floats([x]))
+    assert not fell_back
+
+
+def test_kernel_is_freed_without_the_cycle_collector():
+    # the staged table of a long path is large: the kernel must not keep
+    # it in a reference cycle with its own namespace until a gc pass
+    field = MatrixField.from_exprs([["u1*sin(x1)", "x2"]], XU)
+    gc.disable()
+    try:
+        refs = [weakref.ref(field.on_grid(batch_points(50))),
+                weakref.ref(field.kernel())]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

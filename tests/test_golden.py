@@ -1,12 +1,16 @@
 """Golden stdout of the command-line interface: one fixed config per command
-(three for transport: linear, affine and general), each pinned by the
-sha256 of its stdout. A change that moves any printed bit fails here; when
+(four for transport: linear, affine, general, and general leaving its
+region; two for geodesic), each pinned by the sha256 of its stdout. A change that moves any printed bit fails here; when
 one does on purpose, re-record only the pins it moves and say why.
 
 The general transport pin was re-recorded when two-index transport began
 contracting G[a, mu] dx^mu/dt on plain floats in index order instead of
 through numpy's matmul, which may fuse multiply-adds: its last bits moved.
-Every other pin is unchanged since it was first recorded."""
+Every other pin is unchanged since it was first recorded. The two pins of
+the compiled per-point kernels (a two-index transport with a repeated
+entry that leaves a bounded fibre region, exit 1, and a geodesic on an
+explicit stack with '/', exp and '^') were recorded before those kernels
+existed, on the checked closures they replace."""
 
 import contextlib
 import hashlib
@@ -16,6 +20,7 @@ import json
 import pytest
 
 from bundleconn import cli
+from bundleconn.fields import _FieldArray
 
 SPHERE_STACKS = [
     [["0", "0"], ["0", "cot(x1)"]],
@@ -88,7 +93,28 @@ GOLDEN = {
         "point": [0.5, 0.8, 0.7, -0.2],
         "sample_points": [[0.3, 0.4, 1.0, 0.5]]},
         "67287bb5fc4328048e13a8ffd90fce0b3be0e15809d6bbf48575092087b361a4"),
+    "transport-general-region-exit": ("transport", {
+        "base_dim": 2, "fibre_rank": 2,
+        "region": [[-5.0, 5.0], [-5.0, 5.0], [-0.5, 0.5], [-10.0, 10.0]],
+        "connection": {"kind": "two_index", "matrix": [
+            ["cot(x1 + u1)", "0.3*u2"], ["cot(x1 + u1)", "u1*x2"]]},
+        "path": {"points": [[0.2, 0.1], [0.9, 0.7]], "steps": 200},
+        "initial": [0.4, 0.3]},
+        "1399f7f7cc2fe4a0d795c21b66717455cfe8bd25cec4f54a76429ca49bb85f7a"),
+    "geodesic-three-index": ("geodesic", {
+        "base_dim": 2, "fibre_rank": 2,
+        "connection": {"kind": "three_index", "stacks": [
+            [["0.1*x1/(2 + x2^2)", "0"], ["0", "0.2*exp(-x1)*x2"]],
+            [["0", "0.05*x1^2/(1 + exp(x2))"], ["0.3/(1 + x1^2)", "0"]]]},
+        "x0": [0.4, -0.3], "v0": [0.8, 0.5], "T": 1.5, "steps": 300},
+        "2594a8958a5828d884387bc1d180727a0ece4137cefa2e44e31409aa4719f77e"),
 }
+# the exit code of a pin that ends in an error line (0 for the others)
+EXIT_CODES = {"transport-general-region-exit": 1}
+# compiled kernels per run: one per state-dependent transport or geodesic,
+# none for the commands that evaluate fields at few points or on whole grids
+KERNELS = {"transport-general": 1, "transport-general-region-exit": 1,
+           "geodesic": 1, "geodesic-three-index": 1}
 
 
 def stdout_of(tmp_path, command, cfg):
@@ -104,5 +130,16 @@ def stdout_of(tmp_path, command, cfg):
 def test_stdout_matches_the_golden_sha256(tmp_path, case):
     command, cfg, digest = GOLDEN[case]
     code, out = stdout_of(tmp_path, command, cfg)
-    assert code == 0, out
+    assert code == EXIT_CODES.get(case, 0), out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_one_kernel_per_state_dependent_run(tmp_path, monkeypatch, case):
+    built = []
+    kernel = _FieldArray._kernel
+    monkeypatch.setattr(_FieldArray, "_kernel",
+                        lambda self, *a: built.append(a) or kernel(self, *a))
+    command, cfg, _ = GOLDEN[case]
+    stdout_of(tmp_path, command, cfg)
+    assert len(built) == KERNELS.get(case, 0)

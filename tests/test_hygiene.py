@@ -13,6 +13,7 @@ import pytest
 
 from bundleconn import exprlang
 from bundleconn.errors import NonFinite
+from bundleconn.fields import ScalarField
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bundleconn"
 TESTS = Path(__file__).resolve().parent
@@ -262,19 +263,28 @@ def test_second_step_loop_and_defect_are_reported():
 
 def staged_values(node, cols, us):
     """A tree over (x1, x2, u1) evaluated the staged way, as bytes per
-    point: the base-only parts in one batch, then the spine per point."""
+    point: the base-only parts in one batch, then the spine per point, in
+    a compiled kernel that may not fall back to the checked closures."""
     spine, parts = exprlang.stage(node, ("x1", "x2"))
-    table = [exprlang.compile_batch(part, ("x1", "x2"))(*cols)
-             for part in parts]
+    table = np.column_stack([*cols, *(
+        exprlang.compile_batch(part, ("x1", "x2"))(*cols) for part in parts)])
     names = ("x1", "x2", *(f"@{i}" for i in range(len(parts))), "u1")
-    fn = exprlang.compile_fn(spine, names, checked=False)
-    rows = np.column_stack([*cols, *table, us]).tolist()
-    return np.array([fn(row) for row in rows]).tobytes()
+
+    def no_fallback(k, p):
+        raise AssertionError(f"the kernel fell back at row {k}")
+
+    field = ScalarField(node, ("x1", "x2", "u1"))
+    kernel = field._kernel([spine], names, no_fallback, table)
+    return np.array([kernel(k, [u])[0]
+                     for k, u in enumerate(us.tolist())]).tobytes()
 
 
 def test_batch_compiler_handles_exactly_the_grammar_functions():
-    # compile_batch dispatches calls through _CALL_IMPL, like compile_fn
+    # compile_batch dispatches calls through _CALL_IMPL, like compile_fn,
+    # and a compiled kernel calls the same functions under their names
     assert set(exprlang._CALL_IMPL) == set(exprlang.FUNCTION_ARITY)
+    assert all(exprlang.KERNEL_GLOBALS[name] is impl
+               for name, impl in exprlang._CALL_IMPL.items())
     names = ("x1", "x2")
     cols = (np.linspace(0.1, 1.4, 7), np.linspace(0.3, 0.9, 7))
     for func, arity in exprlang.FUNCTION_ARITY.items():
@@ -284,7 +294,7 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
         point = exprlang.compile_fn(node, names)
         assert np.array_equal(batch, [point(p) for p in zip(*cols)]), func
     # staged: the function as a base-only part (compile_batch) and, with
-    # a fibre argument, in the spine (compile_fn with unchecked leaves)
+    # a fibre argument, in the spine (a compiled kernel)
     xu = ("x1", "x2", "u1")
     us = np.linspace(0.2, 1.3, 7)
     for func, arity in [*exprlang.FUNCTION_ARITY.items(), ("^", 2)]:
