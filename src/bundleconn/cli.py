@@ -253,6 +253,8 @@ class Problem:
             if name not in cfg:
                 return default
             value = cfg[name]
+        if cast is int and type(value) is not int:
+            raise ConfigError(f"{name} must be an integer")
         if not _is_number(value):
             raise ConfigError(f"{name} must be a finite number")
         return cast(value)

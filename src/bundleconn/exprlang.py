@@ -362,15 +362,28 @@ def evaluate(ast, scope):
 KERNEL_GLOBALS = {**_CALL_IMPL, "isfinite": math.isfinite, "inf": math.inf}
 
 
+class Code(str):
+    """Source text of a float expression: +, * and unary minus build the
+    text of the operation, so float code run on Code returns its source."""
+    __add__ = lambda a, b: Code(f"({a} + {b})")
+    __radd__ = lambda a, b: Code(f"({b!r} + {a})")
+    __mul__ = lambda a, b: Code(f"({a} * {b})")
+    __neg__ = lambda a: Code(f"(-{a})")
+
+
 def ssa_lines(asts, names):
     """Unchecked statements t{j} = ... of a compiled kernel (fields), one per
     operator node with compile_fn's IEEE operations in its order, over v{i}
     (names[i]): (statements, each AST's value, operands to test). A NaN or
     infinity at a node makes an operation raise or reaches a value or an
     operand that could turn it finite: a divisor, the argument of exp, both
-    of pow and '^'. Only generated names, float reprs and KERNEL_GLOBALS
-    keys reach the statements."""
-    lines, tested = [], []
+    of pow and '^'. cot(a) is cos(a) / sin(a), as _cot, without its frame.
+    Only generated names, float reprs and KERNEL_GLOBALS keys reach the
+    statements."""
+    tested, seen = [], {}
+
+    def put(text):      # once per text: SSA text is a function of its names
+        return seen.setdefault(text, f"t{len(seen)}")
 
     def emit(node):
         if isinstance(node, Const):
@@ -378,21 +391,22 @@ def ssa_lines(asts, names):
         if isinstance(node, Var):
             return f"v{names.index(node.name)}"
         if isinstance(node, Neg):
-            text = f"-{emit(node.operand)}"
-        elif isinstance(node, BinOp) and node.op != "^":
+            return put(f"-{emit(node.operand)}")
+        if isinstance(node, BinOp) and node.op != "^":
             lhs, rhs = emit(node.lhs), emit(node.rhs)
             tested.extend([rhs] if node.op == "/" else [])
-            text = f"{lhs} {node.op} {rhs}"
-        else:
-            func = node.func if isinstance(node, Call) else "pow"
-            args = [emit(arg) for arg in _call_parts(node)[2]]
-            tested.extend(args if func in ("exp", "pow") else [])
-            text = f"{func}({', '.join(args)})"
-        lines.append(f"t{len(lines)} = {text}")
-        return f"t{len(lines) - 1}"
+            return put(f"{lhs} {node.op} {rhs}")
+        func = node.func if isinstance(node, Call) else "pow"
+        args = [emit(arg) for arg in _call_parts(node)[2]]
+        tested.extend(args if func in ("exp", "pow") else [])
+        if func == "cot":
+            cos, sin = put(f"cos({args[0]})"), put(f"sin({args[0]})")
+            tested.append(sin)
+            return put(f"{cos} / {sin}")
+        return put(f"{func}({', '.join(args)})")
 
     values = [emit(ast) for ast in asts]
-    return lines, values, tested
+    return [f"{t} = {text}" for text, t in seen.items()], values, tested
 
 
 def stage(ast, ahead, parts=None):

@@ -16,7 +16,7 @@ import operator
 import numpy as np
 
 from .errors import DomainExit, NonFinite, SingularFrame
-from .exprlang import (KERNEL_GLOBALS, Const, ExprAst, compile_batch,
+from .exprlang import (KERNEL_GLOBALS, Code, Const, ExprAst, compile_batch,
                        compile_fn, parse, ssa_lines, stage)
 
 SINGULAR_DET = 1e-12
@@ -156,45 +156,56 @@ class _FieldArray:
             raise NonFinite(f"non-finite array value at {tuple(point)}")
         return out
 
-    def on_grid(self, xs):
+    def on_grid(self, xs, vs=None, contract=None, fallback=None):
         """at(k, rest) == self.floats((*xs[k].tolist(), *rest)) bitwise, for
         a (K, n) grid over the first n names and a float list rest: at() is
         a kernel (_kernel) of the spines of the entries (exprlang.stage), on
-        one row of their base-only parts, evaluated for all K rows at once.
-        A callable or a failing batch takes floats."""
-        def plain(k, rest):
-            return self.floats((*xs[k].tolist(), *rest))
-
+        one row of their base-only parts, evaluated for all K rows at once,
+        and of a (K, m) grid vs given contract and fallback (else floats,
+        which a callable or a failing batch takes)."""
+        fallback = fallback or (
+            lambda k, rest: self.floats((*xs[k].tolist(), *rest)))
         if self._array_fn is not None or not self._ast_only:
-            return plain
+            return fallback
+        vs = xs[:, :0] if vs is None else vs
         n, parts = xs.shape[1], []
         spines = [stage(ast, self.names[:n], parts)[0]
                   for _, _, ast in self._dynamic]
         try:
             table = np.column_stack([xs] + [
-                compile_batch(part, self.names[:n])(*xs.T) for part in parts])
+                compile_batch(part, self.names[:n])(*xs.T) for part in parts]
+                + [vs])
         except NonFinite:
-            return plain
-        names = (self.names[:n] + tuple(f"@{i}" for i in range(len(parts)))
+            return fallback
+        start, m = n + len(parts), vs.shape[1]
+        names = (self.names[:n] + tuple(f"@{i}" for i in range(start - n + m))
                  + self.names[n:])
-        return self._kernel(spines, names, plain, table)
+        return self._kernel(spines, names, fallback, table, contract,
+                            range(start, start + m))
 
-    def kernel(self):
+    def kernel(self, contract=None, fallback=None):
         """kernel(p) == self.floats(p) for a point p of Python floats, one
         compiled function (_kernel) worth its ~0.25 ms only to a solver that
-        evaluates at thousands of points; floats itself for a callable."""
+        evaluates at thousands of points; floats itself for a callable.
+        With contract, a _kernel right-hand side of p = point + vector."""
+        fallback = fallback or self.floats
         if self._array_fn is not None or not self._ast_only:
-            return self.floats
-        return self._kernel([ast for *_, ast in self._dynamic], self.names,
-                            self.floats)
+            return fallback
+        m = len(self.names) if contract else 0
+        names = self.names + tuple(f"@{i}" for i in range(m))
+        return self._kernel([ast for *_, ast in self._dynamic], names,
+                            fallback, None, contract, range(m, 2 * m))
 
-    def _kernel(self, asts, names, fallback, table=None):
+    def _kernel(self, asts, names, fallback, table=None, contract=None,
+                vel=()):
         """Compile kernel(p) over `names`, or kernel(k, p) reading the first
         names from table[k]: one frame that tests the region bounds as
         Region.contains does and returns the flat list of the entry ASTs
         (exprlang.ssa_lines), or fallback(...) of its arguments after a
         libm error, a zero divisor, a point outside, or a non-finite value
-        or tested operand, so every value and error is fallback's."""
+        or tested operand, so every value and error is fallback's. With
+        contract, kernel(k, p) returns contract(G, v) on the exprlang.Code of
+        the entries G and of the names v at `vel`, which it tests too."""
         head = 0 if table is None else table.shape[1]
         coords = [i for i, name in enumerate(names) if name in self.names]
         if self.region is not None and self.region.dim != len(coords):
@@ -205,10 +216,15 @@ class _FieldArray:
             out[pos] = value
         for pos, src in self._copies:
             out[pos] = out[src]
-        checks = [v for v in dict.fromkeys(values + tested) if v[0] != "("]
+        vel = [f"v{i}" for i in vel]
+        if contract is not None:
+            out = contract(list(map(Code, out)), list(map(Code, vel)))
+        checks = [v for v in dict.fromkeys(values + tested + vel)
+                  if v[0] != "("]
         bounds = [f"{lo!r} < v{i} < {hi!r}" for i, (lo, hi) in
                   zip(coords, self.region.bounds if self.region else ())]
-        v, args = [f"v{i}" for i in range(len(names))], "k, p" if head else "p"
+        v = [f"v{i}" for i in range(len(names))]
+        args = "k, p" if head or contract else "p"
         source = "\n".join([
             f"def kernel({args}):",
             f"    if len(p) == {len(names) - head}:",
@@ -221,7 +237,7 @@ class _FieldArray:
             "                pass",
             "            else:",
             f"                if isfinite({' + '.join(checks) or '0.0'}):",
-            f"                    return [{', '.join(out)}]",
+            f"                    return [{', '.join(map(str, out))}]",
             f"    return fallback({args})"])
         namespace = dict(KERNEL_GLOBALS, fallback=fallback, table=table)
         exec(compile(source, "<kernel>", "exec"), namespace)
@@ -281,12 +297,6 @@ class ScalarField(_FieldArray):
 
     def __call__(self, point):
         return self.floats(point)[0]
-
-
-def as_scalar_field(source, names, region=None):
-    if isinstance(source, ScalarField):
-        return source
-    return ScalarField.from_expr(source, names, region)
 
 
 class SectionField(_FieldArray):

@@ -5,16 +5,15 @@ and the limit-definition covariant derivative.
 Paths are integrated on a precomputed half-step grid: positions and
 velocities are evaluated once at every step boundary and midpoint, so the
 right-hand sides of the linear equations become cheap matrix evaluations.
-RK4 runs on the state as a flat list of floats; the right-hand sides that
-depend on it (general transport, geodesics) contract float field entries
+RK4 runs on the state as a flat list of floats. The right-hand sides that
+depend on it (general transport, geodesics) contract the field entries
 through one index plan per driver call (_contract), in np.einsum order and
-without the entries that are the constant 0.0, which their batched forms
-repeat on numpy columns. The two-index entries are staged on the grid
-(_FieldArray.on_grid): their base-only subtrees are evaluated at every
-node first, so a step evaluates only the fibre-dependent spine. Both
-state-dependent right-hand sides evaluate their field through one
-compiled kernel per call (_FieldArray.kernel, on_grid), which falls back
-to the checked closures per point.
+without the entries that are the constant 0.0. Each is one compiled kernel
+per call (_FieldArray.kernel, on_grid; cot inlined) that returns the
+contracted derivative, _contract run on its source text, and falls back to
+the checked closures and _contract per point; the batched forms contract
+numpy columns. Two-index entries are staged on the grid: their base-only
+subtrees are evaluated at every node, next to the path velocity.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -163,11 +162,6 @@ def _grid(path):
     return _expr_grid(path) if path.kind == "expr" else _polyline_grid(path)
 
 
-def _check_finite(samples):
-    if not np.isfinite(samples).all():
-        raise NonFinite("transport produced non-finite values")
-
-
 def _rk4(rhs, rhs_many, y0, grid):
     """Classical RK4 over the grid; rhs(node_index, y) evaluates the
     right-hand side at a half-step grid node on a flat float list,
@@ -178,17 +172,19 @@ def _rk4(rhs, rhs_many, y0, grid):
     samples = np.empty((grid.nsteps + 1,) + y0.shape)
     rows = samples.reshape(grid.nsteps + 1, -1)
     y = rows[0] = y0.ravel().tolist()
-    for i, (b, h) in enumerate(zip(grid.bases, map(float, grid.hs)), 1):
+    for i, (b, h) in enumerate(zip(grid.bases.tolist(), grid.hs.tolist()), 1):
+        half, sixth = 0.5 * h, h / 6.0
         k1 = rhs(b, y)
-        k2 = rhs(b + 1, [c + 0.5 * h * k for c, k in zip(y, k1)])
-        k3 = rhs(b + 1, [c + 0.5 * h * k for c, k in zip(y, k2)])
+        k2 = rhs(b + 1, [c + half * k for c, k in zip(y, k1)])
+        k3 = rhs(b + 1, [c + half * k for c, k in zip(y, k2)])
         k4 = rhs(b + 2, [c + h * k for c, k in zip(y, k3)])
-        y = rows[i] = [c + h / 6.0 * (((p + 2.0 * q) + 2.0 * r) + s)
+        y = rows[i] = [c + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
                        for c, p, q, r, s in zip(y, k1, k2, k3, k4)]
     start, end = samples[:-1], samples[1:]
     hs = grid.hs.reshape((-1,) + (1,) * y0.ndim)
     defect = end - start - hs * rhs_many(grid.bases + 1, 0.5 * (start + end))
-    _check_finite(samples)
+    if not np.isfinite(samples).all():
+        raise NonFinite("transport produced non-finite values")
     return TransportResult(samples[-1].copy(), samples, grid.ts,
                            float(np.abs(defect).max(initial=0.0)))
 
@@ -228,20 +224,22 @@ def transport_general(g2, path, p0):
     """Parallel transport for a general connection:
     du^a/dt = +G[a, mu](x(t), u) dx^mu/dt."""
     grid = _grid(path)
-    n, at = g2.n, g2.on_grid(grid.pos)
     plan = _index_plan(g2 if np.isfinite(grid.vel).all() else None,
-                       [[(None, [(a * n + mu, mu) for mu in range(n)])]
+                       [[(None, [(a * g2.n + mu, mu) for mu in range(g2.n)])]
                         for a in range(g2.r)])
 
     def rhs(k, u):
-        return _contract(plan, at(k, u), grid.vel[k].tolist())
+        return _contract(plan, g2.floats((*grid.pos[k].tolist(), *u)),
+                         grid.vel[k].tolist())
 
     def rhs_many(ks, us):
         G = g2.values(np.concatenate([grid.pos[ks], us], axis=1))
-        return np.stack(_contract(plan, G.reshape(len(ks), g2.r * n).T,
+        return np.stack(_contract(plan, G.reshape(len(ks), g2.r * g2.n).T,
                                   grid.vel[ks].T, np.zeros(len(ks))), axis=1)
 
-    return _rk4(rhs, rhs_many, p0, grid)
+    return _rk4(g2.on_grid(grid.pos, grid.vel,
+                           lambda G, v: _contract(plan, G, v), rhs),
+                rhs_many, p0, grid)
 
 
 def _linear_rhs_matrices(g3, grid):
@@ -315,12 +313,11 @@ def geodesic(g3, x0, v0, T, steps):
                  float(T) * np.arange(steps + 1) / steps)
     dense = _geodesic_rows(n)
     sparse = _index_plan(g3, dense)
-    coefficients = g3.kernel()
 
     def rhs(_, s):
         v = s[n:]
         plan = sparse if all(map(math.isfinite, v)) else dense
-        return v + _geodesic_acceleration(plan, coefficients(s[:n]), v)
+        return v + _geodesic_acceleration(plan, g3.floats(s[:n]), v)
 
     def rhs_many(_, ss):
         G = g3.values(ss[:, :n]).reshape(len(ss), -1).T
@@ -329,7 +326,9 @@ def geodesic(g3, x0, v0, T, steps):
         acc = _geodesic_acceleration(plan, G, vs, np.zeros(len(ss)))
         return np.stack(vs + acc, axis=1)
 
-    return _rk4(rhs, rhs_many, [*x0, *v0], grid)
+    kernel = g3.kernel(
+        lambda G, v: v + _geodesic_acceleration(sparse, G, v), rhs)
+    return _rk4(kernel, rhs_many, [*x0, *v0], grid)
 
 
 def covariant_derivative_limit(g3, F, Y, x, eps=None):

@@ -768,9 +768,31 @@ MALFORMED_CONFIGS = {
         "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
         "region": [[-math.inf, math.inf], [0.0, 1.0]],
         "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
+    # steps and samples are JSON integers, as path.steps is
+    "steps-fraction": ("geodesic", {
+        "connection": "registry:sphere-lc", "x0": [1.0, 0.2],
+        "v0": [0.3, 0.7], "T": 1.0, "steps": 16.7}),
+    "steps-half": ("geodesic", {
+        "connection": "registry:sphere-lc", "x0": [1.0, 0.2],
+        "v0": [0.3, 0.7], "T": 1.0, "steps": 0.5}),
+    "steps-true": ("geodesic", {
+        "connection": "registry:sphere-lc", "x0": [1.0, 0.2],
+        "v0": [0.3, 0.7], "T": 1.0, "steps": True}),
+    "steps-integral-float": ("transport", {
+        "connection": "registry:sphere-lc", "steps": 400.0,
+        "path": {"exprs": ["1 + 0.2*t", "t"]}, "initial": [1.0, 0.0]}),
+    "samples-fraction": ("curvature", {
+        "connection": "registry:pure-gauge", "samples": 2.5,
+        "grid": {"lo": [0.2, 0.2], "hi": [0.8, 0.8]}}),
+    "samples-false": ("curvature", {
+        "connection": "registry:pure-gauge", "samples": False,
+        "grid": {"lo": [0.2, 0.2], "hi": [0.8, 0.8]}}),
     # resource ceilings, rejected before anything is allocated
     "steps-1e300": ("transport", {
         "connection": "registry:sphere-lc", "steps": 1e300,
+        "path": {"exprs": ["1 + 0.2*t", "t"]}, "initial": [1.0, 0.0]}),
+    "steps-10-to-the-300": ("transport", {
+        "connection": "registry:sphere-lc", "steps": 10 ** 300,
         "path": {"exprs": ["1 + 0.2*t", "t"]}, "initial": [1.0, 0.0]}),
     "path-steps-1e11": ("transport", {
         "connection": "registry:sphere-lc", "initial": [1.0, 0.0],
@@ -812,6 +834,18 @@ def test_exit_2_malformed_config(tmp_path, capsys, command, cfg,
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == error_type
+
+
+@pytest.mark.parametrize("name", ["steps-fraction", "steps-half",
+                                  "steps-true", "samples-fraction",
+                                  "samples-false"])
+def test_steps_and_samples_must_be_integers(tmp_path, capsys, name):
+    command, cfg = MALFORMED_CONFIGS[name]
+    key = name.split("-")[0]
+    _, payload = run_json(capsys, command, "--config",
+                          write_config(tmp_path, cfg))
+    assert payload["error"] == {"type": "ConfigError",
+                                "message": f"{key} must be an integer"}
 
 
 def test_exit_2_unknown_law_lists_the_laws(tmp_path, capsys):

@@ -33,7 +33,6 @@ from bundleconn.fields import (
     SectionField,
     TensorField,
     anholonomy,
-    as_scalar_field,
     bundle_names,
     compose_frame,
     fd_partial,
@@ -240,7 +239,7 @@ def test_lie_gamma_constant_change_conjugation():
     Binv = np.linalg.inv(B)
     X_new = [(lambda x1, x2, i=i: float(
         (Binv @ [x2, x1 * x1])[i])) for i in range(2)]
-    L_new = lie_gamma(changed, [as_scalar_field(c, XY) for c in X_new], x)
+    L_new = lie_gamma(changed, [ScalarField(c, XY) for c in X_new], x)
     assert np.allclose(L_new, Binv @ L @ B, atol=1e-8)
 
 
@@ -305,7 +304,7 @@ def test_transform_lie_gamma_law():
                 Xv = np.array([pt[1] * pt[1], pt[0]])
                 return float(np.linalg.solve(B(pt), Xv)[i])
             return f
-        direct = lie_gamma(changed, [as_scalar_field(new_comp(i), XY)
+        direct = lie_gamma(changed, [ScalarField(new_comp(i), XY)
                                      for i in range(2)], x)
         scale = max(1.0, np.max(np.abs(direct)))
         assert np.allclose(predicted, direct, atol=1e-6 * scale)
@@ -681,13 +680,13 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, math.inf,
 kernel_coordinate = st.one_of(coordinate, st.sampled_from(SPECIAL))
 
 
-def kernel_trees():
-    """Trees over XU with every grammar function, '^' and '/', and
+def kernel_trees(names=XU):
+    """Trees over `names` with every grammar function, '^' and '/', and
     constants of both signs, tiny and huge."""
     leaves = st.one_of(
         st.builds(Const, st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e-320,
                                           1e308])),
-        st.builds(Var, st.sampled_from(XU)))
+        st.builds(Var, st.sampled_from(names)))
 
     def extend(children):
         return st.one_of(

@@ -3,17 +3,20 @@ every import sits at module level, every function, method and class the
 package defines is referenced somewhere, the batch expression compiler
 covers exactly the grammar's functions, in whole trees and in staged ones
 (exprlang.stage), one function holds the
-singularity test, and one function loops over RK4 steps."""
+singularity test, one function loops over RK4 steps, and a compiled kernel
+calls no Python-level function per point."""
 
 import ast
+import builtins
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bundleconn import exprlang
+from bundleconn import exprlang, fields
 from bundleconn.errors import NonFinite
-from bundleconn.fields import ScalarField
+from bundleconn.fields import MatrixField, ScalarField
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bundleconn"
 TESTS = Path(__file__).resolve().parent
@@ -329,3 +332,46 @@ def test_power_is_the_function_pow():
         caret((10.0, 400.0))
     with pytest.raises(NonFinite, match="^pow: math domain error$"):
         call((-2.0, 0.5))
+
+
+def kernel_calls(source):
+    """The names a kernel's source calls, and the attributes it calls."""
+    calls = [node.func for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)]
+    return ({f.id for f in calls if isinstance(f, ast.Name)},
+            {f.attr for f in calls if isinstance(f, ast.Attribute)})
+
+
+def test_kernels_call_only_c_builtins(monkeypatch):
+    # a Python helper such as exprlang._cot would cost one frame per call
+    sources = []
+    compile_ = compile
+    monkeypatch.setattr(fields, "compile",
+                        lambda text, *a: sources.append(text)
+                        or compile_(text, *a), raising=False)
+    xu = ("x1", "x2", "u1", "u2")
+    for func, arity in [*exprlang.FUNCTION_ARITY.items(), ("^", 2)]:
+        leaves = tuple(exprlang.Var(n) for n in ("u1", "x2")[:arity])
+        call = (exprlang.BinOp("^", *leaves) if func == "^"
+                else exprlang.Call(func, leaves))
+        field = MatrixField.from_exprs([[call, "x1"]], xu)
+        field.kernel()
+        field.kernel(lambda G, v: [G[0] * v[0]], None)
+        field.on_grid(np.array([[0.5, 0.5]]), np.array([[1.0, 2.0]]),
+                      lambda G, v: [G[0] * v[0] + G[1] * v[1]], None)
+    assert len(sources) == 3 * (len(exprlang.FUNCTION_ARITY) + 1)
+    scope = {**vars(builtins), **exprlang.KERNEL_GLOBALS}
+    for source in sources:
+        names, attributes = kernel_calls(source)
+        assert all(isinstance(scope[name], types.BuiltinFunctionType)
+                   for name in names - {"fallback"}), source
+        assert attributes <= {"tolist"}, source
+
+
+def test_python_level_call_in_a_kernel_is_reported():
+    names, attributes = kernel_calls(
+        "def kernel(p):\n    t0 = _cot(p[0])\n    return fallback(p)\n"
+        "def other(k):\n    return table[k].tolist(), k.item()\n")
+    assert names == {"_cot", "fallback"}
+    assert attributes == {"tolist", "item"}
+    assert not isinstance(exprlang._cot, types.BuiltinFunctionType)

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from bundleconn import cli, transport
 from bundleconn.connection import (
@@ -19,7 +20,8 @@ from bundleconn.connection import (
     base_names,
 )
 from bundleconn.errors import DomainExit, NonFinite, StepCountTooSmall
-from bundleconn.fields import MatrixField, ScalarField, _FieldArray
+from bundleconn.exprlang import Const
+from bundleconn.fields import MatrixField, Region, ScalarField, _FieldArray
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
@@ -37,6 +39,8 @@ from bundleconn.transport import (
     transport_general,
     transport_linear,
 )
+
+from test_fields import XU, kernel_trees, outcome
 
 CONSTANT_STACK = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
@@ -788,3 +792,113 @@ def test_contraction_failures_keep_their_stdout(tmp_path, command, cfg, kind,
     assert out.getvalue() == (f'{{"command": "{command}", "error": '
                               f'{{"message": {json.dumps(message)}, '
                               f'"type": "{kind}"}}}}\n')
+
+
+# --- the fused right-hand side: the kernel returns the derivative -------------
+
+def entries(names):
+    """Trees, zeros of both signs, cot (its pole is x1 = 0), an overflow
+    that raises nothing and the absorbing operands it can meet."""
+    big = f"{names[-1]}*1e308*1e10"
+    return st.one_of(kernel_trees(names), st.sampled_from(
+        [Const(0.0), Const(-0.0), "cot(x1)", big, f"x1/({big})",
+         f"exp(-({big}))", f"pow({big}, 0)"]))
+
+
+# zeros of both signs, huge and non-finite values, the pole of cot, and the
+# bounds of the regions, which are outside
+values = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                   st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300,
+                                    math.inf, -math.inf, math.nan, 2.5, -1.0]))
+
+
+def rhs_outcome(fn):
+    """outcome() with every NaN the same NaN: the sign of NaN + NaN is
+    either operand's, and CPython changes which once it specialises the
+    addition, so no two runs need agree on it."""
+    def canonical():
+        values = np.array(fn())
+        return np.where(np.isnan(values), np.nan, values)
+    return outcome(canonical)
+
+
+def driver_rhs(run, grid=None):
+    """The per-step right-hand side a driver hands to _rk4 (on `grid`)."""
+    captured = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_rk4", lambda rhs, *_: captured.append(rhs))
+        if grid is not None:
+            patch.setattr(transport, "_grid", lambda path: grid)
+        run()
+    return captured[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat=st.lists(entries(XU), min_size=4, max_size=4),
+       repeat=st.booleans(),
+       nodes=st.lists(st.lists(values, min_size=4, max_size=4), min_size=1,
+                      max_size=4),
+       us=st.lists(st.lists(values, min_size=2, max_size=2), max_size=3),
+       region=st.sampled_from([None, [(-2.5, 2.5), (-1.0, math.inf),
+                                      (-2.5, 2.5), (-math.inf, 2.5)]]))
+def test_fused_two_index_rhs_equals_contract_of_floats(flat, repeat, nodes,
+                                                      us, region):
+    flat[3] = flat[0] if repeat else flat[3]
+    g2 = TwoIndexField.from_exprs([flat[:2], flat[2:]], 2, 2,
+                                  region and Region(region))
+    nodes = np.array(nodes)
+    pos, vel = nodes[:, :2], nodes[:, 2:]
+    grid = transport._Grid(pos, vel, None, None, None)
+    rhs = driver_rhs(lambda: transport_general(g2, None, [0, 0]), grid)
+    # the dense plan while a grid velocity is not finite (0 * inf is NaN)
+    plan = _index_plan(g2 if np.isfinite(vel).all() else None,
+                       [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0),
+                                                           (3, 1)])]])
+    for k, x in enumerate(pos.tolist()):
+        for u in us + [[0.5, -1.5], [0.0, math.inf], [math.nan, 0.5]]:
+            assert rhs_outcome(lambda: rhs(k, u)) == rhs_outcome(
+                lambda: _contract(plan, g2.floats((*x, *u)),
+                                  vel[k].tolist())), (k, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), data=st.data(),
+       region=st.sampled_from([None, (-2.5, 2.5)]))
+def test_fused_geodesic_rhs_equals_contract_of_floats(n, data, region):
+    names = base_names(n)
+    stacks = data.draw(st.lists(entries(names), min_size=n ** 3,
+                                max_size=n ** 3))
+    g3 = CoefficientField3.from_exprs(
+        np.array(stacks, dtype=object).reshape(n, n, n).tolist(),
+        region and Region([region] * n))
+    rhs = driver_rhs(lambda: geodesic(g3, [0.5] * n, [0.5] * n, 1.0, 8))
+    dense = _geodesic_rows(n)
+    sparse = _index_plan(g3, dense)
+    # infinite and NaN velocities, cot's pole, a region bound
+    fixed = [[0.5] * n + [math.inf] * n, [0.5] * n + [math.nan] + [0.5] * (
+        n - 1), [0.0] * n + [0.3] * n, [2.5] * n + [0.3] * n]
+    for s in data.draw(st.lists(st.lists(values, min_size=2 * n,
+                                         max_size=2 * n), max_size=4)) + fixed:
+        x, v = s[:n], s[n:]
+        plan = sparse if all(map(math.isfinite, v)) else dense
+        assert rhs_outcome(lambda: rhs(0, s)) == rhs_outcome(
+            lambda: v + _geodesic_acceleration(plan, g3.floats(x), v)), s
+
+
+def test_fused_rhs_runs_without_fallback(monkeypatch):
+    # a finite state never reaches the checked closures
+    g3 = make_sphere_lc().g3
+    g2 = TwoIndexField.from_exprs(STAGED_ROWS, 2, 2)
+    path = PathSpec.from_points([[0.7, 0.5], [-0.9, -0.3]], steps=8)
+    x, v, u = [1.0, 0.2], [0.3, 0.7], [1.1, 0.4]
+    grid = _grid(path)
+    want_geo = v + _geodesic_acceleration(_index_plan(g3, _geodesic_rows(2)),
+                                          g3.floats(x), v)
+    want_general = _contract(
+        [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0), (3, 1)])]],
+        g2.floats((*grid.pos[3].tolist(), *u)), grid.vel[3].tolist())
+    monkeypatch.setattr(_FieldArray, "floats", lambda self, p: 1 / 0)
+    geo = driver_rhs(lambda: geodesic(g3, x, v, 1.0, 8))
+    general = driver_rhs(lambda: transport_general(g2, path, u))
+    assert geo(0, x + v) == want_geo
+    assert general(3, u) == want_general
