@@ -409,36 +409,6 @@ def ssa_lines(asts, names):
     return [f"{t} = {text}" for text, t in seen.items()], values, tested
 
 
-def stage(ast, ahead, parts=None):
-    """Split an AST in two: every maximal subtree that reads names in
-    `ahead` and no other becomes a leaf Var(f"@{i}") of the spine and
-    parts[i] (appended to `parts` if given); returns (spine, parts). The
-    parts, then the spine on their values, run the tree's operations in
-    its order."""
-    parts = [] if parts is None else parts
-
-    def leaf(node):
-        parts.append(node)
-        return Var(f"@{len(parts) - 1}")
-
-    def split(node):
-        # (spine, True if it reads only ahead, False if nothing, None else)
-        if isinstance(node, (Const, Var)):
-            return node, isinstance(node, Var) and (node.name in ahead or None)
-        kids = ((node.operand,) if isinstance(node, Neg) else
-                (node.lhs, node.rhs) if isinstance(node, BinOp) else node.args)
-        kids = [split(kid) for kid in kids]
-        if all(reads is not None for _, reads in kids):
-            return node, any(reads for _, reads in kids)
-        kids = [leaf(kid) if reads else kid for kid, reads in kids]
-        return (Neg(*kids) if isinstance(node, Neg) else
-                BinOp(node.op, *kids) if isinstance(node, BinOp) else
-                Call(node.func, tuple(kids))), None
-
-    spine, reads = split(ast)
-    return (leaf(spine) if reads else spine), parts
-
-
 _BATCH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,
                  "/": np.divide}
 

@@ -10,6 +10,7 @@ E_lam; the Lie-coefficient matrix is L[nu, mu], row = upper index.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -17,11 +18,12 @@ import numpy as np
 
 from .errors import DomainExit, NonFinite, SingularFrame
 from .exprlang import (KERNEL_GLOBALS, Code, Const, ExprAst, compile_batch,
-                       compile_fn, parse, ssa_lines, stage)
+                       compile_fn, parse, ssa_lines)
 
 SINGULAR_DET = 1e-12
 FD_STEP_FIRST = 1e-5
 FD_STEP_NESTED = 1e-4
+_KERNELS = itertools.count()    # numbers the file names of compiled kernels
 
 
 class Region:
@@ -156,77 +158,43 @@ class _FieldArray:
             raise NonFinite(f"non-finite array value at {tuple(point)}")
         return out
 
-    def on_grid(self, xs, vs=None, contract=None, fallback=None):
-        """at(k, rest) == self.floats((*xs[k].tolist(), *rest)) bitwise, for
-        a (K, n) grid over the first n names and a float list rest: at() is
-        a kernel (_kernel) of the spines of the entries (exprlang.stage), on
-        one row of their base-only parts, evaluated for all K rows at once,
-        and of a (K, m) grid vs given contract and fallback (else floats,
-        which a callable or a failing batch takes)."""
-        fallback = fallback or (
-            lambda k, rest: self.floats((*xs[k].tolist(), *rest)))
-        if self._array_fn is not None or not self._ast_only:
+    def kernel(self, contract, fallback, table=None):
+        """Compile the right-hand side kernel(k, p) == contract(G, v): G the
+        flat entries of self.floats(point), v the velocity of the point's
+        first n coordinates. Without a table, p = (*point, *v) and n counts
+        every name; with a (K, 2n) table, (*x, *v) = table[k].tolist() and
+        point = (*x, *p). One frame, worth its ~0.25 ms only to a solver that
+        calls it at thousands of points: it tests the region bounds as
+        Region.contains does, evaluates the entry ASTs (exprlang.ssa_lines)
+        and returns contract run once on their exprlang.Code, or
+        fallback(k, p) after a libm error, a zero divisor, a point outside,
+        or a non-finite value, tested operand or v, so every value and error
+        is fallback's. A callable field gets fallback itself."""
+        if self._array_fn is not None or not self._ast_only or (
+                self.region is not None
+                and self.region.dim != len(self.names)):
             return fallback
-        vs = xs[:, :0] if vs is None else vs
-        n, parts = xs.shape[1], []
-        spines = [stage(ast, self.names[:n], parts)[0]
-                  for _, _, ast in self._dynamic]
-        try:
-            table = np.column_stack([xs] + [
-                compile_batch(part, self.names[:n])(*xs.T) for part in parts]
-                + [vs])
-        except NonFinite:
-            return fallback
-        start, m = n + len(parts), vs.shape[1]
-        names = (self.names[:n] + tuple(f"@{i}" for i in range(start - n + m))
+        n, head = ((len(self.names), 0) if table is None
+                   else (table.shape[1] // 2, table.shape[1]))
+        names = (self.names[:n] + tuple(f"@{i}" for i in range(n))
                  + self.names[n:])
-        return self._kernel(spines, names, fallback, table, contract,
-                            range(start, start + m))
-
-    def kernel(self, contract=None, fallback=None):
-        """kernel(p) == self.floats(p) for a point p of Python floats, one
-        compiled function (_kernel) worth its ~0.25 ms only to a solver that
-        evaluates at thousands of points; floats itself for a callable.
-        With contract, a _kernel right-hand side of p = point + vector."""
-        fallback = fallback or self.floats
-        if self._array_fn is not None or not self._ast_only:
-            return fallback
-        m = len(self.names) if contract else 0
-        names = self.names + tuple(f"@{i}" for i in range(m))
-        return self._kernel([ast for *_, ast in self._dynamic], names,
-                            fallback, None, contract, range(m, 2 * m))
-
-    def _kernel(self, asts, names, fallback, table=None, contract=None,
-                vel=()):
-        """Compile kernel(p) over `names`, or kernel(k, p) reading the first
-        names from table[k]: one frame that tests the region bounds as
-        Region.contains does and returns the flat list of the entry ASTs
-        (exprlang.ssa_lines), or fallback(...) of its arguments after a
-        libm error, a zero divisor, a point outside, or a non-finite value
-        or tested operand, so every value and error is fallback's. With
-        contract, kernel(k, p) returns contract(G, v) on the exprlang.Code of
-        the entries G and of the names v at `vel`, which it tests too."""
-        head = 0 if table is None else table.shape[1]
-        coords = [i for i, name in enumerate(names) if name in self.names]
-        if self.region is not None and self.region.dim != len(coords):
-            return fallback
-        lines, values, tested = ssa_lines(asts, names)
+        lines, values, tested = ssa_lines([ast for *_, ast in self._dynamic],
+                                          names)
         out = [repr(c) for c in self._template]
         for (pos, *_), value in zip(self._dynamic, values):
             out[pos] = value
         for pos, src in self._copies:
             out[pos] = out[src]
-        vel = [f"v{i}" for i in vel]
-        if contract is not None:
-            out = contract(list(map(Code, out)), list(map(Code, vel)))
-        checks = [v for v in dict.fromkeys(values + tested + vel)
-                  if v[0] != "("]
-        bounds = [f"{lo!r} < v{i} < {hi!r}" for i, (lo, hi) in
-                  zip(coords, self.region.bounds if self.region else ())]
         v = [f"v{i}" for i in range(len(names))]
-        args = "k, p" if head or contract else "p"
+        vel = v[n:2 * n]
+        out = contract(list(map(Code, out)), list(map(Code, vel)))
+        checks = [t for t in dict.fromkeys(values + tested + vel)
+                  if t[0] != "("]
+        bounds = [f"{lo!r} < {c} < {hi!r}" for c, (lo, hi) in
+                  zip(v[:n] + v[2 * n:],
+                      self.region.bounds if self.region else ())]
         source = "\n".join([
-            f"def kernel({args}):",
+            "def kernel(k, p):",
             f"    if len(p) == {len(names) - head}:",
             f"        [{', '.join(v[:head])}] = table[k].tolist()" * bool(head),
             f"        [{', '.join(v[head:])}] = p",
@@ -238,9 +206,10 @@ class _FieldArray:
             "            else:",
             f"                if isfinite({' + '.join(checks) or '0.0'}):",
             f"                    return [{', '.join(map(str, out))}]",
-            f"    return fallback({args})"])
+            "    return fallback(k, p)"])
         namespace = dict(KERNEL_GLOBALS, fallback=fallback, table=table)
-        exec(compile(source, "<kernel>", "exec"), namespace)
+        # a file name of its own, so profiles and tracebacks tell kernels apart
+        exec(compile(source, f"<kernel {next(_KERNELS)}>", "exec"), namespace)
         return namespace.pop("kernel")    # no cycle through its globals
 
     def values(self, points):

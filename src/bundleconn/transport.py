@@ -7,13 +7,12 @@ velocities are evaluated once at every step boundary and midpoint, so the
 right-hand sides of the linear equations become cheap matrix evaluations.
 RK4 runs on the state as a flat list of floats. The right-hand sides that
 depend on it (general transport, geodesics) contract the field entries
-through one index plan per driver call (_contract), in np.einsum order and
-without the entries that are the constant 0.0. Each is one compiled kernel
-per call (_FieldArray.kernel, on_grid; cot inlined) that returns the
-contracted derivative, _contract run on its source text, and falls back to
-the checked closures and _contract per point; the batched forms contract
-numpy columns. Two-index entries are staged on the grid: their base-only
-subtrees are evaluated at every node, next to the path velocity.
+through an index plan (_contract), in np.einsum order. Each is one compiled
+kernel per call (_FieldArray.kernel; cot inlined) that returns the
+contracted derivative, _contract run on its source text without the
+entries that are the constant 0.0, and falls back per point to the checked
+closures and _contract over every entry, the plan the batched forms take
+on numpy columns too.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -22,7 +21,6 @@ every step in one batched right-hand-side call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +121,8 @@ def _expr_grid(path):
     shifted = path.exprs.values(
         np.stack([tgrid + hv, tgrid - hv], axis=1).reshape(-1, 1))
     vel = (shifted[0::2] - shifted[1::2]) / (2.0 * hv)
+    if not np.isfinite(vel).all():
+        raise NonFinite("non-finite path velocity")
     bases = 2 * np.arange(N)
     hs = np.full(N, span / N)
     ts = t0 + span * np.arange(N + 1) / N
@@ -134,6 +134,8 @@ def _polyline_grid(path):
     diffs = pts[1:] - pts[:-1]
     lengths = np.sqrt((diffs ** 2).sum(axis=1))
     total = float(lengths.sum())
+    if not np.isfinite(total):
+        raise NonFinite("non-finite path length")
     if total == 0.0:
         return _Grid(np.empty((0, path.dim)), np.empty((0, path.dim)),
                      np.empty(0, dtype=int), np.empty(0), np.zeros(1))
@@ -191,10 +193,10 @@ def _rk4(rhs, rhs_many, y0, grid):
 
 def _index_plan(field, rows):
     """The rows of _contract without the pairs whose entry of field is the
-    constant 0.0 (every pair for field None or a whole-array callable). Same
-    bits while v is finite: a sum from +0.0 is never -0.0, so adding +-0.0
-    leaves it as it is."""
-    zeros = () if field is None or field._array_fn else field._zeros
+    constant 0.0 (every pair for a whole-array callable). Same bits while v
+    is finite: a sum from +0.0 is never -0.0, so adding +-0.0 leaves it as
+    it is."""
+    zeros = () if field._array_fn else field._zeros
     return [[(k, [(p, l) for p, l in pairs if p not in zeros])
              for k, pairs in row] for row in rows]
 
@@ -224,9 +226,9 @@ def transport_general(g2, path, p0):
     """Parallel transport for a general connection:
     du^a/dt = +G[a, mu](x(t), u) dx^mu/dt."""
     grid = _grid(path)
-    plan = _index_plan(g2 if np.isfinite(grid.vel).all() else None,
-                       [[(None, [(a * g2.n + mu, mu) for mu in range(g2.n)])]
-                        for a in range(g2.r)])
+    plan = [[(None, [(a * g2.n + mu, mu) for mu in range(g2.n)])]
+            for a in range(g2.r)]
+    sparse = _index_plan(g2, plan)
 
     def rhs(k, u):
         return _contract(plan, g2.floats((*grid.pos[k].tolist(), *u)),
@@ -237,8 +239,8 @@ def transport_general(g2, path, p0):
         return np.stack(_contract(plan, G.reshape(len(ks), g2.r * g2.n).T,
                                   grid.vel[ks].T, np.zeros(len(ks))), axis=1)
 
-    return _rk4(g2.on_grid(grid.pos, grid.vel,
-                           lambda G, v: _contract(plan, G, v), rhs),
+    return _rk4(g2.kernel(lambda G, v: _contract(sparse, G, v), rhs,
+                          np.column_stack([grid.pos, grid.vel])),
                 rhs_many, p0, grid)
 
 
@@ -299,8 +301,7 @@ def _geodesic_acceleration(plan, G, v, zero=0.0):
 def geodesic(g3, x0, v0, T, steps):
     """Geodesic trajectory of a linear connection on the tangent bundle
     (r = n): RK4 on the first-order system (x' = v,
-    v'^m = -G3[nu, m, lam] v^lam v^nu). Samples hold (x, v) rows. A
-    non-finite velocity takes the dense plan, as 0 * inf is NaN."""
+    v'^m = -G3[nu, m, lam] v^lam v^nu). Samples hold (x, v) rows."""
     if int(steps) < MIN_STEPS:
         raise StepCountTooSmall(f"N = {steps} < {MIN_STEPS} RK4 steps")
     steps = int(steps)
@@ -311,18 +312,16 @@ def geodesic(g3, x0, v0, T, steps):
     grid = _Grid(None, None, 2 * np.arange(steps),
                  np.full(steps, float(T) / steps),
                  float(T) * np.arange(steps + 1) / steps)
-    dense = _geodesic_rows(n)
-    sparse = _index_plan(g3, dense)
+    plan = _geodesic_rows(n)
+    sparse = _index_plan(g3, plan)
 
     def rhs(_, s):
         v = s[n:]
-        plan = sparse if all(map(math.isfinite, v)) else dense
         return v + _geodesic_acceleration(plan, g3.floats(s[:n]), v)
 
     def rhs_many(_, ss):
         G = g3.values(ss[:, :n]).reshape(len(ss), -1).T
         vs = list(ss[:, n:].T)
-        plan = sparse if np.isfinite(ss[:, n:]).all() else dense
         acc = _geodesic_acceleration(plan, G, vs, np.zeros(len(ss)))
         return np.stack(vs + acc, axis=1)
 

@@ -1022,6 +1022,16 @@ NON_FINITE_RUNS = {
         "connection": "registry:flat", "point": [0.5, 0.5, 1.0, 2.0],
         "morphism": {"base": ["x1", "x2"],
                      "fibre": ["1e307*sin(100*x1)", "u2"]}}),
+    # path data: a polyline length whose squares overflow, a vertex
+    # difference that overflows, and an expression path's velocity
+    "polyline-length": ("transport", {
+        **two_index_entry("u1"), "path": {"points": [[0, 0], [1e200, 0]]}}),
+    "polyline-difference": ("transport", {
+        **two_index_entry("u1"),
+        "path": {"points": [[0, -1e308], [0, 1e308]]}}),
+    "expression-path-velocity": ("transport", {
+        **two_index_entry("u1"),
+        "path": {"exprs": ["1e308*sin(1e5*t)", "t"], "steps": 20}}),
 }
 
 
@@ -1123,7 +1133,7 @@ VALID_CONFIGS = [
 _MUTATIONS = st.sampled_from([
     ("set", math.nan), ("set", 0), ("set", -1), ("set", None), ("set", "x1"),
     ("set", []), ("set", [1.0]), ("drop",), ("shorten",), ("lengthen",),
-    ("set", "int")])
+    ("set", "int"), ("set", 1e200), ("set", -1e308)])
 
 
 def _location(cfg, data):

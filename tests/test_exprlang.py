@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from bundleconn.errors import NonFinite, ParseError, UnboundVariable
 from bundleconn.exprlang import (
     MAX_DEPTH, BinOp, Call, Const, Neg, Var, compile_fn, evaluate, parse,
-    pretty, ssa_lines, stage,
+    pretty, ssa_lines,
 )
 from bundleconn.fields import ScalarField
 from bundleconn.registry import make_pure_gauge
@@ -271,36 +271,6 @@ def test_pretty_round_trips_what_parse_accepts(source):
     assert parse(pretty(ast)) == ast
 
 
-BENCH_ENTRY = "-((0.1659*cos(x1 + x2))*u1 + (0.4901*x2)*u2)"
-
-
-def test_stage_lifts_the_maximal_base_subtrees():
-    spine, parts = stage(parse(BENCH_ENTRY), ("x1", "x2"))
-    assert parts == [parse("0.1659*cos(x1 + x2)"), parse("0.4901*x2")]
-    assert spine == Neg(BinOp("+", BinOp("*", Var("@0"), Var("u1")),
-                              BinOp("*", Var("@1"), Var("u2"))))
-
-
-@pytest.mark.parametrize("source, spine, parts", [
-    ("2*3 + u1", parse("2*3 + u1"), []),     # constants stay in the spine
-    ("0.5*x1", Var("@0"), ["0.5*x1"]),        # a base-only entry is one leaf
-    ("u1*u2", parse("u1*u2"), []),
-    ("pow(u1, x2) + x1",
-     BinOp("+", Call("pow", (Var("u1"), Var("@0"))), Var("@1")),
-     ["x2", "x1"]),
-])
-def test_stage_spine_and_parts(source, spine, parts):
-    assert stage(parse(source), ("x1", "x2")) == (spine,
-                                                  [parse(p) for p in parts])
-
-
-def test_stage_appends_to_the_given_parts():
-    parts = [parse("x1")]
-    spine, out = stage(parse("u1*sin(x2)"), ("x1", "x2"), parts)
-    assert out is parts and parts[1] == parse("sin(x2)")
-    assert spine == BinOp("*", Var("u1"), Var("@1"))
-
-
 def test_unchecked_leaves_read_without_the_finiteness_test():
     # a compiled kernel reads its leaves unchecked: an infinite one reaches
     # the value, and the checked closure it falls back to names the leaf
@@ -308,7 +278,8 @@ def test_unchecked_leaves_read_without_the_finiteness_test():
     with pytest.raises(NonFinite, match="variable u1 is inf"):
         compile_fn(ast, ("x1", "u1"))((1.0, math.inf))
     assert ssa_lines([ast], ("x1", "u1")) == (["t0 = v1 + v0"], ["t0"], [])
-    kernel = ScalarField(ast, ("x1", "u1")).kernel()
-    assert kernel([1.0, 2.0]) == [3.0]
+    field = ScalarField(ast, ("x1", "u1"))
+    kernel = field.kernel(lambda G, v: G, lambda k, p: field.floats(p[:2]))
+    assert kernel(0, [1.0, 2.0, 0.0, 0.0]) == [3.0]
     with pytest.raises(NonFinite, match="^variable u1 is inf$"):
-        kernel([1.0, math.inf])
+        kernel(0, [1.0, math.inf, 0.0, 0.0])

@@ -519,7 +519,7 @@ def test_callable_fields_take_the_per_point_loop():
             == first_error(lambda: stacked(nan_field, points)))
 
 
-# --- staged evaluation on a grid: on_grid(xs) -------------------------------
+# --- compiled kernels on a grid: kernel(contract, fallback, table) ------------
 
 XU = bundle_names(2, 2)
 
@@ -553,6 +553,27 @@ def entry_trees():
 coordinate = st.floats(min_value=-3.0, max_value=3.0)
 
 
+def entry_list(G, v):
+    """The contract of a kernel that returns the flat entry list."""
+    return G
+
+
+def point_kernel(field):
+    """kernel(p) == field.floats(p) through field.kernel without a table:
+    p and a velocity of ones, which entry_list does not read."""
+    kernel = field.kernel(entry_list,
+                          lambda k, p: field.floats(p[:len(p) // 2]))
+    return lambda p: kernel(0, [*p, *[1.0] * len(p)])
+
+
+def grid_kernel(field, xs):
+    """at(k, rest) == field.floats((*xs[k].tolist(), *rest)) through
+    field.kernel on the table of the (K, n) grid xs and velocities of ones."""
+    return field.kernel(
+        entry_list, lambda k, rest: field.floats((*xs[k].tolist(), *rest)),
+        np.column_stack([xs, np.ones_like(xs)]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(entries=st.lists(entry_trees(), min_size=4, max_size=4),
        xs=st.lists(st.tuples(coordinate, coordinate), min_size=1,
@@ -564,7 +585,7 @@ coordinate = st.floats(min_value=-3.0, max_value=3.0)
 def test_on_grid_equals_floats_bitwise(entries, xs, rests, region):
     field = MatrixField.from_exprs([entries[:2], entries[2:]], XU, region)
     xs = np.array(xs)
-    at = field.on_grid(xs)
+    at = grid_kernel(field, xs)
     for k in range(len(xs)):
         for rest in rests:
             assert outcome(lambda: at(k, list(rest))) == outcome(
@@ -575,33 +596,18 @@ BENCH_ROWS = [["-((0.1659*cos(x1 + x2))*u1 + (0.4901*x2)*u2)", "0.5*x1"],
               ["0.3*sin(u2)*x1", "u1*cos(x2) + 2"]]
 
 
-def test_on_grid_walks_only_the_spine(monkeypatch):
-    field = MatrixField.from_exprs(BENCH_ROWS, XU)
-    xs = batch_points(9)
-    expected = [field.floats((*x.tolist(), 0.7, -1.3)) for x in xs]
-
-    def no_per_point_calls(self, point):
-        raise AssertionError("the staged path evaluated a whole entry")
-
-    monkeypatch.setattr(MatrixField, "floats", no_per_point_calls)
-    at = field.on_grid(xs)
-    got = [at(k, [0.7, -1.3]) for k in range(len(xs))]
-    assert np.array(got).tobytes() == np.array(expected).tobytes()
-
-
 @pytest.mark.parametrize("field", [
     MatrixField.from_callable(lambda *p: [[p[0] * p[2], 1.0]] * 2, (2, 2),
                               XU),
-    MatrixField.from_exprs([["ln(x1 - 0.5)*u1", "u2"], ["0", "x2"]], XU),
     MatrixField.from_exprs([[lambda *p: p[0] * p[2], "u2"], ["0", "x2"]], XU),
-], ids=["callable", "failing-batch", "callable-entry"])
+], ids=["callable", "callable-entry"])
 def test_on_grid_falls_back_to_floats(field, monkeypatch):
     xs = batch_points(9)
     calls = []
     floats = MatrixField.floats
     monkeypatch.setattr(MatrixField, "floats",
                         lambda self, p: calls.append(p) or floats(self, p))
-    at = field.on_grid(xs)
+    at = grid_kernel(field, xs)
     for k in range(len(xs)):
         assert outcome(lambda: at(k, [0.7, -1.3])) == outcome(
             lambda: floats(field, (*xs[k].tolist(), 0.7, -1.3)))
@@ -610,13 +616,13 @@ def test_on_grid_falls_back_to_floats(field, monkeypatch):
 
 def test_on_grid_sends_a_non_finite_rest_to_floats():
     field = MatrixField.from_exprs(BENCH_ROWS, XU)
-    at = field.on_grid(batch_points(3))
+    at = grid_kernel(field, batch_points(3))
     with pytest.raises(NonFinite, match="^variable u2 is nan$"):
         at(1, [0.5, math.nan])
     # an unread coordinate raises nothing, as in floats
     field = MatrixField.from_exprs([["u1*x1", "x2"], ["1", "cos(x1)"]], XU)
     xs = batch_points(3)
-    assert (field.on_grid(xs)(1, [0.5, math.inf])
+    assert (grid_kernel(field, xs)(1, [0.5, math.inf])
             == field.floats((*xs[1].tolist(), 0.5, math.inf)))
 
 
@@ -663,7 +669,7 @@ def test_on_grid_copies_repeated_entries():
     field = MatrixField.from_exprs(entries, XU)
     assert field._copies == [(2, 0), (3, 1)]
     xs = batch_points(7)
-    at = field.on_grid(xs)
+    at = grid_kernel(field, xs)
     for k, x in enumerate(xs.tolist()):
         point = (*x, 0.7, -1.3)
         want = [ScalarField(e, XU)(point) for row in entries for e in row]
@@ -671,7 +677,7 @@ def test_on_grid_copies_repeated_entries():
             want).tobytes()
 
 
-# --- compiled per-point kernels: kernel() and on_grid ------------------------
+# --- compiled per-point kernels: with and without a table ---------------------
 
 # signed zeros, subnormals, huge and non-finite values, and the region
 # bounds of KERNEL_REGIONS, which are outside (open intervals)
@@ -718,8 +724,8 @@ KERNEL_REGIONS = [
 def test_kernel_equals_floats_bitwise(entries, points, region):
     field = MatrixField.from_exprs([entries[:2], [entries[0], entries[3]]],
                                    XU, region)
-    kernel = field.kernel()
-    at = field.on_grid(np.array([p[:2] for p in points]))
+    kernel = point_kernel(field)
+    at = grid_kernel(field, np.array([p[:2] for p in points]))
     for k, p in enumerate(points):
         assert outcome(lambda: kernel(p)) == outcome(lambda: field.floats(p))
         assert outcome(lambda: at(k, p[2:])) == outcome(
@@ -734,8 +740,8 @@ def test_kernel_tests_the_operands_that_absorb_an_infinity(source):
     # divisor, the argument of exp and both of pow, so it falls back
     field = ScalarField(source, XU)
     point = [0.5, 0.5, 2.0, 1.0]
-    for evaluate in (field.floats, field.kernel(),
-                     lambda p: field.on_grid(np.array([p[:2]]))(0, p[2:])):
+    for evaluate in (field.floats, point_kernel(field),
+                     lambda p: grid_kernel(field, np.array([p[:2]]))(0, p[2:])):
         with pytest.raises(NonFinite, match="^overflow in '\\*'$"):
             evaluate(point)
 
@@ -747,7 +753,7 @@ def test_kernel_region_bounds_are_open(region):
         for bound in (lo, hi):
             point = [0.5, 0.5, 0.5, 0.5]
             point[axis] = bound
-            assert outcome(lambda: field.kernel()(point)) == outcome(
+            assert outcome(lambda: point_kernel(field)(point)) == outcome(
                 lambda: field.floats(point)) == (
                 DomainExit, f"point {tuple(point)} outside region "
                 f"{region.bounds}")
@@ -759,26 +765,27 @@ def test_kernel_of_a_region_of_the_wrong_dimension_always_exits():
     with pytest.raises(DomainExit):
         field.floats([0.5, 0.5, 1.0, 1.0])
     with pytest.raises(DomainExit):
-        field.kernel()([0.5, 0.5, 1.0, 1.0])
+        point_kernel(field)([0.5, 0.5, 1.0, 1.0])
     # a point as short as the region is inside, and u2 is never read
-    assert field.kernel()([0.5, 0.5, 1.0]) == field.floats(
+    assert point_kernel(field)([0.5, 0.5, 1.0]) == field.floats(
         [0.5, 0.5, 1.0]) == [0.5, 2.0]
 
 
 def test_kernel_without_a_region_ignores_an_unread_infinity():
     field = MatrixField.from_exprs([["2*x1", "sin(u1)"]], XU)
     point = [0.5, math.inf, 1.0, -math.inf]
-    assert field.kernel()(point) == field.floats(point) == [1.0, math.sin(1.0)]
+    assert point_kernel(field)(point) == field.floats(point) == [
+        1.0, math.sin(1.0)]
 
 
 def kernel_source(field, monkeypatch):
-    """The source text field.kernel() compiles."""
+    """The source text point_kernel(field) compiles."""
     sources = []
     compile_ = compile
     monkeypatch.setattr(fields, "compile",
                         lambda text, *a: sources.append(text)
                         or compile_(text, *a), raising=False)
-    field.kernel()
+    point_kernel(field)
     return sources[-1]
 
 
@@ -815,12 +822,12 @@ def test_kernel_source_names_no_variable_of_the_field(monkeypatch):
     assert "import" not in source and "exec" not in source
     idents = {tok.string for tok in tokenize.generate_tokens(
         io.StringIO(source).readline) if tok.type == tokenize.NAME}
-    fixed = {"def", "kernel", "p", "if", "len", "and", "try", "except",
+    fixed = {"def", "kernel", "k", "p", "if", "len", "and", "try", "except",
              "ValueError", "OverflowError", "ZeroDivisionError", "pass",
              "else", "return", "fallback", "isfinite", "inf"}
     assert idents - fixed <= set(FUNCTION_ARITY) | {
         i for i in idents if SSA_NAME.fullmatch(i)}
-    assert field.kernel()([0.5, 2.0]) == field.floats([0.5, 2.0])
+    assert point_kernel(field)([0.5, 2.0]) == field.floats([0.5, 2.0])
 
 
 def tree_depth(node):
@@ -850,22 +857,33 @@ def test_kernel_compiles_trees_max_depth_deep(case):
     assert tree_depth(ast) in (MAX_DEPTH - 1, MAX_DEPTH)
     field = ScalarField(ast, ("x1",))
     fell_back = []
-    kernel = field._kernel([ast], ("x1",),
-                           lambda p: fell_back.append(p) or field.floats(p))
+    kernel = field.kernel(
+        entry_list, lambda k, p: fell_back.append(p) or field.floats(p[:1]))
     for x in (0.7, 1.1, 1.3):
-        assert outcome(lambda: kernel([x])) == outcome(
+        assert outcome(lambda: kernel(0, [x, 1.0])) == outcome(
             lambda: field.floats([x]))
     assert not fell_back
 
 
+def test_each_kernel_has_a_file_name_of_its_own():
+    # profiles key a function by file, line and name: kernels built from
+    # the same field must not fold into one entry
+    field = ScalarField("sin(x1)", ("x1",))
+    names = {field.kernel(entry_list, None).__code__.co_filename
+             for _ in range(2)}
+    assert len(names) == 2
+    assert all(re.fullmatch(r"<kernel \d+>", name) for name in names)
+
+
 def test_kernel_is_freed_without_the_cycle_collector():
-    # the staged table of a long path is large: the kernel must not keep
-    # it in a reference cycle with its own namespace until a gc pass
+    # the table of a long path is large: the kernel must not keep it in a
+    # reference cycle with its own namespace until a gc pass
     field = MatrixField.from_exprs([["u1*sin(x1)", "x2"]], XU)
     gc.disable()
     try:
-        refs = [weakref.ref(field.on_grid(batch_points(50))),
-                weakref.ref(field.kernel())]
+        refs = [weakref.ref(field.kernel(entry_list, None,
+                                         np.tile(batch_points(50), 2))),
+                weakref.ref(field.kernel(entry_list, None))]
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()

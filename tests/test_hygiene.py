@@ -1,10 +1,9 @@
 """Source hygiene: every name a package module imports is used in it,
 every import sits at module level, every function, method and class the
 package defines is referenced somewhere, the batch expression compiler
-covers exactly the grammar's functions, in whole trees and in staged ones
-(exprlang.stage), one function holds the
-singularity test, one function loops over RK4 steps, and a compiled kernel
-calls no Python-level function per point."""
+and the compiled kernels cover exactly the grammar's functions, one function
+holds the singularity test, one function loops over RK4 steps, and a
+compiled kernel calls no Python-level function per point."""
 
 import ast
 import builtins
@@ -264,20 +263,16 @@ def test_second_step_loop_and_defect_are_reported():
                                            ["m._rk4", "m.other.rhs"])
 
 
-def staged_values(node, cols, us):
-    """A tree over (x1, x2, u1) evaluated the staged way, as bytes per
-    point: the base-only parts in one batch, then the spine per point, in
-    a compiled kernel that may not fall back to the checked closures."""
-    spine, parts = exprlang.stage(node, ("x1", "x2"))
-    table = np.column_stack([*cols, *(
-        exprlang.compile_batch(part, ("x1", "x2"))(*cols) for part in parts)])
-    names = ("x1", "x2", *(f"@{i}" for i in range(len(parts))), "u1")
-
+def kernel_values(node, cols, us):
+    """A tree over (x1, x2, u1) evaluated per point, as bytes, by a compiled
+    kernel that reads (x1, x2) from a table row and may not fall back to the
+    checked closures."""
     def no_fallback(k, p):
         raise AssertionError(f"the kernel fell back at row {k}")
 
     field = ScalarField(node, ("x1", "x2", "u1"))
-    kernel = field._kernel([spine], names, no_fallback, table)
+    kernel = field.kernel(lambda G, v: G, no_fallback,
+                          np.column_stack([*cols, *np.ones((2, len(us)))]))
     return np.array([kernel(k, [u])[0]
                      for k, u in enumerate(us.tolist())]).tobytes()
 
@@ -296,8 +291,8 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
         batch = exprlang.compile_batch(node, names)(*cols)
         point = exprlang.compile_fn(node, names)
         assert np.array_equal(batch, [point(p) for p in zip(*cols)]), func
-    # staged: the function as a base-only part (compile_batch) and, with
-    # a fibre argument, in the spine (a compiled kernel)
+    # in a compiled kernel, with a base argument read from the table row
+    # and with a fibre argument
     xu = ("x1", "x2", "u1")
     us = np.linspace(0.2, 1.3, 7)
     for func, arity in [*exprlang.FUNCTION_ARITY.items(), ("^", 2)]:
@@ -309,7 +304,7 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
             whole = exprlang.compile_fn(node, xu)
             points = np.column_stack([*cols, us]).tolist()
             expected = [whole(p) for p in points]
-            assert (staged_values(node, cols, us)
+            assert (kernel_values(node, cols, us)
                     == np.array(expected).tobytes()), (func, args)
     unknown = exprlang.Call("sinh", (exprlang.Var("x1"),))
     with pytest.raises(KeyError):
@@ -355,11 +350,10 @@ def test_kernels_call_only_c_builtins(monkeypatch):
         call = (exprlang.BinOp("^", *leaves) if func == "^"
                 else exprlang.Call(func, leaves))
         field = MatrixField.from_exprs([[call, "x1"]], xu)
-        field.kernel()
         field.kernel(lambda G, v: [G[0] * v[0]], None)
-        field.on_grid(np.array([[0.5, 0.5]]), np.array([[1.0, 2.0]]),
-                      lambda G, v: [G[0] * v[0] + G[1] * v[1]], None)
-    assert len(sources) == 3 * (len(exprlang.FUNCTION_ARITY) + 1)
+        field.kernel(lambda G, v: [G[0] * v[0] + G[1] * v[1]], None,
+                     np.array([[0.5, 0.5, 1.0, 2.0]]))
+    assert len(sources) == 2 * (len(exprlang.FUNCTION_ARITY) + 1)
     scope = {**vars(builtins), **exprlang.KERNEL_GLOBALS}
     for source in sources:
         names, attributes = kernel_calls(source)

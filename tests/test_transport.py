@@ -592,7 +592,6 @@ def test_index_plan_skips_only_constant_zeros():
     rows = _geodesic_rows(2)
     assert _index_plan(g3, rows) == [[(0, [(1, 1)]), (1, [(4, 0)])],
                                      [(0, [(2, 0), (3, 1)]), (1, [(7, 1)])]]
-    assert _index_plan(None, rows) == rows
     callable_g3 = CoefficientField3.from_callable(
         lambda x1, x2: np.zeros((2, 2, 2)), 2, 2)
     assert _index_plan(callable_g3, rows) == rows
@@ -632,6 +631,19 @@ def test_general_transport_nonfinite_names_plain_floats():
     assert str(info.value) == "non-finite array value at (0.53125, 1.53125)"
 
 
+@pytest.mark.parametrize("path, message", [
+    (PathSpec.from_points([[0.0, 0.0], [1e200, 0.0]]), "length"),
+    (PathSpec.from_points([[0.0, -1e308], [0.0, 1e308]]), "length"),
+    (PathSpec.from_exprs(["1e308*sin(1e5*t)", "t"], 0.0, 1.0, steps=20),
+     "velocity"),
+], ids=["squares-overflow", "difference-overflows", "expression-velocity"])
+def test_path_data_that_overflows_names_the_path(path, message):
+    # numpy's overflow warnings are off, as in the CLI
+    with np.errstate(all="ignore"), pytest.raises(
+            NonFinite, match=f"^non-finite path {message}$"):
+        _grid(path)
+
+
 # --- two-index transport with staged base subtrees -------------------------------
 
 STAGED_ROWS = [["-((0.1659*cos(x1 + x2))*u1 + (0.4901*x2)*u2)",
@@ -661,7 +673,7 @@ def test_callable_two_index_transport_equals_the_staged_one(path):
 
 
 def test_two_index_transport_memory_peak():
-    # the staged table is one (K, n + P) float array: no grid-sized list
+    # the grid table is one (K, 2n) float array: no grid-sized list
     g2 = TwoIndexField.from_exprs(STAGED_ROWS, 2, 2)
     path = PathSpec.from_exprs(["0.3 + 0.5*t", "0.2 + sin(t)"], 0.0, 1.0,
                                steps=4000)
@@ -851,9 +863,8 @@ def test_fused_two_index_rhs_equals_contract_of_floats(flat, repeat, nodes,
     grid = transport._Grid(pos, vel, None, None, None)
     rhs = driver_rhs(lambda: transport_general(g2, None, [0, 0]), grid)
     # the dense plan while a grid velocity is not finite (0 * inf is NaN)
-    plan = _index_plan(g2 if np.isfinite(vel).all() else None,
-                       [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0),
-                                                           (3, 1)])]])
+    plan = [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0), (3, 1)])]]
+    plan = _index_plan(g2, plan) if np.isfinite(vel).all() else plan
     for k, x in enumerate(pos.tolist()):
         for u in us + [[0.5, -1.5], [0.0, math.inf], [math.nan, 0.5]]:
             assert rhs_outcome(lambda: rhs(k, u)) == rhs_outcome(
