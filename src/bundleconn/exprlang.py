@@ -362,6 +362,17 @@ def evaluate(ast, scope):
 KERNEL_GLOBALS = {**_CALL_IMPL, "isfinite": math.isfinite, "inf": math.inf}
 
 
+def _elementwise(impl, arity):
+    ufunc = np.frompyfunc(impl, arity, 1)
+    return lambda *cols: np.asarray(ufunc(*cols), dtype=float)
+
+
+# the names a batch's source may call: each grammar function applied to
+# float columns element by element, so every value has the scalar bits
+BATCH_GLOBALS = {name: _elementwise(impl, FUNCTION_ARITY[name])
+                 for name, impl in _CALL_IMPL.items()}
+
+
 class Code(str):
     """Source text of a float expression: +, * and unary minus build the
     text of the operation, so float code run on Code returns its source."""
@@ -372,14 +383,14 @@ class Code(str):
 
 
 def ssa_lines(asts, names):
-    """Unchecked statements t{j} = ... of a compiled kernel (fields), one per
-    operator node with compile_fn's IEEE operations in its order, over v{i}
-    (names[i]): (statements, each AST's value, operands to test). A NaN or
-    infinity at a node makes an operation raise or reaches a value or an
-    operand that could turn it finite: a divisor, the argument of exp, both
-    of pow and '^'. cot(a) is cos(a) / sin(a), as _cot, without its frame.
-    Only generated names, float reprs and KERNEL_GLOBALS keys reach the
-    statements."""
+    """Unchecked statements t{j} = ... of a compiled kernel or batch
+    (fields), one per operator node with compile_fn's IEEE operations in its
+    order, over v{i} (names[i]): (statements, each AST's value, operands to
+    test). A NaN or infinity at a node makes an operation raise or reaches a
+    value or an operand that could turn it finite: a divisor, the argument
+    of exp, both of pow and '^'; on float columns a zero divisor gives one.
+    cot(a) is cos(a) / sin(a), as _cot, without its frame. Only generated
+    names, float reprs and KERNEL_GLOBALS keys reach the statements."""
     tested, seen = [], {}
 
     def put(text):      # once per text: SSA text is a function of its names
@@ -407,57 +418,3 @@ def ssa_lines(asts, names):
 
     values = [emit(ast) for ast in asts]
     return [f"{t} = {text}" for text, t in seen.items()], values, tested
-
-
-_BATCH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply,
-                 "/": np.divide}
-
-
-def _finite_batch(values):
-    if np.isfinite(values).all():
-        return values
-    raise NonFinite("non-finite value in a batch")
-
-
-def compile_batch(ast, names):
-    """Compile an AST into a function of one float column per name (all of
-    one length K) returning the K values, bitwise equal to compile_fn at
-    each point: + - * / and unary minus are numpy ufuncs (the same IEEE
-    operations), every function and '^' applies the scalar implementation
-    element by element. A non-finite value at any node raises NonFinite
-    without naming a point; re-evaluate point by point for the message."""
-    names = tuple(names)
-
-    def build(node):
-        if isinstance(node, Const):
-            value = float(node.value)
-            if not math.isfinite(value):
-                raise NonFinite(f"constant {node.value!r}")
-            return lambda cols: value
-        if isinstance(node, Var):
-            try:
-                idx = names.index(node.name)
-            except ValueError:
-                raise UnboundVariable(node.name) from None
-            return lambda cols: _finite_batch(cols[idx])
-        if isinstance(node, Neg):
-            f = build(node.operand)
-            return lambda cols: np.negative(f(cols))
-        if isinstance(node, BinOp) and node.op in _BATCH_UFUNCS:
-            ufunc = _BATCH_UFUNCS[node.op]
-            lf, rf = build(node.lhs), build(node.rhs)
-            return lambda cols: _finite_batch(ufunc(lf(cols), rf(cols)))
-        impl, _, args = _call_parts(node)
-        elementwise = np.frompyfunc(impl, len(args), 1)
-        arg_fns = tuple(build(a) for a in args)
-
-        def run(cols):
-            try:
-                v = elementwise(*(f(cols) for f in arg_fns))
-            except (ValueError, OverflowError, ZeroDivisionError):
-                raise NonFinite("libm error in a batch") from None
-            return _finite_batch(np.asarray(v, dtype=float))
-        return run
-
-    fn = build(ast)
-    return np.errstate(all="ignore")(lambda *cols: fn(cols))

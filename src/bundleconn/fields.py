@@ -17,13 +17,14 @@ import operator
 import numpy as np
 
 from .errors import DomainExit, NonFinite, SingularFrame
-from .exprlang import (KERNEL_GLOBALS, Code, Const, ExprAst, compile_batch,
+from .exprlang import (BATCH_GLOBALS, KERNEL_GLOBALS, Code, Const, ExprAst,
                        compile_fn, parse, ssa_lines)
 
 SINGULAR_DET = 1e-12
 FD_STEP_FIRST = 1e-5
 FD_STEP_NESTED = 1e-4
-_KERNELS = itertools.count()    # numbers the file names of compiled kernels
+_DEFINED = itertools.count()    # numbers the file names of compiled code
+_ROWS = 4096    # rows per batch call: SSA keeps every temporary column alive
 
 
 class Region:
@@ -68,6 +69,16 @@ def nonsingular(M, error, message):
     if abs(np.linalg.det(M)) < SINGULAR_DET:
         raise error(message)
     return M
+
+
+def _define(name, lines, namespace):
+    """The function `name` the source lines define, run in namespace under
+    a file name of its own, <name N>, so profiles and tracebacks tell
+    compiled functions apart; popped out, so it holds no cycle through its
+    globals. The one place that compiles generated code."""
+    exec(compile("\n".join(lines), f"<{name} {next(_DEFINED)}>", "exec"),
+         namespace)
+    return namespace.pop(name)
 
 
 def _compile_entry(source, names):
@@ -193,7 +204,7 @@ class _FieldArray:
         bounds = [f"{lo!r} < {c} < {hi!r}" for c, (lo, hi) in
                   zip(v[:n] + v[2 * n:],
                       self.region.bounds if self.region else ())]
-        source = "\n".join([
+        return _define("kernel", [
             "def kernel(k, p):",
             f"    if len(p) == {len(names) - head}:",
             f"        [{', '.join(v[:head])}] = table[k].tolist()" * bool(head),
@@ -206,18 +217,18 @@ class _FieldArray:
             "            else:",
             f"                if isfinite({' + '.join(checks) or '0.0'}):",
             f"                    return [{', '.join(map(str, out))}]",
-            "    return fallback(k, p)"])
-        namespace = dict(KERNEL_GLOBALS, fallback=fallback, table=table)
-        # a file name of its own, so profiles and tracebacks tell kernels apart
-        exec(compile(source, f"<kernel {next(_KERNELS)}>", "exec"), namespace)
-        return namespace.pop("kernel")    # no cycle through its globals
+            "    return fallback(k, p)"],
+            dict(KERNEL_GLOBALS, fallback=fallback, table=table))
 
     def values(self, points):
         """The field at every row of a (K, dim) point array, shape
-        (K,) + shape, equal to stacking self(tuple(p)) over the rows. A
-        callable field, a non-expression entry, a point outside the region
-        or a non-finite node falls back to that per-point loop, so errors
-        and their messages are the per-point ones."""
+        (K,) + shape, equal to stacking self(tuple(p)) over the rows. The
+        entry ASTs run as one compiled batch, the kernel's statements
+        (exprlang.ssa_lines) on float columns of _ROWS rows. A callable
+        field, a non-expression entry, a point outside the region, a libm
+        error or a non-finite value or tested operand falls back to that
+        per-point loop, so errors and their messages are the per-point
+        ones."""
         points = np.asarray(points, dtype=float)
         out = self._batch_values(points)
         if out is None:
@@ -234,15 +245,25 @@ class _FieldArray:
                     (lo < points) & (points < hi)).all():
                 return None
         if self._batch is None:
-            self._batch = [(pos, compile_batch(ast, self.names))
-                           for pos, _, ast in self._dynamic]
+            lines, values, tested = ssa_lines(
+                [ast for *_, ast in self._dynamic], self.names)
+            v = [f"v{i}" for i in range(len(self.names))]
+            self._batch = _define("batch", [
+                f"def batch({', '.join(v)}):",
+                *(f"    {line}" for line in lines),
+                f"    return [{', '.join(values + tested)}]"],
+                dict(BATCH_GLOBALS))
         out = np.tile(self._template, (len(points), 1))
-        cols = points.T
-        try:
-            for pos, fn in self._batch:
-                out[:, pos] = fn(*cols)
-        except NonFinite:
-            return None
+        with np.errstate(all="ignore"):
+            for start in range(0, len(points), _ROWS):
+                try:
+                    checks = self._batch(*points[start:start + _ROWS].T)
+                except (ValueError, OverflowError, ZeroDivisionError):
+                    return None
+                if not np.isfinite(sum(checks)).all():
+                    return None
+                for (pos, *_), value in zip(self._dynamic, checks):
+                    out[start:start + _ROWS, pos] = value
         for pos, src in self._copies:
             out[:, pos] = out[:, src]
         return out

@@ -113,6 +113,8 @@ def _expr_grid(path):
     t0, t1 = path.interval
     N = path.steps
     span = t1 - t0
+    if not np.isfinite(span):
+        raise NonFinite("non-finite path parameter span")
     hv = span / (64.0 * N)
     tgrid = t0 + span * np.arange(2 * N + 1) / (2.0 * N)
     pos = path.exprs.values(tgrid[:, None])

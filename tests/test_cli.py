@@ -1003,42 +1003,59 @@ def test_exit_1_division_by_zero_at_a_grid_point(tmp_path, capsys):
 
 HUGE_STACKS = [[["0", "1e200"], ["1e200", "0"]],
                [["1e200", "0"], ["0", "-1e200"]]]
+QUOTIENT = "non-finite difference quotient along axis 0 at "
+SERIALIZE = "cannot serialize non-finite number nan"
+SPAN_PATH = {"exprs": ["t", "t"], "t0": -1e308, "t1": 1e308}
 NON_FINITE_RUNS = {
     # the finite-difference quotient overflows
     "curvature-stencil": ("curvature", {
         "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
         "connection": {"kind": "three_index",
                        "stacks": [[["1e307*sin(100*x1)", "0"], ["0", "0"]],
-                                  [["0", "0"], ["0", "0"]]]}}),
+                                  [["0", "0"], ["0", "0"]]]}},
+        QUOTIENT + "(0.5, 0.5)"),
     # [G_mu, G_nu] overflows
     "curvature-commutator": ("curvature", {
         "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
-        "connection": {"kind": "three_index", "stacks": HUGE_STACKS}}),
+        "connection": {"kind": "three_index", "stacks": HUGE_STACKS}},
+        SERIALIZE),
     # a NaN curvature must not read as flat
     "flatness-verdict": ("flatness", {
         "base_dim": 2, "fibre_rank": 2, "points": [[0.5, 0.5]],
-        "connection": {"kind": "three_index", "stacks": HUGE_STACKS}}),
+        "connection": {"kind": "three_index", "stacks": HUGE_STACKS}},
+        SERIALIZE),
     "morphism-stencil": ("morphism", {
         "connection": "registry:flat", "point": [0.5, 0.5, 1.0, 2.0],
         "morphism": {"base": ["x1", "x2"],
-                     "fibre": ["1e307*sin(100*x1)", "u2"]}}),
+                     "fibre": ["1e307*sin(100*x1)", "u2"]}},
+        QUOTIENT + "(0.5, 0.5, 1.0, 2.0)"),
     # path data: a polyline length whose squares overflow, a vertex
-    # difference that overflows, and an expression path's velocity
+    # difference that overflows, an expression path's velocity, and the
+    # parameter span t1 - t0 of a two-index and of a linear transport
     "polyline-length": ("transport", {
-        **two_index_entry("u1"), "path": {"points": [[0, 0], [1e200, 0]]}}),
+        **two_index_entry("u1"), "path": {"points": [[0, 0], [1e200, 0]]}},
+        "non-finite path length"),
     "polyline-difference": ("transport", {
         **two_index_entry("u1"),
-        "path": {"points": [[0, -1e308], [0, 1e308]]}}),
+        "path": {"points": [[0, -1e308], [0, 1e308]]}},
+        "non-finite path length"),
     "expression-path-velocity": ("transport", {
         **two_index_entry("u1"),
-        "path": {"exprs": ["1e308*sin(1e5*t)", "t"], "steps": 20}}),
+        "path": {"exprs": ["1e308*sin(1e5*t)", "t"], "steps": 20}},
+        "non-finite path velocity"),
+    "expression-path-span": ("transport", {
+        **two_index_entry("u1"), "path": SPAN_PATH},
+        "non-finite path parameter span"),
+    "expression-path-span-linear": ("transport", {
+        "connection": "registry:sphere-lc", "initial": [1.0, 0.0],
+        "path": SPAN_PATH}, "non-finite path parameter span"),
 }
 
 
-@pytest.mark.parametrize("command, cfg", NON_FINITE_RUNS.values(),
+@pytest.mark.parametrize("command, cfg, message", NON_FINITE_RUNS.values(),
                          ids=list(NON_FINITE_RUNS))
 def test_exit_1_non_finite_result_is_one_json_line(tmp_path, capsys,
-                                                   command, cfg):
+                                                   command, cfg, message):
     path = write_config(tmp_path, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1047,7 +1064,8 @@ def test_exit_1_non_finite_result_is_one_json_line(tmp_path, capsys,
     assert code == 1
     lines = captured.out.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["type"] == "NonFinite"
+    assert json.loads(lines[0])["error"] == {"type": "NonFinite",
+                                             "message": message}
     assert caught == []
     assert "Warning" not in captured.err
 

@@ -730,18 +730,24 @@ def test_kernel_equals_floats_bitwise(entries, points, region):
         assert outcome(lambda: kernel(p)) == outcome(lambda: field.floats(p))
         assert outcome(lambda: at(k, p[2:])) == outcome(
             lambda: field.floats(p))
+        assert outcome(lambda: field.values(np.array([p]))) == outcome(
+            lambda: field.floats(p))
+    assert outcome(lambda: field.values(np.array(points))) == outcome(
+        lambda: [field.floats(p) for p in points])
 
 
 @pytest.mark.parametrize("source", [
     "x1/(u1*1e308*1e10)", "exp(-(u1*1e308*1e10))", "pow(u1*1e308*1e10, 0)",
     "(u1*1e308*1e10)^(-1)"])
 def test_kernel_tests_the_operands_that_absorb_an_infinity(source):
-    # unchecked, the overflow would end in 0.0 or 1.0: the kernel tests the
-    # divisor, the argument of exp and both of pow, so it falls back
+    # unchecked, the overflow would end in 0.0 or 1.0: the kernel and the
+    # batch test the divisor, the argument of exp and both of pow, so they
+    # fall back
     field = ScalarField(source, XU)
     point = [0.5, 0.5, 2.0, 1.0]
     for evaluate in (field.floats, point_kernel(field),
-                     lambda p: grid_kernel(field, np.array([p[:2]]))(0, p[2:])):
+                     lambda p: grid_kernel(field, np.array([p[:2]]))(0, p[2:]),
+                     lambda p: field.values(np.array([p]))):
         with pytest.raises(NonFinite, match="^overflow in '\\*'$"):
             evaluate(point)
 
@@ -789,7 +795,19 @@ def kernel_source(field, monkeypatch):
     return sources[-1]
 
 
+def batch_source(field):
+    """The source text field.values compiles for its batch."""
+    sources = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields, "compile", lambda text, *a: sources.append(text)
+                      or compile(text, *a), raising=False)
+        field._batch_values(np.ones((1, len(field.names))))
+    return sources[-1]
+
+
 SSA_NAME = re.compile(r"[tv]\d+")
+BATCH_LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+                tokenize.ENDMARKER)
 
 
 @settings(max_examples=100, deadline=None)
@@ -800,17 +818,35 @@ def test_kernel_statements_hold_only_generated_names(tree):
         *(line.split(" = ")[0] for line in lines),
         *(f"v{i}" for i in range(len(XU)))} | {
         v for v in values + tested if v.startswith("(")}
-    for line in lines:
+    # the statements, and the batch of a field around them
+    source = batch_source(ScalarField(tree, XU))
+    for line in lines + source.splitlines():
         for tok in tokenize.generate_tokens(io.StringIO(line).readline):
             if tok.type == tokenize.NAME:
                 assert (SSA_NAME.fullmatch(tok.string)
-                        or tok.string in FUNCTION_ARITY), line
+                        or tok.string in FUNCTION_ARITY
+                        or tok.string in ("def", "batch", "return")), line
             elif tok.type == tokenize.NUMBER:
                 assert repr(float(tok.string)) == tok.string, line
             elif tok.type == tokenize.OP:
-                assert tok.string in "+-*/(),=", line
+                assert tok.string in "+-*/(),=:[]", line
             else:
-                assert tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER)
+                assert tok.type in BATCH_LAYOUT, line
+
+
+def test_values_compiles_the_batch_once(monkeypatch):
+    # one batch per field, run on blocks of rows
+    names = []
+    monkeypatch.setattr(fields, "compile", lambda text, name, mode: (
+        names.append(name) or compile(text, name, mode)), raising=False)
+    field = MatrixField.from_exprs(ALL_OPS_ROWS, XY)
+    points = batch_points(2 * fields._ROWS + 3)
+    for rows in (points[:5], points):
+        assert field.values(rows).tobytes() == stacked(field, rows).tobytes()
+    points[-2] = (1.0, 0.0)            # cot(x2) fails in the last block
+    assert first_error(lambda: field.values(points)) == first_error(
+        lambda: stacked(field, points))
+    assert len(names) == 1 and re.fullmatch(r"<batch \d+>", names[0])
 
 
 def test_kernel_source_names_no_variable_of_the_field(monkeypatch):
@@ -852,17 +888,23 @@ DEEP = {
 @pytest.mark.parametrize("case", list(DEEP))
 def test_kernel_compiles_trees_max_depth_deep(case):
     # SSA form has one statement per node, so no nesting limit of the
-    # Python compiler applies
+    # Python compiler applies to a kernel or a batch
     ast = parse(DEEP[case])
     assert tree_depth(ast) in (MAX_DEPTH - 1, MAX_DEPTH)
     field = ScalarField(ast, ("x1",))
     fell_back = []
     kernel = field.kernel(
         entry_list, lambda k, p: fell_back.append(p) or field.floats(p[:1]))
-    for x in (0.7, 1.1, 1.3):
-        assert outcome(lambda: kernel(0, [x, 1.0])) == outcome(
-            lambda: field.floats([x]))
+    xs = np.array([[0.7], [1.1], [1.3]])
+    for x in xs.tolist():
+        assert outcome(lambda: kernel(0, [*x, 1.0])) == outcome(
+            lambda: field.floats(x))
+        assert outcome(lambda: field.values(np.array([x]))) == outcome(
+            lambda: field.floats(x))
     assert not fell_back
+    assert field._batch_values(xs) is not None
+    assert outcome(lambda: field.values(xs)) == outcome(
+        lambda: [field.floats(x) for x in xs.tolist()])
 
 
 def test_each_kernel_has_a_file_name_of_its_own():

@@ -1,9 +1,9 @@
 """Source hygiene: every name a package module imports is used in it,
 every import sits at module level, every function, method and class the
-package defines is referenced somewhere, the batch expression compiler
-and the compiled kernels cover exactly the grammar's functions, one function
-holds the singularity test, one function loops over RK4 steps, and a
-compiled kernel calls no Python-level function per point."""
+package defines is referenced somewhere, the compiled batches and kernels
+cover exactly the grammar's functions, one function holds the singularity
+test, one function loops over RK4 steps, one function compiles generated
+code, and a compiled kernel calls no Python-level function per point."""
 
 import ast
 import builtins
@@ -263,6 +263,59 @@ def test_second_step_loop_and_defect_are_reported():
                                            ["m._rk4", "m.other.rhs"])
 
 
+def code_generation_sites(source, module):
+    """(builtin, qualified name of the function or module) of every call
+    of compile or exec, sorted."""
+    sites = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id in ("compile", "exec")):
+                sites.append((child.func.id, scope))
+            walk(child, scope)
+
+    walk(ast.parse(source), module)
+    return sorted(sites)
+
+
+def test_one_function_compiles_generated_code():
+    # kernels and batches are both defined through fields._define
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        sites += code_generation_sites(path.read_text(encoding="utf-8"),
+                                       path.stem)
+    assert sorted(sites) == [("compile", "fields._define"),
+                             ("exec", "fields._define")]
+
+
+def test_second_code_generator_is_reported():
+    source = ("import re\n"
+              "def define(text, space):\n"
+              "    exec(compile(text, '<f>', 'exec'), space)\n"
+              "class Batch:\n"
+              "    def build(self, text):\n"
+              "        return compile(text, '<g>', 'exec')\n"
+              "PATTERN = re.compile('x')\n"
+              "exec('y = 1')\n")
+    assert code_generation_sites(source, "m") == [
+        ("compile", "m.Batch.build"), ("compile", "m.define"),
+        ("exec", "m"), ("exec", "m.define")]
+
+
+def batch_values(node, names, cols):
+    """A tree over `names` evaluated on float columns by ScalarField.values,
+    as bytes, through its compiled batch, which may not fall back."""
+    field = ScalarField(node, names)
+    points = np.column_stack(cols)
+    assert field._batch_values(points) is not None, node
+    return field.values(points).tobytes()
+
+
 def kernel_values(node, cols, us):
     """A tree over (x1, x2, u1) evaluated per point, as bytes, by a compiled
     kernel that reads (x1, x2) from a table row and may not fall back to the
@@ -278,9 +331,10 @@ def kernel_values(node, cols, us):
 
 
 def test_batch_compiler_handles_exactly_the_grammar_functions():
-    # compile_batch dispatches calls through _CALL_IMPL, like compile_fn,
-    # and a compiled kernel calls the same functions under their names
+    # a batch applies each function of _CALL_IMPL element by element, and a
+    # compiled kernel calls the same functions, under their names
     assert set(exprlang._CALL_IMPL) == set(exprlang.FUNCTION_ARITY)
+    assert set(exprlang.BATCH_GLOBALS) == set(exprlang.FUNCTION_ARITY)
     assert all(exprlang.KERNEL_GLOBALS[name] is impl
                for name, impl in exprlang._CALL_IMPL.items())
     names = ("x1", "x2")
@@ -288,9 +342,13 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
     for func, arity in exprlang.FUNCTION_ARITY.items():
         node = exprlang.Call(func, tuple(exprlang.Var(n)
                                          for n in names[:arity]))
-        batch = exprlang.compile_batch(node, names)(*cols)
         point = exprlang.compile_fn(node, names)
-        assert np.array_equal(batch, [point(p) for p in zip(*cols)]), func
+        want = np.array([point(p) for p in zip(*cols)]).tobytes()
+        assert batch_values(node, names, cols) == want, func
+        impl = exprlang._CALL_IMPL[func]
+        assert (exprlang.BATCH_GLOBALS[func](*cols[:arity]).tobytes()
+                == np.array([impl(*p) for p in zip(*cols[:arity])]
+                            ).tobytes()), func
     # in a compiled kernel, with a base argument read from the table row
     # and with a fibre argument
     xu = ("x1", "x2", "u1")
@@ -308,7 +366,9 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
                     == np.array(expected).tobytes()), (func, args)
     unknown = exprlang.Call("sinh", (exprlang.Var("x1"),))
     with pytest.raises(KeyError):
-        exprlang.compile_batch(unknown, names)
+        exprlang.ssa_lines([unknown], names)
+    with pytest.raises(KeyError):
+        ScalarField(unknown, names)
 
 
 def test_power_is_the_function_pow():
@@ -316,8 +376,8 @@ def test_power_is_the_function_pow():
     names = ("x1", "x2")
     cols = (np.linspace(0.1, 3.0, 9), np.linspace(-2.5, 2.5, 9))
     caret, call = (exprlang.parse(src) for src in ("x1^x2", "pow(x1, x2)"))
-    assert (exprlang.compile_batch(caret, names)(*cols).tobytes()
-            == exprlang.compile_batch(call, names)(*cols).tobytes())
+    assert batch_values(caret, names, cols) == batch_values(call, names,
+                                                            cols)
     caret, call = (exprlang.compile_fn(ast, names) for ast in (caret, call))
     assert (np.array([caret(p) for p in zip(*cols)]).tobytes()
             == np.array([call(p) for p in zip(*cols)]).tobytes())
