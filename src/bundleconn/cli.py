@@ -244,6 +244,8 @@ class Problem:
             raise ConfigError(f"samples must be positive, got {self.samples}")
         if self.fd_step is not None and self.fd_step <= 0.0:
             raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
+        if self.tol < 0.0:
+            raise ConfigError(f"tol must be non-negative, got {self.tol}")
 
     @staticmethod
     def _effective(args, name, cfg, cast, default):

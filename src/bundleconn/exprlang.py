@@ -4,12 +4,14 @@ Expressions are the universal field representation: connection coefficients,
 frame changes, paths, and sections are all defined by text in the grammar of
 docs/grammar.md. Precedence, loosest to tightest: + - (left), * / (left),
 unary -, ^ (right). Evaluation is strict IEEE double arithmetic: a NaN or
-infinity at any node raises NonFinite instead of propagating.
+infinity at any node raises NonFinite instead of propagating. Trees become
+one Program of steps (program): run checks it, ssa_lines prints it as code.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,107 +247,93 @@ _CALL_IMPL = {
     "exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "abs": abs,
     "pow": math.pow,
 }
+# the kinds of program steps; (kind, label, operation) per operator
+_LOAD, _INFIX, _CALL, _ENTRY = range(4)
+_BINARY = {"+": (_INFIX, "+", operator.add), "-": (_INFIX, "-", operator.sub),
+           "*": (_INFIX, "*", operator.mul),
+           "/": (_INFIX, "/", operator.truediv), "^": (_CALL, "'^'", math.pow)}
 
 
-def _call_parts(node):
-    """(implementation, message label, argument nodes) of a function call,
-    or of '^', which is the function pow."""
-    if isinstance(node, BinOp):
-        return math.pow, "'^'", (node.lhs, node.rhs)
-    return _CALL_IMPL[node.func], node.func, node.args
+@dataclass(frozen=True)
+class Program:
+    """The steps that evaluate a list of entries: each step is (kind, label,
+    operation, a, b, slot), a and b its operand slots (a load's operation is
+    the index it reads); `init` holds each slot's value before the first
+    step (a constant's, else None), `outputs` each entry's slot, and
+    `callables` tells whether an entry is a callable."""
+    init: list
+    steps: list
+    outputs: list
+    callables: bool
 
 
-def _compile(ast, names):
-    """Compile a node to a closure over a positional point: variables are
-    resolved to their index in `names` now, so a name outside it raises
-    UnboundVariable at compile time rather than per evaluation."""
-    if isinstance(ast, Const):
-        value = float(ast.value)
-        if not math.isfinite(value):
-            raise NonFinite(f"constant {ast.value!r}")
-        return lambda env: value
-    if isinstance(ast, Var):
-        name = ast.name
-        try:
-            idx = names.index(name)
-        except ValueError:
-            raise UnboundVariable(name) from None
+def program(entries, names):
+    """The Program of the entries (ASTs, or callables of the point called
+    at their position) over the coordinates `names`: one step per distinct
+    node, keyed by operation and operand slots (constants by repr: 0.0 is
+    not -0.0), in post-order, a load at each variable's first read. The one
+    walk that turns trees into code, for run and ssa_lines; UnboundVariable
+    and NonFinite for a constant are raised here, entry by entry."""
+    slots, init, steps = {}, [], []
 
-        def get(env):
-            v = env[idx]
-            if math.isfinite(v):
-                return v
-            raise NonFinite(f"variable {name} is {v!r}")
-        return get
-    if isinstance(ast, Neg):
-        f = _compile(ast.operand, names)
-        return lambda env: -f(env)
-    if isinstance(ast, BinOp) and ast.op != "^":
-        lf = _compile(ast.lhs, names)
-        rf = _compile(ast.rhs, names)
-        op = ast.op
-        if op == "+":
-            def run(env):
-                v = lf(env) + rf(env)
-                if math.isfinite(v):
-                    return v
-                raise NonFinite("overflow in '+'")
-        elif op == "-":
-            def run(env):
-                v = lf(env) - rf(env)
-                if math.isfinite(v):
-                    return v
-                raise NonFinite("overflow in '-'")
-        elif op == "*":
-            def run(env):
-                v = lf(env) * rf(env)
-                if math.isfinite(v):
-                    return v
-                raise NonFinite("overflow in '*'")
+    def slot(kind, label=None, op=None, a=None, b=None, value=None):
+        key = repr(value) if kind is None else (kind, label, a, b)
+        if key not in slots:
+            slots[key] = len(init)
+            init.append(value)
+            if kind is not None:
+                steps.append((kind, label, op, a, b, slots[key]))
+        return slots[key]
+
+    def walk(node):
+        if isinstance(node, Const):
+            value = float(node.value)
+            if not math.isfinite(value):
+                raise NonFinite(f"constant {node.value!r}")
+            return slot(None, value=value)
+        if isinstance(node, Var):
+            if node.name not in names:
+                raise UnboundVariable(node.name)
+            return slot(_LOAD, node.name, names.index(node.name))
+        if isinstance(node, BinOp):
+            step, args = _BINARY[node.op], (node.lhs, node.rhs)
+        elif isinstance(node, Neg):
+            step, args = (_CALL, "-", operator.neg), (node.operand,)
         else:
-            # the divisor is tested, not trapped: a numpy float divides by
-            # zero to inf with a warning where a Python float raises
-            def run(env):
-                num, den = lf(env), rf(env)
-                if den == 0.0:
-                    raise NonFinite("division by zero")
-                v = num / den
-                if math.isfinite(v):
-                    return v
-                raise NonFinite("overflow in '/'")
-        return run
-    impl, name, args = _call_parts(ast)
-    arg_fns = tuple(_compile(a, names) for a in args)
-    # one closure per arity: a generic impl(*args) costs more per call
-    if len(arg_fns) == 1:
-        af = arg_fns[0]
+            step, args = (_CALL, node.func, _CALL_IMPL[node.func]), node.args
+        return slot(*step, *map(walk, args))
 
-        def run(env):
+    outputs = [walk(entry) if isinstance(entry, ExprAst)
+               else slot(_ENTRY, None, entry, pos)
+               for pos, entry in enumerate(entries)]
+    return Program(init, steps, outputs,
+                   any(step[0] == _ENTRY for step in steps))
+
+
+def run(prog, point):
+    """The entries of a Program at one point as Python floats, checked as
+    docs/grammar.md says, with its messages; a callable entry unchecked."""
+    vals = prog.init.copy()
+    for kind, label, op, a, b, out in prog.steps:
+        if kind == _LOAD:
+            v = point[op]
+            if not math.isfinite(v):
+                raise NonFinite(f"variable {label} is {v!r}")
+            # a Python float raises on a zero divisor, a numpy float warns
+            v = float(v)
+        elif kind == _ENTRY:
+            v = float(op(*point))
+        else:
             try:
-                v = impl(af(env))
+                v = op(vals[a]) if b is None else op(vals[a], vals[b])
             except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise NonFinite(f"{name}: {exc}") from None
-            if math.isfinite(v):
-                return v
-            raise NonFinite(f"{name} produced {v!r}")
-    else:
-        af0, af1 = arg_fns
-
-        def run(env):
-            try:
-                v = impl(af0(env), af1(env))
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise NonFinite(f"{name}: {exc}") from None
-            if math.isfinite(v):
-                return v
-            raise NonFinite(f"{name} produced {v!r}")
-    return run
-
-
-def compile_fn(ast, names):
-    """Compile an AST into a closure over a positional coordinate tuple
-    ordered as `names`."""
-    return _compile(ast, tuple(names))
+                raise NonFinite("division by zero" if label == "/"
+                                else f"{label}: {exc}") from None
+            if not math.isfinite(v):
+                raise NonFinite(f"overflow in '{label}'" if kind == _INFIX
+                                else f"{label} produced {v!r}")
+        vals[out] = v
+    return [vals[s] for s in prog.outputs]
 
 
 def evaluate(ast, scope):
@@ -354,7 +342,8 @@ def evaluate(ast, scope):
     Raises UnboundVariable for names missing from the scope and NonFinite if
     the result or any intermediate is NaN or infinite.
     """
-    return compile_fn(ast, scope)(tuple(float(v) for v in scope.values()))
+    return run(program([ast], tuple(scope)),
+               tuple(float(v) for v in scope.values()))[0]
 
 
 # the names a kernel's source may call: the grammar functions under their
@@ -382,39 +371,38 @@ class Code(str):
     __neg__ = lambda a: Code(f"(-{a})")
 
 
-def ssa_lines(asts, names):
-    """Unchecked statements t{j} = ... of a compiled kernel or batch
-    (fields), one per operator node with compile_fn's IEEE operations in its
-    order, over v{i} (names[i]): (statements, each AST's value, operands to
-    test). A NaN or infinity at a node makes an operation raise or reaches a
-    value or an operand that could turn it finite: a divisor, the argument
-    of exp, both of pow and '^'; on float columns a zero divisor gives one.
-    cot(a) is cos(a) / sin(a), as _cot, without its frame. Only generated
-    names, float reprs and KERNEL_GLOBALS keys reach the statements."""
+def ssa_lines(prog, variables):
+    """The unchecked statements t{j} = ... of a compiled kernel or batch
+    (fields): a Program without callables printed with run's operations, in
+    its order, over the texts `variables` of its names: (statements, each
+    entry's value, operands to test). A NaN or infinity at a step makes an
+    operation raise or reaches a value or an operand that could turn it
+    finite: a divisor, the argument of exp, both of pow and '^'; on float
+    columns a zero divisor gives one. cot(a) is cos(a) / sin(a), as _cot,
+    without its frame; a statement that recurs is printed once. Only
+    generated names, float reprs and KERNEL_GLOBALS keys reach them."""
+    texts = [None if v is None else f"({v!r})" for v in prog.init]
     tested, seen = [], {}
 
     def put(text):      # once per text: SSA text is a function of its names
         return seen.setdefault(text, f"t{len(seen)}")
 
-    def emit(node):
-        if isinstance(node, Const):
-            return f"({float(node.value)!r})"
-        if isinstance(node, Var):
-            return f"v{names.index(node.name)}"
-        if isinstance(node, Neg):
-            return put(f"-{emit(node.operand)}")
-        if isinstance(node, BinOp) and node.op != "^":
-            lhs, rhs = emit(node.lhs), emit(node.rhs)
-            tested.extend([rhs] if node.op == "/" else [])
-            return put(f"{lhs} {node.op} {rhs}")
-        func = node.func if isinstance(node, Call) else "pow"
-        args = [emit(arg) for arg in _call_parts(node)[2]]
-        tested.extend(args if func in ("exp", "pow") else [])
-        if func == "cot":
+    for kind, label, op, a, b, out in prog.steps:
+        args = [texts[i] for i in (a, b) if i is not None]
+        if kind == _LOAD:
+            texts[out] = variables[op]
+        elif kind == _INFIX:
+            tested.extend(args[1:] if label == "/" else [])
+            texts[out] = put(f"{args[0]} {label} {args[1]}")
+        elif label == "-":
+            texts[out] = put(f"-{args[0]}")
+        elif label == "cot":
             cos, sin = put(f"cos({args[0]})"), put(f"sin({args[0]})")
             tested.append(sin)
-            return put(f"{cos} / {sin}")
-        return put(f"{func}({', '.join(args)})")
-
-    values = [emit(ast) for ast in asts]
-    return [f"{t} = {text}" for text, t in seen.items()], values, tested
+            texts[out] = put(f"{cos} / {sin}")
+        else:
+            tested.extend(args if label in ("exp", "pow", "'^'") else [])
+            func = "pow" if label == "'^'" else label
+            texts[out] = put(f"{func}({', '.join(args)})")
+    return ([f"{t} = {text}" for text, t in seen.items()],
+            [texts[s] for s in prog.outputs], tested)

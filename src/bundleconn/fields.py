@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainExit, NonFinite, SingularFrame
 from .exprlang import (BATCH_GLOBALS, KERNEL_GLOBALS, Code, Const, ExprAst,
-                       compile_fn, parse, ssa_lines)
+                       parse, program, run, ssa_lines)
 
 SINGULAR_DET = 1e-12
 FD_STEP_FIRST = 1e-5
@@ -81,38 +81,31 @@ def _define(name, lines, namespace):
     return namespace.pop(name)
 
 
-def _compile_entry(source, names):
-    """Normalize an entry (number, source text, AST, ScalarField, callable)
-    to (closure over a positional point, constant value or None, the
-    expression AST or None). A ScalarField lends its own entry; its AST
-    only over the same names, as the closure reads positions."""
+def _entry(source, names):
+    """An entry (number, text, AST, ScalarField, callable) as an AST or a
+    callable of the point, for exprlang.program. A ScalarField lends its
+    own: a non-constant AST only over the same names (read by position)."""
     if isinstance(source, ScalarField):
-        if not source._dynamic:
-            return _compile_entry(source._template[0], names)
-        _, fn, ast = source._dynamic[0]
-        return fn, None, (ast if source.names == names else None)
+        entry = _entry(source._source, source.names)
+        if (source.names != names and isinstance(entry, ExprAst)
+                and not isinstance(entry, Const)):
+            return lambda *point: run(source._program, point)[0]
+        return entry
     if isinstance(source, (int, float)):
-        value = float(source)
-        if not math.isfinite(value):
-            raise NonFinite(f"constant {source!r}")
-        return (lambda point: value), value, None
-    if isinstance(source, (str, ExprAst)):
-        ast = parse(source) if isinstance(source, str) else source
-        fn = compile_fn(ast, names)
-        const = float(ast.value) if isinstance(ast, Const) else None
-        return fn, const, ast
-    if callable(source):
-        return (lambda point: source(*point)), None, None
+        return Const(source)
+    if isinstance(source, str):
+        return parse(source)
+    if isinstance(source, ExprAst) or callable(source):
+        return source
     raise ValueError(f"cannot build a field from {type(source).__name__}")
 
 
 class _FieldArray:
-    """Array-valued field: a fixed-shape array of scalar entries (constants
-    folded into a flat row-major template) or one whole-array callable.
-    `values` evaluates many points at once; expression entries are compiled
-    for it on first use. A repeated expression (same AST repr: 0.0 is not
-    -0.0) is evaluated once and copied, _copies[i] = (to, from); compiled
-    expressions check their values, so only callables need a final scan."""
+    """Array-valued field: a fixed-shape array of scalar entries, one
+    exprlang.Program over the flat row-major entries, or one whole-array
+    callable. A repeated expression (0.0 is not -0.0) is one slot of the
+    program, evaluated once; `values` runs the program printed as a batch.
+    The program checks its values, so only callables need a final scan."""
 
     def __init__(self, shape, names, region=None, entries=None, array_fn=None):
         self.shape = tuple(shape)
@@ -125,18 +118,10 @@ class _FieldArray:
             if grid.shape != self.shape:
                 raise ValueError(f"expected entries of shape {self.shape}, "
                                  f"got shape {grid.shape}")
-            compiled = [_compile_entry(e, self.names) for e in grid.flat]
-            self._template = [0.0 if const is None else const
-                              for _, const, _ in compiled]
-            first, self._dynamic, self._copies = {}, [], []
-            for pos, (fn, const, ast) in enumerate(compiled):
-                key = pos if ast is None else repr(ast)
-                if const is None and first.setdefault(key, pos) == pos:
-                    self._dynamic.append((pos, fn, ast))
-                elif const is None:
-                    self._copies.append((pos, first[key]))
-            self._zeros = {p for p, c in enumerate(compiled) if c[1] == 0.0}
-            self._ast_only = all(ast is not None for *_, ast in self._dynamic)
+            self._program = program(
+                (_entry(e, self.names) for e in grid.flat), self.names)
+            self._zeros = {pos for pos, s in enumerate(self._program.outputs)
+                           if self._program.init[s] == 0.0}
 
     @classmethod
     def from_callable(cls, fn, shape, names, region=None):
@@ -152,12 +137,8 @@ class _FieldArray:
         if self.region is not None:
             self.region.require(point)
         if self._array_fn is None:
-            out = self._template.copy()
-            for pos, fn, _ in self._dynamic:
-                out[pos] = float(fn(point))
-            for pos, src in self._copies:
-                out[pos] = out[src]
-            if self._ast_only:
+            out = run(self._program, point)
+            if not self._program.callables:
                 return out
         else:
             array = np.asarray(self._array_fn(point), dtype=float)
@@ -176,37 +157,28 @@ class _FieldArray:
         every name; with a (K, 2n) table, (*x, *v) = table[k].tolist() and
         point = (*x, *p). One frame, worth its ~0.25 ms only to a solver that
         calls it at thousands of points: it tests the region bounds as
-        Region.contains does, evaluates the entry ASTs (exprlang.ssa_lines)
-        and returns contract run once on their exprlang.Code, or
+        Region.contains does, runs the printed program (exprlang.ssa_lines)
+        and returns contract run once on its exprlang.Code, or
         fallback(k, p) after a libm error, a zero divisor, a point outside,
         or a non-finite value, tested operand or v, so every value and error
         is fallback's. A callable field gets fallback itself."""
-        if self._array_fn is not None or not self._ast_only or (
+        if self._array_fn is not None or self._program.callables or (
                 self.region is not None
                 and self.region.dim != len(self.names)):
             return fallback
         n, head = ((len(self.names), 0) if table is None
                    else (table.shape[1] // 2, table.shape[1]))
-        names = (self.names[:n] + tuple(f"@{i}" for i in range(n))
-                 + self.names[n:])
-        lines, values, tested = ssa_lines([ast for *_, ast in self._dynamic],
-                                          names)
-        out = [repr(c) for c in self._template]
-        for (pos, *_), value in zip(self._dynamic, values):
-            out[pos] = value
-        for pos, src in self._copies:
-            out[pos] = out[src]
-        v = [f"v{i}" for i in range(len(names))]
-        vel = v[n:2 * n]
-        out = contract(list(map(Code, out)), list(map(Code, vel)))
+        v = [f"v{i}" for i in range(len(self.names) + n)]
+        vel, coords = v[n:2 * n], v[:n] + v[2 * n:]
+        lines, values, tested = ssa_lines(self._program, coords)
+        out = contract(list(map(Code, values)), list(map(Code, vel)))
         checks = [t for t in dict.fromkeys(values + tested + vel)
                   if t[0] != "("]
         bounds = [f"{lo!r} < {c} < {hi!r}" for c, (lo, hi) in
-                  zip(v[:n] + v[2 * n:],
-                      self.region.bounds if self.region else ())]
+                  zip(coords, self.region.bounds if self.region else ())]
         return _define("kernel", [
             "def kernel(k, p):",
-            f"    if len(p) == {len(names) - head}:",
+            f"    if len(p) == {len(v) - head}:",
             f"        [{', '.join(v[:head])}] = table[k].tolist()" * bool(head),
             f"        [{', '.join(v[head:])}] = p",
             f"        if {' and '.join(bounds) or 'True'}:",
@@ -223,12 +195,11 @@ class _FieldArray:
     def values(self, points):
         """The field at every row of a (K, dim) point array, shape
         (K,) + shape, equal to stacking self(tuple(p)) over the rows. The
-        entry ASTs run as one compiled batch, the kernel's statements
+        program runs as one compiled batch, the kernel's statements
         (exprlang.ssa_lines) on float columns of _ROWS rows. A callable
-        field, a non-expression entry, a point outside the region, a libm
-        error or a non-finite value or tested operand falls back to that
-        per-point loop, so errors and their messages are the per-point
-        ones."""
+        field or entry, a point outside the region, a libm error or a
+        non-finite value or tested operand falls back to that per-point
+        loop, so errors and their messages are the per-point ones."""
         points = np.asarray(points, dtype=float)
         out = self._batch_values(points)
         if out is None:
@@ -236,7 +207,7 @@ class _FieldArray:
         return out.reshape((len(points),) + self.shape)
 
     def _batch_values(self, points):
-        if (self._array_fn is not None or not self._ast_only
+        if (self._array_fn is not None or self._program.callables
                 or points.shape[1] != len(self.names)):
             return None
         if self.region is not None:
@@ -245,27 +216,25 @@ class _FieldArray:
                     (lo < points) & (points < hi)).all():
                 return None
         if self._batch is None:
-            lines, values, tested = ssa_lines(
-                [ast for *_, ast in self._dynamic], self.names)
             v = [f"v{i}" for i in range(len(self.names))]
+            lines, values, tested = ssa_lines(self._program, v)
             self._batch = _define("batch", [
                 f"def batch({', '.join(v)}):",
                 *(f"    {line}" for line in lines),
                 f"    return [{', '.join(values + tested)}]"],
                 dict(BATCH_GLOBALS))
-        out = np.tile(self._template, (len(points), 1))
+        out = np.empty((len(points), len(self._program.outputs)))
         with np.errstate(all="ignore"):
             for start in range(0, len(points), _ROWS):
                 try:
                     checks = self._batch(*points[start:start + _ROWS].T)
                 except (ValueError, OverflowError, ZeroDivisionError):
                     return None
-                if not np.isfinite(sum(checks)).all():
+                # column by column: a sum of finite columns may overflow
+                if not all(np.isfinite(c).all() for c in checks):
                     return None
-                for (pos, *_), value in zip(self._dynamic, checks):
+                for pos, value in enumerate(checks[:out.shape[1]]):
                     out[start:start + _ROWS, pos] = value
-        for pos, src in self._copies:
-            out[:, pos] = out[:, src]
         return out
 
 
@@ -276,6 +245,7 @@ class ScalarField(_FieldArray):
 
     def __init__(self, source, names, region=None):
         super().__init__((), names, region, entries=source)
+        self._source = np.array(source, dtype=object).item()
 
     @classmethod
     def from_expr(cls, source, names, region=None):

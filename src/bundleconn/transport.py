@@ -11,8 +11,8 @@ through an index plan (_contract), in np.einsum order. Each is one compiled
 kernel per call (_FieldArray.kernel; cot inlined) that returns the
 contracted derivative, _contract run on its source text without the
 entries that are the constant 0.0, and falls back per point to the checked
-closures and _contract over every entry, the plan the batched forms take
-on numpy columns too.
+interpreter (_FieldArray.floats) and _contract over every entry, the plan
+the batched forms take on numpy columns too.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for

@@ -754,6 +754,15 @@ MALFORMED_CONFIGS = {
     "tol-nan": ("flatness", {
         "connection": "registry:pure-gauge", "tol": math.nan,
         "points": [[0.2, 0.3]]}),
+    # no connection passes a negative tolerance; tol 0 stays valid
+    "tol-negative": ("flatness", {
+        "connection": "registry:flat", "tol": -1,
+        "points": [[0.2, 0.3]]}),
+    "tol-negative-morphism": ("morphism", {
+        "connection": "registry:sphere-lc", "tol": -1e-300,
+        "morphism": {"base": ["x1", "x2"],
+                     "matrix": [["1", "0"], ["0", "1"]]},
+        "point": [1.1, 0.4, 0.7, -0.2]}),
     "fd-step-zero": ("curvature", {
         "connection": "registry:sphere-lc", "point": [1.1, 0.4],
         "fd_step": 0}),
@@ -982,6 +991,22 @@ def test_exit_2_fd_step_flag_zero(tmp_path, capsys):
                              "--fd-step", "0")
     assert code == 2
     assert payload["error"]["type"] == "ConfigError"
+
+
+def test_tol_flag_must_be_non_negative(tmp_path, capsys):
+    path = write_config(tmp_path, {"connection": "registry:flat",
+                                   "points": [[0.2, 0.3]]})
+    code, payload = run_json(capsys, "flatness", "--config", path,
+                             "--tol", "-1")
+    assert code == 2
+    assert payload["error"] == {"type": "ConfigError",
+                                "message": "tol must be non-negative, "
+                                           "got -1.0"}
+    code, payload = run_json(capsys, "flatness", "--config", path,
+                             "--tol", "0")
+    assert code == 0
+    assert payload["result"]["flat"] is True
+    assert payload["inputs"]["effective"]["tol"] == 0.0
 
 
 def test_exit_1_division_by_zero_at_a_grid_point(tmp_path, capsys):

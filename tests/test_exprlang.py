@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from bundleconn.errors import NonFinite, ParseError, UnboundVariable
 from bundleconn.exprlang import (
-    MAX_DEPTH, BinOp, Call, Const, Neg, Var, compile_fn, evaluate, parse,
-    pretty, ssa_lines,
+    MAX_DEPTH, BinOp, Call, Const, Neg, Var, evaluate, parse, pretty,
+    program, ssa_lines,
 )
 from bundleconn.fields import ScalarField
 from bundleconn.registry import make_pure_gauge
@@ -93,7 +93,7 @@ def test_eval_division_by_zero():
 
 def test_division_by_zero_at_a_numpy_point():
     # numpy floats divide by zero to inf with a warning, Python floats raise
-    f = compile_fn(parse("1/x1"), ("x1",))
+    f = ScalarField("1/x1", ("x1",))
     for zero in (0.0, -0.0, np.float64(0.0), np.float64(-0.0)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -132,14 +132,16 @@ def test_function_names_usable_as_variables():
     assert evaluate(parse("sin + 1"), {"sin": 2.0}) == 3.0
 
 
-def test_compile_fn_positional():
-    f = compile_fn(parse("x1*u1 + t"), ("x1", "u1", "t"))
+def test_field_reads_its_point_by_position():
+    f = ScalarField("x1*u1 + t", ("x1", "u1", "t"))
     assert f((2.0, 3.0, 4.0)) == 10.0
 
 
-def test_compile_fn_unbound_at_compile_time():
+def test_unbound_variable_fails_at_construction():
     with pytest.raises(UnboundVariable):
-        compile_fn(parse("x9"), ("x1", "x2"))
+        ScalarField("x9", ("x1", "x2"))
+    with pytest.raises(UnboundVariable):
+        program([parse("x9")], ("x1", "x2"))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -273,11 +275,12 @@ def test_pretty_round_trips_what_parse_accepts(source):
 
 def test_unchecked_leaves_read_without_the_finiteness_test():
     # a compiled kernel reads its leaves unchecked: an infinite one reaches
-    # the value, and the checked closure it falls back to names the leaf
+    # the value, and the checked interpreter it falls back to names the leaf
     ast = parse("u1 + x1")
     with pytest.raises(NonFinite, match="variable u1 is inf"):
-        compile_fn(ast, ("x1", "u1"))((1.0, math.inf))
-    assert ssa_lines([ast], ("x1", "u1")) == (["t0 = v1 + v0"], ["t0"], [])
+        ScalarField(ast, ("x1", "u1"))((1.0, math.inf))
+    assert ssa_lines(program([ast], ("x1", "u1")), ["v0", "v1"]) == (
+        ["t0 = v1 + v0"], ["t0"], [])
     field = ScalarField(ast, ("x1", "u1"))
     kernel = field.kernel(lambda G, v: G, lambda k, p: field.floats(p[:2]))
     assert kernel(0, [1.0, 2.0, 0.0, 0.0]) == [3.0]

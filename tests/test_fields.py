@@ -20,9 +20,9 @@ from bundleconn.errors import (
     NonFinite,
     SingularFrame,
 )
-from bundleconn import fields
+from bundleconn import errors, fields
 from bundleconn.exprlang import (FUNCTION_ARITY, MAX_DEPTH, BinOp, Call, Const,
-                                 Neg, Var, parse, ssa_lines)
+                                 Neg, Var, evaluate, parse, program, ssa_lines)
 from bundleconn.fields import (
     FD_STEP_FIRST,
     FD_STEP_NESTED,
@@ -44,6 +44,8 @@ from bundleconn.fields import (
 )
 from bundleconn.morphism import BundleMorphism, jacobi_natural
 from bundleconn.registry import make_sphere_lc
+
+from _oracle_eval import OracleFailure, oracle_entries
 
 XY = ("x1", "x2")
 
@@ -633,8 +635,11 @@ POLE = "1/(x1 - 1.25)"
 
 def test_repeated_entries_are_evaluated_once_and_copied():
     field = MatrixField.from_exprs([[POLE, "x2"], [POLE, POLE]], XY)
-    assert [pos for pos, _, _ in field._dynamic] == [0, 1]
-    assert field._copies == [(2, 0), (3, 0)]
+    # one output slot per distinct entry; the steps load x1, subtract,
+    # divide and load x2, once each
+    out = field._program.outputs
+    assert out[0] == out[2] == out[3] != out[1]
+    assert len(field._program.steps) == 4
     points = batch_points(6)
     want = np.array([[1.0 / (x1 - 1.25), x2, 1.0 / (x1 - 1.25),
                       1.0 / (x1 - 1.25)] for x1, x2 in points.tolist()])
@@ -659,7 +664,7 @@ def test_signed_zero_constants_keep_entries_apart():
     plus, minus = (BinOp("*", Var("x1"), Const(z)) for z in (0.0, -0.0))
     assert plus == minus                    # 0.0 == -0.0 in the dataclass
     field = MatrixField.from_exprs([[plus, minus]], ("x1",))
-    assert field._copies == []
+    assert len(set(field._program.outputs)) == 2
     for row in (field.floats((1.0,)), field.values(np.array([[1.0]]))[0, 0]):
         assert [math.copysign(1.0, v) for v in row] == [1.0, -1.0]
 
@@ -667,7 +672,8 @@ def test_signed_zero_constants_keep_entries_apart():
 def test_on_grid_copies_repeated_entries():
     entries = [["u1*sin(x1)", "u2 + x2"], ["u1*sin(x1)", "u2 + x2"]]
     field = MatrixField.from_exprs(entries, XU)
-    assert field._copies == [(2, 0), (3, 1)]
+    out = field._program.outputs
+    assert out[2] == out[0] != out[3] == out[1]
     xs = batch_points(7)
     at = grid_kernel(field, xs)
     for k, x in enumerate(xs.tolist()):
@@ -734,6 +740,36 @@ def test_kernel_equals_floats_bitwise(entries, points, region):
             lambda: field.floats(p))
     assert outcome(lambda: field.values(np.array(points))) == outcome(
         lambda: [field.floats(p) for p in points])
+
+
+def oracle_outcome(trees, point):
+    """outcome() of the reference evaluator tests/_oracle_eval.py."""
+    try:
+        return np.array(oracle_entries(trees, XU, point)).tobytes()
+    except OracleFailure as exc:
+        return getattr(errors, exc.kind), exc.message
+
+
+# signed zeros, subnormals, huge values, NaN and infinities
+ORACLE_COORDINATES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                      math.nan, math.inf, -math.inf, 0.5, -1.5, 2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(kernel_trees(), min_size=3, max_size=3),
+       point=st.lists(st.one_of(coordinate,
+                                st.sampled_from(ORACLE_COORDINATES)),
+                      min_size=4, max_size=4))
+def test_checked_evaluation_matches_the_oracle(entries, point):
+    # a field with a repeated entry, and each tree on its own through the
+    # public evaluate
+    rows = [entries[:2], [entries[0], entries[2]]]
+    field = MatrixField.from_exprs(rows, XU)
+    assert outcome(lambda: field.floats(point)) == oracle_outcome(
+        [tree for row in rows for tree in row], point)
+    for tree in entries:
+        assert outcome(lambda: [evaluate(tree, dict(zip(XU, point)))]) == (
+            oracle_outcome([tree], point))
 
 
 @pytest.mark.parametrize("source", [
@@ -813,7 +849,8 @@ BATCH_LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
 @settings(max_examples=100, deadline=None)
 @given(tree=kernel_trees())
 def test_kernel_statements_hold_only_generated_names(tree):
-    lines, values, tested = ssa_lines([tree], XU)
+    lines, values, tested = ssa_lines(program([tree], XU),
+                                      [f"v{i}" for i in range(len(XU))])
     assert set(values + tested) <= {
         *(line.split(" = ")[0] for line in lines),
         *(f"v{i}" for i in range(len(XU)))} | {
@@ -847,6 +884,15 @@ def test_values_compiles_the_batch_once(monkeypatch):
     assert first_error(lambda: field.values(points)) == first_error(
         lambda: stacked(field, points))
     assert len(names) == 1 and re.fullmatch(r"<batch \d+>", names[0])
+
+
+def test_batch_tests_each_column_not_their_sum(monkeypatch):
+    # each entry is finite, their sum is not: the batch must not give up
+    field = MatrixField.from_exprs([["1e308*x1", "1e308*x2"]], XY)
+    points = np.full((20000, 2), 0.9)
+    want = stacked(field, points).tobytes()
+    monkeypatch.setattr(MatrixField, "floats", lambda self, p: 1 / 0)
+    assert field.values(points).tobytes() == want
 
 
 def test_kernel_source_names_no_variable_of_the_field(monkeypatch):

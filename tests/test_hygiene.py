@@ -3,7 +3,8 @@ every import sits at module level, every function, method and class the
 package defines is referenced somewhere, the compiled batches and kernels
 cover exactly the grammar's functions, one function holds the singularity
 test, one function loops over RK4 steps, one function compiles generated
-code, and a compiled kernel calls no Python-level function per point."""
+code, one function turns expression trees into code, and a compiled kernel
+calls no Python-level function per point."""
 
 import ast
 import builtins
@@ -307,6 +308,65 @@ def test_second_code_generator_is_reported():
         ("exec", "m"), ("exec", "m.define")]
 
 
+TREE_NODES = {"BinOp", "Neg", "Call"}
+# renderers and rewriters of trees, and the one walk that turns a tree into
+# code (exprlang.program: run interprets it, ssa_lines prints it)
+TREE_WALKERS = ["exprlang.pretty", "exprlang.program.walk", "registry._neg",
+                "registry.derivative", "suites._sexpr"]
+
+
+def tree_dispatch_sites(source, module):
+    """Qualified names of the functions (or the module) that dispatch on an
+    operator node of an expression tree: an isinstance test against BinOp,
+    Neg or Call, by name or as an attribute."""
+    sites = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance"
+                    and len(child.args) == 2
+                    and TREE_NODES & {
+                        n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(child.args[1])
+                        if isinstance(n, (ast.Name, ast.Attribute))}):
+                sites.add(scope)
+            walk(child, scope)
+
+    walk(ast.parse(source), module)
+    return sorted(sites)
+
+
+def test_one_function_turns_trees_into_code():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        sites += tree_dispatch_sites(path.read_text(encoding="utf-8"),
+                                     path.stem)
+    assert sorted(sites) == TREE_WALKERS
+
+
+def test_second_tree_walker_is_reported():
+    source = ("from bundleconn import exprlang\n"
+              "from bundleconn.exprlang import BinOp, Call, Const, Neg\n"
+              "def evaluate(node, env):\n"
+              "    if isinstance(node, BinOp):\n"
+              "        return evaluate(node.lhs, env)\n"
+              "class Printer:\n"
+              "    def emit(self, node):\n"
+              "        return isinstance(node, (Const, Neg))\n"
+              "def leaf(node):\n"
+              "    return isinstance(node, Const)\n"
+              "def qualified(node):\n"
+              "    return isinstance(node, exprlang.Call)\n"
+              "CALLS = [n for n in () if isinstance(n, Call)]\n")
+    assert tree_dispatch_sites(source, "m") == [
+        "m", "m.Printer.emit", "m.evaluate", "m.qualified"]
+
+
 def batch_values(node, names, cols):
     """A tree over `names` evaluated on float columns by ScalarField.values,
     as bytes, through its compiled batch, which may not fall back."""
@@ -319,7 +379,7 @@ def batch_values(node, names, cols):
 def kernel_values(node, cols, us):
     """A tree over (x1, x2, u1) evaluated per point, as bytes, by a compiled
     kernel that reads (x1, x2) from a table row and may not fall back to the
-    checked closures."""
+    checked interpreter."""
     def no_fallback(k, p):
         raise AssertionError(f"the kernel fell back at row {k}")
 
@@ -342,8 +402,8 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
     for func, arity in exprlang.FUNCTION_ARITY.items():
         node = exprlang.Call(func, tuple(exprlang.Var(n)
                                          for n in names[:arity]))
-        point = exprlang.compile_fn(node, names)
-        want = np.array([point(p) for p in zip(*cols)]).tobytes()
+        want = np.array([exprlang.evaluate(node, dict(zip(names, p)))
+                         for p in zip(*cols)]).tobytes()
         assert batch_values(node, names, cols) == want, func
         impl = exprlang._CALL_IMPL[func]
         assert (exprlang.BATCH_GLOBALS[func](*cols[:arity]).tobytes()
@@ -359,26 +419,28 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
             call = (exprlang.BinOp("^", *leaves) if func == "^"
                     else exprlang.Call(func, leaves))
             node = exprlang.BinOp("*", call, exprlang.Var("u1"))
-            whole = exprlang.compile_fn(node, xu)
             points = np.column_stack([*cols, us]).tolist()
-            expected = [whole(p) for p in points]
+            expected = [exprlang.evaluate(node, dict(zip(xu, p)))
+                        for p in points]
             assert (kernel_values(node, cols, us)
                     == np.array(expected).tobytes()), (func, args)
     unknown = exprlang.Call("sinh", (exprlang.Var("x1"),))
     with pytest.raises(KeyError):
-        exprlang.ssa_lines([unknown], names)
+        exprlang.program([unknown], names)
     with pytest.raises(KeyError):
         ScalarField(unknown, names)
 
 
 def test_power_is_the_function_pow():
-    # '^' runs through the closure of pow, under its own label
+    # '^' runs through the step of pow, under its own label
     names = ("x1", "x2")
     cols = (np.linspace(0.1, 3.0, 9), np.linspace(-2.5, 2.5, 9))
     caret, call = (exprlang.parse(src) for src in ("x1^x2", "pow(x1, x2)"))
     assert batch_values(caret, names, cols) == batch_values(call, names,
                                                             cols)
-    caret, call = (exprlang.compile_fn(ast, names) for ast in (caret, call))
+    caret, call = (
+        lambda p, ast=ast: exprlang.evaluate(ast, dict(zip(names, p)))
+        for ast in (caret, call))
     assert (np.array([caret(p) for p in zip(*cols)]).tobytes()
             == np.array([call(p) for p in zip(*cols)]).tobytes())
     with pytest.raises(NonFinite, match="^'\\^': math domain error$"):

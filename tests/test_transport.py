@@ -897,7 +897,7 @@ def test_fused_geodesic_rhs_equals_contract_of_floats(n, data, region):
 
 
 def test_fused_rhs_runs_without_fallback(monkeypatch):
-    # a finite state never reaches the checked closures
+    # a finite state never reaches the checked interpreter
     g3 = make_sphere_lc().g3
     g2 = TwoIndexField.from_exprs(STAGED_ROWS, 2, 2)
     path = PathSpec.from_points([[0.7, 0.5], [-0.9, -0.3]], steps=8)
