@@ -204,11 +204,11 @@ def nabla_hat_oracle(g2, zbar, zhat, p, h=None):
     return zb @ (XZ - drag)
 
 
-def is_flat(g3, sample_points, tol=1e-6):
+def is_flat(g3, sample_points, tol=1e-6, h=None):
     """True plus the max |R| over the samples when the connection is flat
-    to within tol there."""
+    to within tol there; h is curvature()'s finite-difference step."""
     # np.max, unlike max(), carries a NaN through to the verdict
-    worst = float(np.max([np.abs(curvature(g3, x).R).max()
+    worst = float(np.max([np.abs(curvature(g3, x, h).R).max()
                           for x in sample_points], initial=0.0))
     return worst <= tol, worst
 

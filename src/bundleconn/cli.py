@@ -534,7 +534,7 @@ def cmd_curvature(prob):
 def cmd_flatness(prob):
     g3 = prob.need_g3("flatness certification")
     pts = _grid_points(prob)
-    flat, worst = is_flat(g3, pts, prob.tol)
+    flat, worst = is_flat(g3, pts, prob.tol, prob.fd_step)
     result = {"flat": flat, "max_R": worst, "eq": "4.27"}
     diagnostics = {"sampled": {"value": len(pts), "eq": "4.27"}}
     if "x0" in prob.cfg and "x1" in prob.cfg:

@@ -151,17 +151,20 @@ class _FieldArray:
         return out
 
     def kernel(self, contract, fallback, table=None):
-        """Compile the right-hand side kernel(k, p) == contract(G, v): G the
-        flat entries of self.floats(point), v the velocity of the point's
-        first n coordinates. Without a table, p = (*point, *v) and n counts
-        every name; with a (K, 2n) table, (*x, *v) = table[k].tolist() and
-        point = (*x, *p). One frame, worth its ~0.25 ms only to a solver that
-        calls it at thousands of points: it tests the region bounds as
-        Region.contains does, runs the printed program (exprlang.ssa_lines)
-        and returns contract run once on its exprlang.Code, or
-        fallback(k, p) after a libm error, a zero divisor, a point outside,
-        or a non-finite value, tested operand or v, so every value and error
-        is fallback's. A callable field gets fallback itself."""
+        """Compile kernel(b, h, y), one classical RK4 step of
+        y' = contract(G, v), a list as long as y: G the flat entries of
+        self.floats(point), v the velocity of the point's first n
+        coordinates. Without a table, y = (*point, *v) and n counts every
+        name; with a (K, 2n) table, (*x, *v) = table[node].tolist() and
+        point = (*x, *y). The stages run inline at the nodes b, b + 1,
+        b + 1, b + 2 in transport._rk4's order, each testing the region
+        bounds as Region.contains does and running the printed program
+        (exprlang.ssa_lines) and contract, run once on its exprlang.Code.
+        A libm error, a zero divisor, a point outside, or a non-finite
+        value, tested operand or v in any stage sends the whole step to
+        fallback(b, h, y), the checked step, so every value and error is
+        fallback's. Worth its ~0.6 ms only to a solver of thousands of
+        steps. A callable field gets fallback itself."""
         if self._array_fn is not None or self._program.callables or (
                 self.region is not None
                 and self.region.dim != len(self.names)):
@@ -169,27 +172,37 @@ class _FieldArray:
         n, head = ((len(self.names), 0) if table is None
                    else (table.shape[1] // 2, table.shape[1]))
         v = [f"v{i}" for i in range(len(self.names) + n)]
-        vel, coords = v[n:2 * n], v[:n] + v[2 * n:]
+        vel, coords, state = v[n:2 * n], v[:n] + v[2 * n:], v[head:]
         lines, values, tested = ssa_lines(self._program, coords)
         out = contract(list(map(Code, values)), list(map(Code, vel)))
         checks = [t for t in dict.fromkeys(values + tested + vel)
                   if t[0] != "("]
-        bounds = [f"{lo!r} < {c} < {hi!r}" for c, (lo, hi) in
-                  zip(coords, self.region.bounds if self.region else ())]
+        test = " and ".join([f"{lo!r} < {x} < {hi!r}" for x, (lo, hi) in zip(
+            coords, self.region.bounds if self.region else ())]
+            + [f"isfinite({' + '.join(checks) or '0.0'})"])
+        c, p, q, r, s = ([f"{x}{i}" for i in range(len(state))]
+                         for x in "cpqrs")
+        body = [f"[{', '.join(c)}] = [{', '.join(state)}] = y",
+                "half, sixth = 0.5 * h, h / 6.0"]
+        for node, w, k, ks in [("b", "", [], p), ("b + 1", "half", p, q),
+                               ("", "half", q, r), ("b + 2", "h", r, s)]:
+            if head and node:       # stage 3 reads the row of stage 2
+                body.append(f"[{', '.join(v[:head])}] = "
+                            f"table[{node}].tolist()")
+            body += [*(f"{x} = {ci} + {w} * {ki}"
+                       for x, ci, ki in zip(state, c, k)), *lines,
+                     f"if not ({test}):", "    raise ValueError",
+                     *map("{} = {}".format, ks, out)]
         return _define("kernel", [
-            "def kernel(k, p):",
-            f"    if len(p) == {len(v) - head}:",
-            f"        [{', '.join(v[:head])}] = table[k].tolist()" * bool(head),
-            f"        [{', '.join(v[head:])}] = p",
-            f"        if {' and '.join(bounds) or 'True'}:",
-            "            try:",
-            *(f"                {line}" for line in lines or ["pass"]),
-            "            except (ValueError, OverflowError, ZeroDivisionError):",
-            "                pass",
-            "            else:",
-            f"                if isfinite({' + '.join(checks) or '0.0'}):",
-            f"                    return [{', '.join(map(str, out))}]",
-            "    return fallback(k, p)"],
+            "def kernel(b, h, y):",
+            "    try:",
+            *(f"        {line}" for line in body),
+            "        return [" + ", ".join(
+                f"{ci} + sixth * ((({pi} + 2.0 * {qi}) + 2.0 * {ri}) + {si})"
+                for ci, pi, qi, ri, si in zip(c, p, q, r, s)) + "]",
+            "    except (ValueError, OverflowError, ZeroDivisionError):",
+            "        pass",
+            "    return fallback(b, h, y)"],
             dict(KERNEL_GLOBALS, fallback=fallback, table=table))
 
     def values(self, points):

@@ -5,14 +5,16 @@ and the limit-definition covariant derivative.
 Paths are integrated on a precomputed half-step grid: positions and
 velocities are evaluated once at every step boundary and midpoint, so the
 right-hand sides of the linear equations become cheap matrix evaluations.
-RK4 runs on the state as a flat list of floats. The right-hand sides that
-depend on it (general transport, geodesics) contract the field entries
-through an index plan (_contract), in np.einsum order. Each is one compiled
-kernel per call (_FieldArray.kernel; cot inlined) that returns the
-contracted derivative, _contract run on its source text without the
-entries that are the constant 0.0, and falls back per point to the checked
-interpreter (_FieldArray.floats) and _contract over every entry, the plan
-the batched forms take on numpy columns too.
+RK4 runs on the state as a flat list of floats, one step per call of a
+step function (_checked_step over a right-hand side). The right-hand sides
+that depend on the state (general transport, geodesics) contract the field
+entries through an index plan (_contract), in np.einsum order. Each driver
+call compiles one whole RK4 step (_FieldArray.kernel; cot inlined) whose
+four stages contract the derivative with _contract run on its source text,
+without the entries that are the constant 0.0, and which falls back, the
+whole step, to the checked step: the checked interpreter
+(_FieldArray.floats) and _contract over every entry, the plan the batched
+forms take on numpy columns too.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -166,24 +168,33 @@ def _grid(path):
     return _expr_grid(path) if path.kind == "expr" else _polyline_grid(path)
 
 
-def _rk4(rhs, rhs_many, y0, grid):
-    """Classical RK4 over the grid; rhs(node_index, y) evaluates the
-    right-hand side at a half-step grid node on a flat float list,
-    rhs_many(node_indices, ys) at many nodes on arrays, row for row. The
-    stages run elementwise on float lists; every step's midpoint defect comes
-    after the loop, from one rhs_many call. Returns the TransportResult."""
-    y0 = np.array(y0, dtype=float)
-    samples = np.empty((grid.nsteps + 1,) + y0.shape)
-    rows = samples.reshape(grid.nsteps + 1, -1)
-    y = rows[0] = y0.ravel().tolist()
-    for i, (b, h) in enumerate(zip(grid.bases.tolist(), grid.hs.tolist()), 1):
+def _checked_step(rhs):
+    """The classical RK4 step(b, h, y) over rhs(node, y), on flat float
+    lists at the half-step grid nodes b, b + 1, b + 1, b + 2: the step of the
+    linear drivers and callable fields, and a compiled step's fallback."""
+    def step(b, h, y):
         half, sixth = 0.5 * h, h / 6.0
         k1 = rhs(b, y)
         k2 = rhs(b + 1, [c + half * k for c, k in zip(y, k1)])
         k3 = rhs(b + 1, [c + half * k for c, k in zip(y, k2)])
         k4 = rhs(b + 2, [c + h * k for c, k in zip(y, k3)])
-        y = rows[i] = [c + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-                       for c, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        return [c + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+                for c, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    return step
+
+
+def _rk4(step, rhs_many, y0, grid):
+    """Classical RK4 over the grid: y = step(b, h, y) on a flat float list
+    for each step's start node b and width h (_checked_step, or a compiled
+    _FieldArray.kernel); then every step's midpoint defect from one
+    rhs_many(node_indices, ys) call on arrays, row for row. Returns the
+    TransportResult."""
+    y0 = np.array(y0, dtype=float)
+    samples = np.empty((grid.nsteps + 1,) + y0.shape)
+    rows = samples.reshape(grid.nsteps + 1, -1)
+    y = rows[0] = y0.ravel().tolist()
+    for i, (b, h) in enumerate(zip(grid.bases.tolist(), grid.hs.tolist()), 1):
+        y = rows[i] = step(b, h, y)
     start, end = samples[:-1], samples[1:]
     hs = grid.hs.reshape((-1,) + (1,) * y0.ndim)
     defect = end - start - hs * rhs_many(grid.bases + 1, 0.5 * (start + end))
@@ -241,7 +252,8 @@ def transport_general(g2, path, p0):
         return np.stack(_contract(plan, G.reshape(len(ks), g2.r * g2.n).T,
                                   grid.vel[ks].T, np.zeros(len(ks))), axis=1)
 
-    return _rk4(g2.kernel(lambda G, v: _contract(sparse, G, v), rhs,
+    return _rk4(g2.kernel(lambda G, v: _contract(sparse, G, v),
+                          _checked_step(rhs),
                           np.column_stack([grid.pos, grid.vel])),
                 rhs_many, p0, grid)
 
@@ -265,7 +277,7 @@ def _transport_linear_system(g3, grid, y0, gvecs=None):
             return (A[ks] @ ys[:, :, None])[:, :, 0] + gvecs[ks]
         return A[ks] @ ys + gvecs[ks][:, None, :]
 
-    return _rk4(rhs, rhs_many, y0, grid)
+    return _rk4(_checked_step(rhs), rhs_many, y0, grid)
 
 
 def transport_linear(g3, path, X0):
@@ -327,9 +339,9 @@ def geodesic(g3, x0, v0, T, steps):
         acc = _geodesic_acceleration(plan, G, vs, np.zeros(len(ss)))
         return np.stack(vs + acc, axis=1)
 
-    kernel = g3.kernel(
-        lambda G, v: v + _geodesic_acceleration(sparse, G, v), rhs)
-    return _rk4(kernel, rhs_many, [*x0, *v0], grid)
+    step = g3.kernel(lambda G, v: v + _geodesic_acceleration(sparse, G, v),
+                     _checked_step(rhs))
+    return _rk4(step, rhs_many, [*x0, *v0], grid)
 
 
 def covariant_derivative_limit(g3, F, Y, x, eps=None):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundleconn import cli
-from bundleconn.calculus import curvature_law
+from bundleconn.calculus import curvature, curvature_law
 from bundleconn.connection import (
     FrameChange,
     base_names,
@@ -519,6 +519,36 @@ def test_flag_overrides_tol_and_nonflat_verdict(tmp_path, capsys):
     assert code == 0
     assert payload["result"]["flat"] is True
     assert payload["inputs"]["effective"]["tol"] == 2.0
+
+
+SPHERE_SAMPLES = [[0.8, 0.3], [1.2, 0.9], [1.9, 1.4]]
+
+
+@pytest.mark.parametrize("fd_step", [1e-3, 0.02])
+def test_flatness_uses_fd_step(tmp_path, capsys, fd_step):
+    path = write_config(tmp_path, {"connection": "registry:sphere-lc",
+                                   "points": SPHERE_SAMPLES,
+                                   "fd_step": fd_step})
+    code, payload = run_json(capsys, "flatness", "--config", path)
+    assert code == 0
+    assert payload["inputs"]["effective"]["fd_step"] == fd_step
+    g3 = REGISTRY.build("sphere-lc").g3
+
+    def worst(h):
+        return max(float(np.abs(curvature(g3, x, h).R).max())
+                   for x in SPHERE_SAMPLES)
+    assert payload["result"]["max_R"] == worst(fd_step) != worst(None)
+
+
+def test_flatness_stencil_leaving_the_region_is_domain_exit(tmp_path,
+                                                           capsys):
+    path = write_config(tmp_path, {"connection": "registry:sphere-lc",
+                                   "points": SPHERE_SAMPLES,
+                                   "fd_step": 1e300})
+    code, payload = run_json(capsys, "flatness", "--config", path)
+    assert code == 1
+    assert payload["error"]["type"] == "DomainExit"
+    assert payload["error"]["message"].startswith("point (1e+300, 0.3) ")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from bundleconn.exprlang import (
 )
 from bundleconn.fields import ScalarField
 from bundleconn.registry import make_pure_gauge
+from bundleconn.transport import _checked_step
 
 from _oracle_parser import (
     ERROR_CASES,
@@ -281,8 +282,19 @@ def test_unchecked_leaves_read_without_the_finiteness_test():
         ScalarField(ast, ("x1", "u1"))((1.0, math.inf))
     assert ssa_lines(program([ast], ("x1", "u1")), ["v0", "v1"]) == (
         ["t0 = v1 + v0"], ["t0"], [])
+    # its compiled RK4 step of u1' = u1 + x1 (x1, v1 and v2 constant)
     field = ScalarField(ast, ("x1", "u1"))
-    kernel = field.kernel(lambda G, v: G, lambda k, p: field.floats(p[:2]))
-    assert kernel(0, [1.0, 2.0, 0.0, 0.0]) == [3.0]
+    calls = []
+
+    def checked(b, h, y):
+        calls.append(y)
+        return _checked_step(lambda k, y: [0.0, field.floats(y[:2])[0],
+                                           0.0, 0.0])(b, h, y)
+
+    step = field.kernel(lambda G, v: [0.0, G[0], 0.0, 0.0], checked)
+    y = [1.0, 2.0, 0.0, 0.0]
+    assert step(0, 1.0, y) == checked(0, 1.0, y) and len(calls) == 1
+    assert step(0, 1.0, y)[:2] == [1.0, 2.0 + (3.0 + 9.0 + 10.5 + 8.25) / 6]
     with pytest.raises(NonFinite, match="^variable u1 is inf$"):
-        kernel(0, [1.0, math.inf, 0.0, 0.0])
+        step(0, 1.0, [1.0, math.inf, 0.0, 0.0])
+    assert len(calls) == 2

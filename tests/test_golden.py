@@ -1,6 +1,6 @@
 """Golden stdout of the command-line interface: one fixed config per command
 (four for transport: linear, affine, general, and general leaving its
-region; two for geodesic), each pinned by the sha256 of its stdout. A change that moves any printed bit fails here; when
+region; three for geodesic), each pinned by the sha256 of its stdout. A change that moves any printed bit fails here; when
 one does on purpose, re-record only the pins it moves and say why.
 
 The general transport pin was re-recorded when two-index transport began
@@ -10,7 +10,9 @@ Every other pin is unchanged since it was first recorded. The two pins of
 the compiled per-point kernels (a two-index transport with a repeated
 entry that leaves a bounded fibre region, exit 1, and a geodesic on an
 explicit stack with '/', exp and '^') were recorded before those kernels
-existed, on the checked closures they replace."""
+existed, on the checked closures they replace; the geodesic that ends
+just inside the sphere's pole bound was recorded before the compiled RK4
+step existed."""
 
 import contextlib
 import hashlib
@@ -65,6 +67,12 @@ GOLDEN = {
         "connection": "registry:sphere-lc", "x0": [1.0, 0.2],
         "v0": [0.3, 0.7], "T": 2.0, "steps": 500},
         "cab9f07a52ed88cf1cffabc1fcb78a9e29a78cda8c283b0692163c142b59a2c7"),
+    # ends at theta = 0.050000000000000086, just inside sphere-lc's open
+    # bound 0.05 (the same geodesic with T 0.3 leaves it)
+    "geodesic-near-the-pole": ("geodesic", {
+        "connection": "registry:sphere-lc", "x0": [0.2, 0.5],
+        "v0": [-1, 0], "T": 0.15, "steps": 16},
+        "16fd9a3931573eb51050e27068ec61e85f9603cd099a0a61454f8ec87d9e0187"),
     "curvature": ("curvature", {
         "base_dim": 2, "fibre_rank": 2, "fd_step": 1e-4,
         "connection": {"kind": "three_index", "stacks": SPHERE_STACKS},
@@ -114,7 +122,8 @@ EXIT_CODES = {"transport-general-region-exit": 1}
 # compiled kernels per run: one per state-dependent transport or geodesic,
 # none for the commands that evaluate fields at few points or on whole grids
 KERNELS = {"transport-general": 1, "transport-general-region-exit": 1,
-           "geodesic": 1, "geodesic-three-index": 1}
+           "geodesic": 1, "geodesic-three-index": 1,
+           "geodesic-near-the-pole": 1}
 
 
 def stdout_of(tmp_path, command, cfg):

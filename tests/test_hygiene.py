@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bundleconn import exprlang, fields
+from bundleconn import exprlang, fields, transport
 from bundleconn.errors import NonFinite
 from bundleconn.fields import MatrixField, ScalarField
 
@@ -208,13 +208,14 @@ def test_singularity_site_is_reported():
     assert singularity_sites(source, "m") == ["m.F.__call__", "m.g"]
 
 
-STEP_LOOP_READS = {"nsteps", "rhs", "rhs_many"}
+STEP_LOOP_READS = {"nsteps", "rhs", "rhs_many", "step"}
 
 
 def rk4_step_sites(source, module):
     """(qualified names of the functions that loop over RK4 steps, those
     that name a defect). A step loop is a loop or comprehension that reads
-    `nsteps` or a right-hand side (`rhs`, `rhs_many`)."""
+    `nsteps`, a right-hand side (`rhs`, `rhs_many`) or a step (`step`, a
+    checked or compiled RK4 step)."""
     loops, defects = set(), set()
 
     def walk(node, scope):
@@ -259,9 +260,14 @@ def test_second_step_loop_and_defect_are_reported():
               "    def rhs(k):\n"
               "        my_defect = k - 1\n"
               "        return my_defect\n"
-              "    return [s for s in grid.ts]\n")
-    assert rk4_step_sites(source, "m") == (["m._rk4", "m.driver"],
-                                           ["m._rk4", "m.other.rhs"])
+              "    return [s for s in grid.ts]\n"
+              "def compiled(field, grid, y):\n"
+              "    step = field.kernel(None, None)\n"
+              "    for b, h in zip(grid.bases, grid.hs):\n"
+              "        y = step(b, h, y)\n"
+              "    return y\n")
+    assert rk4_step_sites(source, "m") == (
+        ["m._rk4", "m.compiled", "m.driver"], ["m._rk4", "m.other.rhs"])
 
 
 def code_generation_sites(source, module):
@@ -376,18 +382,22 @@ def batch_values(node, names, cols):
     return field.values(points).tobytes()
 
 
-def kernel_values(node, cols, us):
-    """A tree over (x1, x2, u1) evaluated per point, as bytes, by a compiled
-    kernel that reads (x1, x2) from a table row and may not fall back to the
-    checked interpreter."""
-    def no_fallback(k, p):
-        raise AssertionError(f"the kernel fell back at row {k}")
+def kernel_values(node, cols, us, h=1e-3):
+    """RK4 steps of u1' = a tree over (x1, x2, u1), from u1 = us[b] at row
+    b of the table of cols, as bytes: (the compiled step, which reads
+    (x1, x2) from the table row and may not fall back, the checked step
+    over exprlang.evaluate)."""
+    def no_fallback(b, h, y):
+        raise AssertionError(f"the kernel fell back at row {b}")
 
-    field = ScalarField(node, ("x1", "x2", "u1"))
-    kernel = field.kernel(lambda G, v: G, no_fallback,
-                          np.column_stack([*cols, *np.ones((2, len(us)))]))
-    return np.array([kernel(k, [u])[0]
-                     for k, u in enumerate(us.tolist())]).tobytes()
+    xu = ("x1", "x2", "u1")
+    table = np.column_stack([*cols, *np.ones((2, len(cols[0])))])
+    step = ScalarField(node, xu).kernel(lambda G, v: G, no_fallback, table)
+    checked = transport._checked_step(lambda k, y: [exprlang.evaluate(
+        node, dict(zip(xu, (*table[k, :2].tolist(), *y))))])
+    return tuple(np.array([run(b, h, [u]) for b, u in
+                           enumerate(us[:len(table) - 2].tolist())]).tobytes()
+                 for run in (step, checked))
 
 
 def test_batch_compiler_handles_exactly_the_grammar_functions():
@@ -409,9 +419,8 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
         assert (exprlang.BATCH_GLOBALS[func](*cols[:arity]).tobytes()
                 == np.array([impl(*p) for p in zip(*cols[:arity])]
                             ).tobytes()), func
-    # in a compiled kernel, with a base argument read from the table row
+    # in a compiled step, with a base argument read from the table row
     # and with a fibre argument
-    xu = ("x1", "x2", "u1")
     us = np.linspace(0.2, 1.3, 7)
     for func, arity in [*exprlang.FUNCTION_ARITY.items(), ("^", 2)]:
         for args in (("x1", "x2"), ("u1", "x2")):
@@ -419,11 +428,8 @@ def test_batch_compiler_handles_exactly_the_grammar_functions():
             call = (exprlang.BinOp("^", *leaves) if func == "^"
                     else exprlang.Call(func, leaves))
             node = exprlang.BinOp("*", call, exprlang.Var("u1"))
-            points = np.column_stack([*cols, us]).tolist()
-            expected = [exprlang.evaluate(node, dict(zip(xu, p)))
-                        for p in points]
-            assert (kernel_values(node, cols, us)
-                    == np.array(expected).tobytes()), (func, args)
+            compiled, checked = kernel_values(node, cols, us)
+            assert compiled == checked, (func, args)
     unknown = exprlang.Call("sinh", (exprlang.Var("x1"),))
     with pytest.raises(KeyError):
         exprlang.program([unknown], names)
@@ -472,8 +478,8 @@ def test_kernels_call_only_c_builtins(monkeypatch):
         call = (exprlang.BinOp("^", *leaves) if func == "^"
                 else exprlang.Call(func, leaves))
         field = MatrixField.from_exprs([[call, "x1"]], xu)
-        field.kernel(lambda G, v: [G[0] * v[0]], None)
-        field.kernel(lambda G, v: [G[0] * v[0] + G[1] * v[1]], None,
+        field.kernel(lambda G, v: [G[0] * v[0], G[1]] * 4, None)
+        field.kernel(lambda G, v: [G[0] * v[0] + G[1] * v[1], G[1]], None,
                      np.array([[0.5, 0.5, 1.0, 2.0]]))
     assert len(sources) == 2 * (len(exprlang.FUNCTION_ARITY) + 1)
     scope = {**vars(builtins), **exprlang.KERNEL_GLOBALS}

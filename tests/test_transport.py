@@ -25,6 +25,7 @@ from bundleconn.fields import MatrixField, Region, ScalarField, _FieldArray
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
+    _checked_step,
     _contract,
     _geodesic_acceleration,
     _geodesic_rows,
@@ -40,7 +41,7 @@ from bundleconn.transport import (
     transport_linear,
 )
 
-from test_fields import XU, kernel_trees, outcome
+from test_fields import STEP_WIDTHS, XU, kernel_trees, rhs_outcome
 
 CONSTANT_STACK = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
@@ -470,17 +471,22 @@ def run_driver(case):
                                   "geodesic", "general-sparse",
                                   "geodesic-sparse"])
 def test_batched_rhs_equals_per_step_rhs_bitwise(case, monkeypatch):
-    calls = []
-    rk4 = transport._rk4
+    # the per-step right-hand side is the one the driver's checked step
+    # runs (the fallback of a compiled step)
+    calls, rhss = [], []
+    rk4, checked_step = transport._rk4, transport._checked_step
 
-    def spy(rhs, rhs_many, y0, grid):
-        result = rk4(rhs, rhs_many, y0, grid)
-        calls.append((rhs, rhs_many, result, grid))
+    def spy(step, rhs_many, y0, grid):
+        result = rk4(step, rhs_many, y0, grid)
+        calls.append((rhs_many, result, grid))
         return result
 
     monkeypatch.setattr(transport, "_rk4", spy)
+    monkeypatch.setattr(transport, "_checked_step",
+                        lambda rhs: rhss.append(rhs) or checked_step(rhs))
     run_driver(case)
-    (rhs, rhs_many, result, grid), = calls
+    (rhs_many, result, grid), = calls
+    rhs, = rhss
     rng = np.random.default_rng(7)
     rows = rng.integers(0, len(result.samples), 300)
     ys = result.samples[rows] * (1.0 + 0.01 * rng.standard_normal(
@@ -787,6 +793,18 @@ CONTRACTION_FAILURES = {
         "path": {"points": [[1.0, 0.0], [1.5, 0.5]], "steps": 8},
         "initial": [1.0, 0.5]},
         "NonFinite", "division by zero"),
+    # the sphere's pole: theta falls at unit speed towards the bound 0.05 of
+    # sphere-lc's region; the last step leaves it at stage 4, or at stage 2
+    "sphere-pole-at-stage-4": ("geodesic", {
+        "connection": "registry:sphere-lc", "x0": [0.2, 0.5],
+        "v0": [-1, 0], "T": 1.0, "steps": 64},
+        "DomainExit", "point (0.04375000000000001, 0.5) outside region "
+        "((0.05, 3.0915926535897933), (-inf, inf))"),
+    "sphere-pole-at-stage-2": ("geodesic", {
+        "connection": "registry:sphere-lc", "x0": [0.2, 0.5],
+        "v0": [-1, 0], "T": 0.3, "steps": 16},
+        "DomainExit", "point (0.04062500000000004, 0.5) outside region "
+        "((0.05, 3.0915926535897933), (-inf, inf))"),
 }
 
 
@@ -824,25 +842,19 @@ values = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
                                     math.inf, -math.inf, math.nan, 2.5, -1.0]))
 
 
-def rhs_outcome(fn):
-    """outcome() with every NaN the same NaN: the sign of NaN + NaN is
-    either operand's, and CPython changes which once it specialises the
-    addition, so no two runs need agree on it."""
-    def canonical():
-        values = np.array(fn())
-        return np.where(np.isnan(values), np.nan, values)
-    return outcome(canonical)
-
-
-def driver_rhs(run, grid=None):
-    """The per-step right-hand side a driver hands to _rk4 (on `grid`)."""
+def driver_step(run, grid=None):
+    """The RK4 step a driver hands to _rk4 (on `grid`)."""
     captured = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transport, "_rk4", lambda rhs, *_: captured.append(rhs))
+        patch.setattr(transport, "_rk4",
+                      lambda step, *_: captured.append(step))
         if grid is not None:
             patch.setattr(transport, "_grid", lambda path: grid)
         run()
     return captured[0]
+
+
+widths = st.sampled_from(STEP_WIDTHS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -851,49 +863,53 @@ def driver_rhs(run, grid=None):
        nodes=st.lists(st.lists(values, min_size=4, max_size=4), min_size=1,
                       max_size=4),
        us=st.lists(st.lists(values, min_size=2, max_size=2), max_size=3),
+       h=widths,
        region=st.sampled_from([None, [(-2.5, 2.5), (-1.0, math.inf),
                                       (-2.5, 2.5), (-math.inf, 2.5)]]))
 def test_fused_two_index_rhs_equals_contract_of_floats(flat, repeat, nodes,
-                                                      us, region):
+                                                      us, h, region):
+    # the compiled step equals the RK4 step over the dense contraction of
+    # the checked entries, which the sparse one equals while the grid
+    # velocity is finite (0 * inf is NaN)
     flat[3] = flat[0] if repeat else flat[3]
     g2 = TwoIndexField.from_exprs([flat[:2], flat[2:]], 2, 2,
                                   region and Region(region))
-    nodes = np.array(nodes)
+    nodes = np.array(nodes)[np.arange(len(nodes) + 2) % len(nodes)]
     pos, vel = nodes[:, :2], nodes[:, 2:]
     grid = transport._Grid(pos, vel, None, None, None)
-    rhs = driver_rhs(lambda: transport_general(g2, None, [0, 0]), grid)
-    # the dense plan while a grid velocity is not finite (0 * inf is NaN)
+    step = driver_step(lambda: transport_general(g2, None, [0, 0]), grid)
     plan = [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0), (3, 1)])]]
-    plan = _index_plan(g2, plan) if np.isfinite(vel).all() else plan
-    for k, x in enumerate(pos.tolist()):
+    checked = _checked_step(lambda k, u: _contract(
+        plan, g2.floats((*pos[k].tolist(), *u)), vel[k].tolist()))
+    for b in range(len(nodes) - 2):
         for u in us + [[0.5, -1.5], [0.0, math.inf], [math.nan, 0.5]]:
-            assert rhs_outcome(lambda: rhs(k, u)) == rhs_outcome(
-                lambda: _contract(plan, g2.floats((*x, *u)),
-                                  vel[k].tolist())), (k, u)
+            assert rhs_outcome(lambda: step(b, h, u)) == rhs_outcome(
+                lambda: checked(b, h, u)), (b, u)
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 3), data=st.data(),
+@given(n=st.integers(1, 3), data=st.data(), h=widths,
        region=st.sampled_from([None, (-2.5, 2.5)]))
-def test_fused_geodesic_rhs_equals_contract_of_floats(n, data, region):
+def test_fused_geodesic_rhs_equals_contract_of_floats(n, data, h, region):
+    # the compiled step equals the RK4 step over the dense acceleration of
+    # the checked entries
     names = base_names(n)
     stacks = data.draw(st.lists(entries(names), min_size=n ** 3,
                                 max_size=n ** 3))
     g3 = CoefficientField3.from_exprs(
         np.array(stacks, dtype=object).reshape(n, n, n).tolist(),
         region and Region([region] * n))
-    rhs = driver_rhs(lambda: geodesic(g3, [0.5] * n, [0.5] * n, 1.0, 8))
+    step = driver_step(lambda: geodesic(g3, [0.5] * n, [0.5] * n, 1.0, 8))
     dense = _geodesic_rows(n)
-    sparse = _index_plan(g3, dense)
+    checked = _checked_step(lambda _, s: s[n:] + _geodesic_acceleration(
+        dense, g3.floats(s[:n]), s[n:]))
     # infinite and NaN velocities, cot's pole, a region bound
     fixed = [[0.5] * n + [math.inf] * n, [0.5] * n + [math.nan] + [0.5] * (
         n - 1), [0.0] * n + [0.3] * n, [2.5] * n + [0.3] * n]
     for s in data.draw(st.lists(st.lists(values, min_size=2 * n,
                                          max_size=2 * n), max_size=4)) + fixed:
-        x, v = s[:n], s[n:]
-        plan = sparse if all(map(math.isfinite, v)) else dense
-        assert rhs_outcome(lambda: rhs(0, s)) == rhs_outcome(
-            lambda: v + _geodesic_acceleration(plan, g3.floats(x), v)), s
+        assert rhs_outcome(lambda: step(0, h, s)) == rhs_outcome(
+            lambda: checked(0, h, s)), s
 
 
 def test_fused_rhs_runs_without_fallback(monkeypatch):
@@ -903,13 +919,14 @@ def test_fused_rhs_runs_without_fallback(monkeypatch):
     path = PathSpec.from_points([[0.7, 0.5], [-0.9, -0.3]], steps=8)
     x, v, u = [1.0, 0.2], [0.3, 0.7], [1.1, 0.4]
     grid = _grid(path)
-    want_geo = v + _geodesic_acceleration(_index_plan(g3, _geodesic_rows(2)),
-                                          g3.floats(x), v)
-    want_general = _contract(
-        [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0), (3, 1)])]],
-        g2.floats((*grid.pos[3].tolist(), *u)), grid.vel[3].tolist())
+    dense = [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0), (3, 1)])]]
+    want_geo = _checked_step(lambda _, s: s[2:] + _geodesic_acceleration(
+        _geodesic_rows(2), g3.floats(s[:2]), s[2:]))(0, 0.125, x + v)
+    want_general = _checked_step(lambda k, u: _contract(
+        dense, g2.floats((*grid.pos[k].tolist(), *u)),
+        grid.vel[k].tolist()))(2, 0.25, u)
+    geo = driver_step(lambda: geodesic(g3, x, v, 1.0, 8))
+    general = driver_step(lambda: transport_general(g2, path, u))
     monkeypatch.setattr(_FieldArray, "floats", lambda self, p: 1 / 0)
-    geo = driver_rhs(lambda: geodesic(g3, x, v, 1.0, 8))
-    general = driver_rhs(lambda: transport_general(g2, path, u))
-    assert geo(0, x + v) == want_geo
-    assert general(3, u) == want_general
+    assert geo(0, 0.125, x + v) == want_geo
+    assert general(2, 0.25, u) == want_general
