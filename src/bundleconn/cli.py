@@ -292,7 +292,6 @@ class Problem:
         if not isinstance(kind, str):
             raise ConfigError("connection.kind must be a string")
         self.aff = None
-        self.example = None
         if kind.startswith("registry:"):
             params = conn.get("params", {})
             if not isinstance(params, dict):
@@ -306,7 +305,6 @@ class Problem:
             if self.region is not None:
                 log.warning("registry entry %r manages its own region; "
                             "the config region is ignored", ex.name)
-            self.example = ex
             self.kind = ex.kind
             self.n, self.r = ex.n, ex.r
             self.g3, self.g2, self.aff = ex.g3, ex.g2, ex.affine

@@ -10,13 +10,13 @@ inhomogeneous term).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .connection import AffineCoefficients, CoefficientField3, TwoIndexField
 from .errors import ConfigError
-from .exprlang import BinOp, Call, Const, Neg, Var, parse, pretty
+from .exprlang import BinOp, Call, Const, Neg, Var, parse
 from .fields import MatrixField, Region, base_names
 
 # ---------------------------------------------------------------------------
@@ -151,11 +151,9 @@ class Example:
     affine: AffineCoefficients | None = None
     region: Region | None = None
     gauge: MatrixField | None = None
-    params: dict = field(default_factory=dict)
 
 
 def make_flat(n=2, r=2):
-    n, r = int(n), int(r)
     g3 = CoefficientField3.zero(n, r)
     return Example("flat", "linear", n, r, g3, TwoIndexField.from_linear(g3))
 
@@ -171,8 +169,7 @@ def make_constant(matrices=None):
     n, r = arr.shape[0], arr.shape[1]
     g3 = CoefficientField3.constant(arr)
     return Example("constant", "linear", n, r, g3,
-                   TwoIndexField.from_linear(g3),
-                   params={"matrices": arr.tolist()})
+                   TwoIndexField.from_linear(g3))
 
 
 def make_sphere_lc(margin=0.05):
@@ -184,13 +181,10 @@ def make_sphere_lc(margin=0.05):
     ]
     g3 = CoefficientField3.from_exprs(stacks, region)
     return Example("sphere-lc", "linear", 2, 2, g3,
-                   TwoIndexField.from_linear(g3), region=region,
-                   params={"margin": margin})
+                   TwoIndexField.from_linear(g3), region=region)
 
 
 def make_pure_gauge(alpha="x1*x2", n=2):
-    n = int(n)
-    source = alpha
     ast = parse(alpha) if isinstance(alpha, str) else alpha
     partials = [derivative(ast, f"x{mu + 1}") for mu in range(n)]
     stacks = [[["0", d], [_neg(d), "0"]] for d in partials]
@@ -199,18 +193,20 @@ def make_pure_gauge(alpha="x1*x2", n=2):
         [[Call("cos", (ast,)), _neg(Call("sin", (ast,)))],
          [Call("sin", (ast,)), Call("cos", (ast,))]], base_names(n))
     return Example("pure-gauge", "linear", n, 2, g3,
-                   TwoIndexField.from_linear(g3), gauge=gauge,
-                   params={"alpha": source if isinstance(source, str)
-                           else pretty(ast)})
+                   TwoIndexField.from_linear(g3), gauge=gauge)
 
 
 def make_cartan_flat(n=2):
-    n = int(n)
     linear = CoefficientField3.zero(n, n)
     inhom = MatrixField.constant(np.eye(n), base_names(n))
     aff = AffineCoefficients(linear, inhom)
     return Example("cartan-flat", "affine", n, n, linear,
                    TwoIndexField.from_affine(aff), affine=aff)
+
+
+# ceiling on the size parameters n (base_dim) and r (fibre_rank) of a
+# registry entry, checked before the entry is built
+MAX_DIM = 32
 
 
 class ExampleRegistry:
@@ -227,6 +223,11 @@ class ExampleRegistry:
             raise ConfigError(
                 f"unknown registry entry {name!r}; known entries: "
                 + ", ".join(self.names()))
+        for key in ("n", "r"):
+            size = params.get(key, 1)
+            if type(size) is not int or not 1 <= size <= MAX_DIM:
+                raise ConfigError(f"registry parameter {key} must be an "
+                                  f"integer from 1 to {MAX_DIM}")
         try:
             return self._builders[name](**params)
         except (TypeError, ValueError) as exc:

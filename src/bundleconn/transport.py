@@ -7,14 +7,11 @@ velocities are evaluated once at every step boundary and midpoint, so the
 right-hand sides of the linear equations become cheap matrix evaluations.
 RK4 runs on the state as a flat list of floats, one step per call of a
 step function (_checked_step over a right-hand side). The right-hand sides
-that depend on the state (general transport, geodesics) contract the field
-entries through an index plan (_contract), in np.einsum order. Each driver
-call compiles one whole RK4 step (_FieldArray.kernel; cot inlined) whose
-four stages contract the derivative with _contract run on its source text,
-without the entries that are the constant 0.0, and which falls back, the
-whole step, to the checked step: the checked interpreter
-(_FieldArray.floats) and _contract over every entry, the plan the batched
-forms take on numpy columns too.
+that depend on the state (general transport, geodesics) come from one
+helper, _state_rk4: an index plan contracted (_contract, np.einsum order)
+by the checked step and the batched defect over every entry, and by one
+compiled RK4 step per driver call (_FieldArray.kernel) without the entries
+that are the constant 0.0; a failed compiled step is taken again checked.
 The step diagnostic recorded in TransportResult.max_residual is the
 midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
 O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
@@ -23,6 +20,7 @@ every step in one batched right-hand-side call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,16 +202,6 @@ def _rk4(step, rhs_many, y0, grid):
                            float(np.abs(defect).max(initial=0.0)))
 
 
-def _index_plan(field, rows):
-    """The rows of _contract without the pairs whose entry of field is the
-    constant 0.0 (every pair for a whole-array callable). Same bits while v
-    is finite: a sum from +0.0 is never -0.0, so adding +-0.0 leaves it as
-    it is."""
-    zeros = () if field._array_fn else field._zeros
-    return [[(k, [(p, l) for p, l in pairs if p not in zeros])
-             for k, pairs in row] for row in rows]
-
-
 def _contract(plan, G, v, zero=0.0):
     """out[i] sums from 0 the inner sums (k, pairs) of plan[i], each the sum
     from zero of G[p] * v[l] (times v[k] unless k is None) over its pairs,
@@ -235,27 +223,44 @@ def _contract(plan, G, v, zero=0.0):
     return out
 
 
+def _state_rk4(field, plan, tail, y0, grid, table=None):
+    """RK4 of y' = tail(v, _contract(plan, G, v)), G the flat entries of
+    field at the point and v the velocity, laid out as _FieldArray.kernel
+    lays them out: y = (*point, *v), or with a (K, 2n) table
+    (*x, *v) = table[node] and point = (*x, *y). The checked step and the
+    batched defect sum every pair; the compiled step skips the constant
+    0.0 entries of field, the same bits while v is finite (0 * inf is NaN)."""
+    n = len(field.names) if table is None else table.shape[1] // 2
+    zeros = () if field._array_fn else field._zeros
+    sparse = [[(k, [(p, l) for p, l in pairs if p not in zeros])
+               for k, pairs in row] for row in plan]
+
+    def rhs(k, y):
+        row = y if table is None else table[k].tolist() + y
+        v = row[n:2 * n]
+        G = field.floats(row[:n] + row[2 * n:])
+        return tail(v, _contract(plan, G, v))
+
+    def rhs_many(ks, ys):
+        rows = ys if table is None else np.concatenate([table[ks], ys], 1)
+        v = list(rows[:, n:2 * n].T)
+        G = field.values(np.concatenate([rows[:, :n], rows[:, 2 * n:]], 1))
+        G = G.reshape(len(ys), math.prod(field.shape)).T
+        return np.stack(tail(v, _contract(plan, G, v, np.zeros(len(ys)))), 1)
+
+    step = field.kernel(lambda G, v: tail(v, _contract(sparse, G, v)),
+                        _checked_step(rhs), table)
+    return _rk4(step, rhs_many, y0, grid)
+
+
 def transport_general(g2, path, p0):
     """Parallel transport for a general connection:
     du^a/dt = +G[a, mu](x(t), u) dx^mu/dt."""
     grid = _grid(path)
     plan = [[(None, [(a * g2.n + mu, mu) for mu in range(g2.n)])]
             for a in range(g2.r)]
-    sparse = _index_plan(g2, plan)
-
-    def rhs(k, u):
-        return _contract(plan, g2.floats((*grid.pos[k].tolist(), *u)),
-                         grid.vel[k].tolist())
-
-    def rhs_many(ks, us):
-        G = g2.values(np.concatenate([grid.pos[ks], us], axis=1))
-        return np.stack(_contract(plan, G.reshape(len(ks), g2.r * g2.n).T,
-                                  grid.vel[ks].T, np.zeros(len(ks))), axis=1)
-
-    return _rk4(g2.kernel(lambda G, v: _contract(sparse, G, v),
-                          _checked_step(rhs),
-                          np.column_stack([grid.pos, grid.vel])),
-                rhs_many, p0, grid)
+    return _state_rk4(g2, plan, lambda v, out: out, p0, grid,
+                      np.column_stack([grid.pos, grid.vel]))
 
 
 def _linear_rhs_matrices(g3, grid):
@@ -307,11 +312,6 @@ def _geodesic_rows(n):
              for nu in range(n)] for m in range(n)]
 
 
-def _geodesic_acceleration(plan, G, v, zero=0.0):
-    """-G3[nu, m, lam] v^lam v^nu over a plan of _geodesic_rows(n)."""
-    return [-a for a in _contract(plan, G, v, zero)]
-
-
 def geodesic(g3, x0, v0, T, steps):
     """Geodesic trajectory of a linear connection on the tangent bundle
     (r = n): RK4 on the first-order system (x' = v,
@@ -326,22 +326,8 @@ def geodesic(g3, x0, v0, T, steps):
     grid = _Grid(None, None, 2 * np.arange(steps),
                  np.full(steps, float(T) / steps),
                  float(T) * np.arange(steps + 1) / steps)
-    plan = _geodesic_rows(n)
-    sparse = _index_plan(g3, plan)
-
-    def rhs(_, s):
-        v = s[n:]
-        return v + _geodesic_acceleration(plan, g3.floats(s[:n]), v)
-
-    def rhs_many(_, ss):
-        G = g3.values(ss[:, :n]).reshape(len(ss), -1).T
-        vs = list(ss[:, n:].T)
-        acc = _geodesic_acceleration(plan, G, vs, np.zeros(len(ss)))
-        return np.stack(vs + acc, axis=1)
-
-    step = g3.kernel(lambda G, v: v + _geodesic_acceleration(sparse, G, v),
-                     _checked_step(rhs))
-    return _rk4(step, rhs_many, [*x0, *v0], grid)
+    return _state_rk4(g3, _geodesic_rows(n),
+                      lambda v, out: v + [-a for a in out], [*x0, *v0], grid)
 
 
 def covariant_derivative_limit(g3, F, Y, x, eps=None):

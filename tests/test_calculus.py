@@ -36,6 +36,7 @@ from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
     fundamental_solution,
+    transport_general,
     transport_linear,
 )
 
@@ -505,27 +506,29 @@ def test_curvature_values_container():
 
 # ---------------------------------------------------------------------------
 # small-loop holonomy: transport around a coordinate parallelogram with
-# corner x and sides eps e_mu, eps e_nu is W = I - eps^2 R_(mu nu)(x) + O(eps^3),
-# an identity between 4.18/4.20 and 4.27 that takes no finite difference of
-# the coefficients
+# corner x and sides eps e_mu, eps e_nu is W = I - eps^2 R_(mu nu)(x) + O(eps^3)
+# for a linear connection (4.18/4.20 against 4.27), and moves u by
+# +eps^2 R2[:, mu, nu](x, u) + O(eps^3) for a general one (3.26 against
+# 3.24a; Kobayashi & Nomizu, Foundations of Differential Geometry I, II.8):
+# identities that take no finite difference of the coefficients
 
 
-def small_loop_holonomy(g3, x, mu, nu, eps, steps=400):
+def small_loop(x, mu, nu, eps, steps=400):
     x = np.asarray(x, dtype=float)
     e_mu, e_nu = eps * np.eye(len(x))[mu], eps * np.eye(len(x))[nu]
     corners = [x, x + e_mu, x + e_mu + e_nu, x + e_nu, x]
-    return fundamental_solution(g3, PathSpec.from_points(corners,
-                                                         steps=steps))
+    return PathSpec.from_points(corners, steps=steps)
 
 
-def richardson_loop_curvature(g3, x, mu, nu, eps=1e-2, steps=400):
-    """-R_(mu nu)(x) from the loops of sides eps and eps/2, plus its error
-    bound. The loop starts at a corner, so A(eps) = (W - I)/eps^2 is
-    -R + c eps + O(eps^2): 2 A(eps/2) - A(eps) cancels the first-order term,
-    and |A(eps/2) - A(eps)| (= |c| eps/2 to leading order) bounds what is
-    left, plus the rounding of `steps` RK4 steps scaled by 1/(eps/2)^2."""
-    A1, A2 = ((small_loop_holonomy(g3, x, mu, nu, e, steps) - np.eye(g3.r))
-              / e ** 2 for e in (eps, eps / 2.0))
+def richardson_loop_curvature(around, start, x, mu, nu, eps=1e-2, steps=400):
+    """The limit of (around(loop) - start) / eps^2 from the loops of sides
+    eps and eps/2, plus its error bound. The loop starts at a corner, so
+    A(eps) = (around(loop) - start)/eps^2 is the limit + c eps + O(eps^2):
+    2 A(eps/2) - A(eps) cancels the first-order term, and
+    |A(eps/2) - A(eps)| (= |c| eps/2 to leading order) bounds what is left,
+    plus the rounding of `steps` RK4 steps scaled by 1/(eps/2)^2."""
+    A1, A2 = ((around(small_loop(x, mu, nu, e, steps)) - start) / e ** 2
+              for e in (eps, eps / 2.0))
     rounding = 3.0 * steps * np.finfo(float).eps / (eps / 2.0) ** 2
     return 2.0 * A2 - A1, float(np.max(np.abs(A2 - A1))) + rounding
 
@@ -543,9 +546,33 @@ LOOP_CASES = {
                          ids=list(LOOP_CASES))
 def test_small_loop_holonomy_is_minus_curvature(g3, x, curved, mu, nu):
     R = curvature(g3, x).R[:, :, mu, nu]
-    minus_R, tol = richardson_loop_curvature(g3, x, mu, nu)
+    minus_R, tol = richardson_loop_curvature(
+        lambda path: fundamental_solution(g3, path), np.eye(g3.r), x, mu, nu)
     assert np.max(np.abs(minus_R + R)) <= tol
     if curved:
         # the opposite sign convention misses by about 2 |R|
         assert np.max(np.abs(minus_R - R)) > tol
+
+
+GENERAL_LOOP_CASES = {
+    "nonlinear": (TwoIndexField.from_exprs(
+        [["u1*u2*x2 + sin(x1)", "u1^2*x1"], ["cos(u1)*x2", "u2*x1*x1 - u1"]],
+        2, 2), (0.3, 0.7), (0.4, -0.2)),
+    # a whole-array callable: the checked step throughout
+    "sphere-lc": (TwoIndexField.from_linear(make_sphere_lc().g3), (1.0, 0.5),
+                  (0.4, -0.2)),
+}
+
+
+@pytest.mark.parametrize("mu, nu", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("g2, x, u", GENERAL_LOOP_CASES.values(),
+                         ids=list(GENERAL_LOOP_CASES))
+def test_small_loop_transport_is_fibre_curvature(g2, x, u, mu, nu):
+    R2 = fibre_curvature_general(g2, None, (*x, *u))[0][:, mu, nu]
+    moved, tol = richardson_loop_curvature(
+        lambda path: transport_general(g2, path, u).final, np.array(u), x,
+        mu, nu)
+    assert np.max(np.abs(moved - R2)) <= tol
+    # the opposite sign convention misses by about 2 |R2|
+    assert np.max(np.abs(moved + R2)) > tol
 

@@ -748,6 +748,33 @@ MALFORMED_CONFIGS = {
     "registry-params-not-int": ("curvature", {
         "connection": {"kind": "registry:flat", "params": {"n": "abc"}},
         "point": [0.5, 0.5]}),
+    # registry size parameters are JSON integers from 1 to registry.MAX_DIM
+    "registry-n-string": ("curvature", {
+        "connection": {"kind": "registry:flat", "params": {"n": "3"}},
+        "point": [0.5, 0.5, 0.5]}),
+    "registry-n-fraction": ("curvature", {
+        "connection": {"kind": "registry:flat", "params": {"n": 2.9}},
+        "point": [0.5, 0.5]}),
+    "registry-n-r-true": ("curvature", {
+        "connection": {"kind": "registry:flat",
+                       "params": {"n": True, "r": True}},
+        "point": [0.5]}),
+    "registry-r-zero": ("curvature", {
+        "connection": {"kind": "registry:flat", "params": {"r": 0}},
+        "point": [0.5, 0.5]}),
+    "registry-pure-gauge-n-float": ("curvature", {
+        "connection": {"kind": "registry:pure-gauge", "params": {"n": 2.0}},
+        "point": [0.5, 0.5]}),
+    "registry-cartan-flat-n-33": ("curvature", {
+        "connection": {"kind": "registry:cartan-flat", "params": {"n": 33}},
+        "point": [0.5] * 33}),
+    "registry-flat-60-by-60": ("curvature", {
+        "connection": {"kind": "registry:flat",
+                       "params": {"n": 60, "r": 60}},
+        "point": [0.1] * 60}),
+    "registry-flat-n-10-to-the-9": ("curvature", {
+        "connection": {"kind": "registry:flat", "params": {"n": 10 ** 9}},
+        "point": [0.5, 0.5]}),
     "registry-constant-ragged": ("curvature", {
         "connection": {"kind": "registry:constant",
                        "params": {"matrices": [[[0, 1], [0]],

@@ -24,6 +24,7 @@ from bundleconn.exprlang import evaluate, parse, pretty
 from bundleconn.fields import FrameField, MatrixField, Region
 from bundleconn.morphism import BundleMorphism, adapted_frame_matrix
 from bundleconn.registry import (
+    MAX_DIM,
     REGISTRY,
     derivative,
     make_cartan_flat,
@@ -279,6 +280,27 @@ def test_registry_unknown_and_bad_params():
         REGISTRY.build("flat", bogus=3)
     with pytest.raises(ConfigError):
         REGISTRY.build("constant", matrices=[[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("name, params", [
+    ("flat", {"n": "3"}), ("flat", {"n": 2.9}), ("flat", {"n": True}),
+    ("flat", {"r": 0}), ("flat", {"n": MAX_DIM + 1}),
+    ("flat", {"n": 10 ** 9, "r": 10 ** 9}), ("pure-gauge", {"n": 2.0}),
+    ("cartan-flat", {"n": MAX_DIM + 1})])
+def test_registry_size_parameters_are_bounded_integers(monkeypatch, name,
+                                                       params):
+    # rejected before the entry is built
+    monkeypatch.setattr(REGISTRY, "_builders", {name: None})
+    with pytest.raises(ConfigError, match=f"^registry parameter [nr] must "
+                       f"be an integer from 1 to {MAX_DIM}$"):
+        REGISTRY.build(name, **params)
+
+
+def test_registry_size_ceiling_is_inclusive():
+    ex = REGISTRY.build("flat", n=MAX_DIM, r=1)
+    assert (ex.n, ex.r) == (MAX_DIM, 1)
+    assert REGISTRY.build("cartan-flat", n=MAX_DIM).r == MAX_DIM
+    assert REGISTRY.build("pure-gauge", n=MAX_DIM).g3.n == MAX_DIM
 
 
 def test_registry_constant_default_matches_fixture():

@@ -56,6 +56,10 @@ def test_error_offsets_parser(source, offset):
     with pytest.raises(ParseError) as exc:
         parse(source)
     assert exc.value.offset == offset
+    # the message is the one-line reason and the offset
+    reason = exc.value.reason
+    assert reason and "\n" not in reason
+    assert str(exc.value) == f"{reason} at byte {offset}"
 
 
 @pytest.mark.parametrize("source,offset", ERROR_CASES)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
 every import sits at module level, every function, method and class the
-package defines is referenced somewhere, the compiled batches and kernels
+package defines is referenced somewhere, every attribute it stores is
+read somewhere, the compiled batches and kernels
 cover exactly the grammar's functions, one function holds the singularity
 test, one function loops over RK4 steps, one function compiles generated
 code, one function turns expression trees into code, and a compiled kernel
@@ -128,13 +129,18 @@ def unreferenced(sources, defining):
                   and not (name.startswith("__") and name.endswith("__")))
 
 
-def test_every_definition_is_referenced():
+def package_and_test_sources():
+    """{module: source} of the package and the tests, and the package's
+    module names."""
     sources = {f"{path.parent.name}/{path.stem}": path.read_text(
         encoding="utf-8")
         for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
-    defining = {module for module in sources
-                if module.startswith(f"{SRC.name}/")}
-    assert unreferenced(sources, defining) == []
+    return sources, {module for module in sources
+                     if module.startswith(f"{SRC.name}/")}
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced(*package_and_test_sources()) == []
 
 
 def test_unreferenced_definition_is_reported():
@@ -157,6 +163,72 @@ def test_unreferenced_definition_is_reported():
     test = "from m import Box, helper\nBox().used()\nhelper()\n"
     assert unreferenced({"m": package, "test_m": test}, {"m"}) == [
         "m.Box.width", "m.dead"]
+
+
+def attribute_stores_and_reads(source, module):
+    """The (qualified name, name) of every attribute the source stores on
+    an object (x.name = ...) and of every dataclass field, and the set of
+    attribute names it reads (x.name; a string, as getattr takes, does not
+    count)."""
+    stored, read = [], set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d)
+                       for d in child.decorator_list):
+                    stored.extend(
+                        (f"{scope}.{child.name}.{s.target.id}", s.target.id)
+                        for s in child.body if isinstance(s, ast.AnnAssign))
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute):
+                if isinstance(child.ctx, ast.Store):
+                    stored.append((f"{scope}.{child.attr}", child.attr))
+                else:
+                    read.add(child.attr)
+            walk(child, scope)
+
+    walk(ast.parse(source), module)
+    return stored, read
+
+
+def unread_attributes(sources, defining):
+    """Qualified names of the attributes the `defining` modules of
+    {module: source} store that no module reads (dunders are read by the
+    language)."""
+    stored, read = [], set()
+    for module, source in sources.items():
+        stores, reads = attribute_stores_and_reads(source, module)
+        read |= reads
+        if module in defining:
+            stored += stores
+    return sorted({qual for qual, name in stored if name not in read
+                   and not (name.startswith("__") and name.endswith("__"))})
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes(*package_and_test_sources()) == []
+
+
+def test_unread_attribute_is_reported():
+    package = ("from dataclasses import dataclass\n"
+               "@dataclass\n"
+               "class Point:\n"
+               "    x: float\n"
+               "    label: str = ''\n"
+               "class Box:\n"
+               "    def __init__(self, p):\n"
+               "        self.lo = p.x\n"
+               "        self.hi = 0\n"
+               "        self.__doc__ = 'box'\n"
+               "def tag(box):\n"
+               "    box.note = 'seen'\n"
+               "    box.hi += 1\n"
+               "    return getattr(box, 'note')\n")
+    test = "from m import Box\nassert Box(None).lo == 0\n"
+    assert unread_attributes({"m": package, "test_m": test}, {"m"}) == [
+        "m.Box.hi", "m.Point.label", "m.hi", "m.note"]
 
 
 def singularity_sites(source, module):

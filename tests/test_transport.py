@@ -27,10 +27,8 @@ from bundleconn.transport import (
     PathSpec,
     _checked_step,
     _contract,
-    _geodesic_acceleration,
     _geodesic_rows,
     _grid,
-    _index_plan,
     _linear_rhs_matrices,
     _transport_linear_system,
     covariant_derivative_limit,
@@ -501,8 +499,48 @@ def test_batched_rhs_equals_per_step_rhs_bitwise(case, monkeypatch):
         assert np.array(one).tobytes() == many[j].tobytes(), (k, y)
 
 
+def state_contractions(run):
+    """The two contractions of the state-dependent driver `run` calls, each
+    f(G, v) on floats or numpy columns: the dense one of its checked step
+    and batched defect, tail(v, _contract(plan, G, v)), and the one its
+    compiled step compiles, without the constant zeros."""
+    captured, state_rk4 = {}, transport._state_rk4
+
+    def spy(field, plan, tail, *rest):
+        captured.update(plan=plan, tail=tail)
+        return state_rk4(field, plan, tail, *rest)
+
+    def kernel(self, contract, fallback, table=None):
+        captured["sparse"] = contract
+        return fallback
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_state_rk4", spy)
+        patch.setattr(transport, "_rk4", lambda *_: None)
+        patch.setattr(_FieldArray, "kernel", kernel)
+        run()
+    plan, tail = captured["plan"], captured["tail"]
+    return (lambda G, v: tail(v, _contract(plan, G, v)), captured["sparse"])
+
+
+def geodesic_contractions(g3):
+    n = g3.n
+    dense, sparse = state_contractions(
+        lambda: geodesic(g3, [0.5] * n, [0.5] * n, 1.0, 8))
+    # the acceleration: the state's derivative after its velocity
+    return (lambda G, v: dense(G, v)[n:], lambda G, v: sparse(G, v)[n:])
+
+
+def general_contractions(g2):
+    path = PathSpec.from_points([[0.5] * g2.n, [0.7] * g2.n], steps=8)
+    return state_contractions(
+        lambda: transport_general(g2, path, [0.5] * g2.r))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_geodesic_acceleration_equals_einsum_bytewise(n):
+    dense, sparse = geodesic_contractions(CoefficientField3.from_exprs(
+        np.full((n, n, n), "x1").tolist()))
     rng = np.random.default_rng(n)
     for trial in range(500):
         G = rng.standard_normal((n, n, n)) * 10.0 ** rng.integers(
@@ -511,9 +549,9 @@ def test_geodesic_acceleration_equals_einsum_bytewise(n):
             G[rng.random((n, n, n)) < 0.5] = 0.0    # signed-zero products
         v = rng.standard_normal(n)
         want = -np.einsum("nml,l,n->m", G, v, v)
-        got = _geodesic_acceleration(_geodesic_rows(n), G.ravel().tolist(),
-                                     v.tolist())
-        assert np.array(got).tobytes() == want.tobytes(), (G, v)
+        for contract in (dense, sparse):
+            got = contract(G.ravel().tolist(), v.tolist())
+            assert np.array(got).tobytes() == want.tobytes(), (G, v)
 
 
 # entries of the plan fields: constant zeros of both signs, constants, and
@@ -521,9 +559,9 @@ def test_geodesic_acceleration_equals_einsum_bytewise(n):
 PLAN_EXPRS = ["0.5*x1 - 1.25", "-0*x1", "x1*x1 + 1.5", "cos(x1)"]
 
 
-def plan_field(rng, shape, zero_rows):
-    """A field over x1..xn (n = shape[-1]) of random PLAN_EXPRS entries and
-    constants, with each index slice in zero_rows set to the constant 0.0."""
+def plan_entries(rng, shape, zero_rows):
+    """Entries over x1 of random PLAN_EXPRS and constants, with each index
+    slice in zero_rows set to the constant 0.0."""
     entries = np.empty(shape, dtype=object)
     for idx in np.ndindex(*shape):
         scale = 10.0 ** rng.integers(-3, 3)
@@ -531,7 +569,7 @@ def plan_field(rng, shape, zero_rows):
         entries[idx] = pool[rng.integers(len(pool))]
     for rows in zero_rows:
         entries[rows] = 0.0
-    return _FieldArray(shape, base_names(shape[-1]), entries=entries.tolist())
+    return entries.tolist()
 
 
 def signed_zero_vectors(rng, k, n):
@@ -557,50 +595,65 @@ def ordered_row_sums(G, v):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sparse_plan_equals_dense_plan_and_einsum_bytewise(n):
-    # geodesic rows (against einsum) and general-transport rows (against
-    # ordered row sums), with and without their constant-0.0 entries, on
-    # floats and on numpy columns
+    # the geodesic's contraction (against einsum) and general transport's
+    # (against ordered row sums), over every entry and without the
+    # constant-0.0 ones, on floats and on numpy columns
     rng = np.random.default_rng(100 + n)
-    general_rows = [[(None, [(a * n + mu, mu) for mu in range(n)])]
-                    for a in range(n)]
     for trial in range(60):
         # output row m without entries; now and then every row
         m = int(rng.integers(n))
         geo, gen = (((slice(None), m),), (m,)) if trial % 3 == 0 else ((), ())
         if trial % 10 == 0:
             geo = gen = (Ellipsis,)
+        g3 = CoefficientField3.from_exprs(plan_entries(rng, (n, n, n), geo))
+        g2 = TwoIndexField.from_exprs(plan_entries(rng, (n, n), gen), n, n)
         fields = {
-            "geodesic": (plan_field(rng, (n, n, n), geo), _geodesic_rows(n),
-                         einsum_geodesic, _geodesic_acceleration),
-            "general": (plan_field(rng, (n, n), gen), general_rows,
-                        ordered_row_sums, _contract),
+            "geodesic": (g3, geodesic_contractions(g3), einsum_geodesic),
+            "general": (g2, general_contractions(g2), ordered_row_sums),
         }
-        points = np.column_stack([0.2 + rng.random(8), rng.random((8, n - 1))])
+        points = np.column_stack([0.2 + rng.random(8), rng.random((8, n - 1)),
+                                  np.zeros((8, n))])
         vs = signed_zero_vectors(rng, 8, n)
-        for name, (field, dense, reference, contract) in fields.items():
-            sparse = _index_plan(field, dense)
-            G = field.values(points)
-            columns = contract(sparse, G.reshape(8, -1).T, list(vs.T),
-                               np.zeros(8))
-            for j, (p, v) in enumerate(zip(points, vs)):
-                flat = field.floats(tuple(p.tolist()))
-                want = reference(np.reshape(flat, field.shape), v)
-                for plan in (dense, sparse):
-                    got = np.array(contract(plan, flat, v.tolist()))
+        for name, (field, contractions, reference) in fields.items():
+            at = points[:, :len(field.names)]
+            G = field.values(at).reshape(8, -1).T
+            for contract in contractions:
+                # a column sum from 0.0 is the one from a zero column
+                columns = contract(G, list(vs.T))
+                for j, (p, v) in enumerate(zip(at, vs)):
+                    flat = field.floats(tuple(p.tolist()))
+                    want = reference(np.reshape(flat, field.shape), v)
+                    got = np.array(contract(flat, v.tolist()))
                     assert got.tobytes() == want.tobytes(), (name, field, v)
-                row = np.array([c[j] for c in columns])
-                assert row.tobytes() == want.tobytes(), (name, field, v)
+                    row = np.array([np.broadcast_to(c, 8)[j]
+                                    for c in columns])
+                    assert row.tobytes() == want.tobytes(), (name, field, v)
 
 
-def test_index_plan_skips_only_constant_zeros():
+def live_entries(contract, size, n):
+    """The entries contract reads: a NaN there reaches its output."""
+    return {p for p in range(size) if not np.isfinite(contract(
+        [math.nan if q == p else 1.0 for q in range(size)], [1.0] * n)).all()}
+
+
+def test_compiled_step_skips_only_constant_zeros():
+    # 0 and 0.0 are skipped, "-0*x1" is a live -0.0; the checked step and
+    # the defect read every entry, and a whole-array callable's compiled
+    # step too
     g3 = CoefficientField3.from_exprs([[["0", "x1"], ["2", "x1"]],
                                        [["-0*x1", "0.0"], ["0", "x2"]]])
-    rows = _geodesic_rows(2)
-    assert _index_plan(g3, rows) == [[(0, [(1, 1)]), (1, [(4, 0)])],
-                                     [(0, [(2, 0), (3, 1)]), (1, [(7, 1)])]]
+    assert g3._zeros == {0, 5, 6}
+    dense, sparse = geodesic_contractions(g3)
+    assert live_entries(dense, 8, 2) == set(range(8))
+    assert live_entries(sparse, 8, 2) == {1, 2, 3, 4, 7}
     callable_g3 = CoefficientField3.from_callable(
         lambda x1, x2: np.zeros((2, 2, 2)), 2, 2)
-    assert _index_plan(callable_g3, rows) == rows
+    for contract in geodesic_contractions(callable_g3):
+        assert live_entries(contract, 8, 2) == set(range(8))
+    g2 = TwoIndexField.from_exprs([["0", "u1"], ["-0*x1", "0.0"]], 2, 2)
+    dense, sparse = general_contractions(g2)
+    assert live_entries(dense, 4, 2) == set(range(4))
+    assert live_entries(sparse, 4, 2) == {1, 2}
 
 
 # final values and max_residual of each driver on a fixed config, as .17g
@@ -854,6 +907,14 @@ def driver_step(run, grid=None):
     return captured[0]
 
 
+def dense_geodesic_step(g3):
+    """The RK4 step over the acceleration -G3[nu, m, lam] v^lam v^nu of the
+    checked entries, every entry summed in einsum("nml,l,n->m") order."""
+    n = g3.n
+    return _checked_step(lambda _, s: s[n:] + [-a for a in _contract(
+        _geodesic_rows(n), g3.floats(s[:n]), s[n:])])
+
+
 widths = st.sampled_from(STEP_WIDTHS)
 
 
@@ -900,9 +961,7 @@ def test_fused_geodesic_rhs_equals_contract_of_floats(n, data, h, region):
         np.array(stacks, dtype=object).reshape(n, n, n).tolist(),
         region and Region([region] * n))
     step = driver_step(lambda: geodesic(g3, [0.5] * n, [0.5] * n, 1.0, 8))
-    dense = _geodesic_rows(n)
-    checked = _checked_step(lambda _, s: s[n:] + _geodesic_acceleration(
-        dense, g3.floats(s[:n]), s[n:]))
+    checked = dense_geodesic_step(g3)
     # infinite and NaN velocities, cot's pole, a region bound
     fixed = [[0.5] * n + [math.inf] * n, [0.5] * n + [math.nan] + [0.5] * (
         n - 1), [0.0] * n + [0.3] * n, [2.5] * n + [0.3] * n]
@@ -920,8 +979,7 @@ def test_fused_rhs_runs_without_fallback(monkeypatch):
     x, v, u = [1.0, 0.2], [0.3, 0.7], [1.1, 0.4]
     grid = _grid(path)
     dense = [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0), (3, 1)])]]
-    want_geo = _checked_step(lambda _, s: s[2:] + _geodesic_acceleration(
-        _geodesic_rows(2), g3.floats(s[:2]), s[2:]))(0, 0.125, x + v)
+    want_geo = dense_geodesic_step(g3)(0, 0.125, x + v)
     want_general = _checked_step(lambda k, u: _contract(
         dense, g2.floats((*grid.pos[k].tolist(), *u)),
         grid.vel[k].tolist()))(2, 0.25, u)
