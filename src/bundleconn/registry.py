@@ -10,6 +10,7 @@ inhomogeneous term).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +174,12 @@ def make_constant(matrices=None):
 
 
 def make_sphere_lc(margin=0.05):
-    margin = float(margin)
+    # a finite JSON number, not a bool or a string; margin >= pi/2 leaves
+    # the region's theta interval empty
+    if (type(margin) not in (int, float)
+            or not 0 <= margin <= sys.float_info.max):
+        raise ConfigError("registry parameter margin must be a finite "
+                          "number >= 0")
     region = Region([(margin, math.pi - margin), (-math.inf, math.inf)])
     stacks = [
         [["0", "0"], ["0", "cot(x1)"]],

@@ -141,22 +141,23 @@ def _polyline_grid(path):
     if total == 0.0:
         return _Grid(np.empty((0, path.dim)), np.empty((0, path.dim)),
                      np.empty(0, dtype=int), np.empty(0), np.zeros(1))
-    pos_parts, vel_parts, bases, hs = [], [], [], []
-    offset = 0
-    for start, d, seg_len in zip(pts[:-1], diffs, lengths):
-        if seg_len == 0.0:
-            continue
-        nk = max(2, int(round(path.steps * seg_len / total)))
-        s = np.arange(2 * nk + 1) / (2.0 * nk)
-        pos_parts.append(start + s[:, None] * d)
-        vel_parts.append(np.broadcast_to(d, (2 * nk + 1, path.dim)).copy())
-        bases.extend(offset + 2 * np.arange(nk))
-        hs.extend([1.0 / nk] * nk)
-        offset += 2 * nk + 1
-    hs = np.asarray(hs)
+    # segments of zero length are dropped; segment k gets nk[k] steps on
+    # 2 nk[k] + 1 nodes of its own, numbered from first[k]
+    keep = lengths != 0.0
+    start, d = pts[:-1][keep], diffs[keep]
+    nk = np.maximum(2, np.round(path.steps * lengths[keep] / total)
+                    .astype(int))
+    nodes = 2 * nk + 1
+    first = np.cumsum(nodes) - nodes
+    seg = np.repeat(np.arange(len(nk)), nodes)
+    s = (np.arange(len(seg)) - first[seg]) / (2.0 * nk[seg])
+    # step i, in segment k, starts at node 2 i + k: each segment before
+    # it has one more node than twice its steps
+    step_seg = np.repeat(np.arange(len(nk)), nk)
+    hs = 1.0 / nk[step_seg]
     ts = np.concatenate([[0.0], np.cumsum(hs)])
-    return _Grid(np.concatenate(pos_parts), np.concatenate(vel_parts),
-                 np.asarray(bases, dtype=int), hs, ts)
+    return _Grid(start[seg] + s[:, None] * d[seg], d[seg],
+                 2 * np.arange(len(hs)) + step_seg, hs, ts)
 
 
 def _grid(path):

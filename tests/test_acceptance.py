@@ -2,9 +2,18 @@
 each (run with -s to see the lines). Every test executes the matching
 property suite from bundleconn.suites at its stated tolerances; the four
 criteria with runtime budgets enforce them; the parser criterion further
-pins the frozen grammar tables to the independent oracle parser."""
+pins the frozen grammar tables to the independent oracle parser. The
+suites' random fixtures are checked against numpy's own stream, and
+running every suite must not import numpy.random."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from bundleconn import suites
 
@@ -86,3 +95,39 @@ def test_criterion_13_parser():
     for src, expected in PRECEDENCE_CASES:
         assert oracle_sexpr(src) == expected
     _run("parser")
+
+
+# the seed of every suite that draws random fixtures
+SUITE_SEEDS = [101, 202, 303, 505, 1111, 1212]
+# the sizes the suites draw, scalar first
+DRAW_SIZES = [None, 2, 3, (2, 2), (2, 4), (2, 2, 4), (2, 2, 5), (2, 2, 2, 4)]
+
+
+@pytest.mark.parametrize("seed", SUITE_SEEDS + [0, 2 ** 40 + 7, 2 ** 128 - 1])
+def test_fixture_stream_is_numpys_default_rng(seed):
+    """If numpy ever changes the stream of default_rng, it shows here."""
+    ours = suites._DefaultRng(seed)
+    numpys = np.random.default_rng(seed)
+    for low, high in [(0.3, 1.0), (-0.8, 0.8), (-2.0, 2.0)]:
+        for size in DRAW_SIZES:
+            a = ours.uniform(low, high, size=size)
+            b = numpys.uniform(low, high, size=size)
+            if size is None:
+                assert type(a) is float and a == b
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+def test_suites_do_not_import_numpy_random():
+    src = str(Path(suites.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from bundleconn import suites\n"
+         "assert all(res['passed'] for res in suites.run_all())\n"
+         "print('numpy.random' in sys.modules)\n"],
+        capture_output=True, check=True, env=env)
+    assert proc.stdout == b"False\n"

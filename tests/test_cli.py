@@ -775,6 +775,20 @@ MALFORMED_CONFIGS = {
     "registry-flat-n-10-to-the-9": ("curvature", {
         "connection": {"kind": "registry:flat", "params": {"n": 10 ** 9}},
         "point": [0.5, 0.5]}),
+    # sphere-lc's margin is a finite JSON number >= 0 (a negative one would
+    # put the poles inside the region)
+    "registry-margin-true": ("curvature", {
+        "connection": {"kind": "registry:sphere-lc",
+                       "params": {"margin": True}},
+        "point": [1.1, 0.4]}),
+    "registry-margin-string": ("curvature", {
+        "connection": {"kind": "registry:sphere-lc",
+                       "params": {"margin": "0.1"}},
+        "point": [1.1, 0.4]}),
+    "registry-margin-negative": ("curvature", {
+        "connection": {"kind": "registry:sphere-lc",
+                       "params": {"margin": -0.5}},
+        "point": [1.1, 0.4]}),
     "registry-constant-ragged": ("curvature", {
         "connection": {"kind": "registry:constant",
                        "params": {"matrices": [[[0, 1], [0]],

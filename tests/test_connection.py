@@ -21,7 +21,7 @@ from bundleconn.connection import (
 )
 from bundleconn.errors import ConfigError, DomainExit, SingularJacobian
 from bundleconn.exprlang import evaluate, parse, pretty
-from bundleconn.fields import FrameField, MatrixField, Region
+from bundleconn.fields import FrameField, MatrixField
 from bundleconn.morphism import BundleMorphism, adapted_frame_matrix
 from bundleconn.registry import (
     MAX_DIM,

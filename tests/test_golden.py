@@ -12,7 +12,8 @@ entry that leaves a bounded fibre region, exit 1, and a geodesic on an
 explicit stack with '/', exp and '^') were recorded before those kernels
 existed, on the checked closures they replace; the geodesic that ends
 just inside the sphere's pole bound was recorded before the compiled RK4
-step existed."""
+step existed. The pin of `check` with every suite was recorded while the
+suites still drew their random fixtures from numpy.random itself."""
 
 import contextlib
 import hashlib
@@ -117,6 +118,8 @@ GOLDEN = {
         "x0": [0.4, -0.3], "v0": [0.8, 0.5], "T": 1.5, "steps": 300},
         "2594a8958a5828d884387bc1d180727a0ece4137cefa2e44e31409aa4719f77e"),
 }
+# `check` with no suite: all thirteen acceptance suites
+CHECK_ALL = "22dfcb119eac10afd308cdbfbb4f79fda3f3e720f689ca5d932d9da2f41fc737"
 # the exit code of a pin that ends in an error line (0 for the others)
 EXIT_CODES = {"transport-general-region-exit": 1}
 # compiled kernels per run: one per state-dependent transport or geodesic,
@@ -141,6 +144,15 @@ def test_stdout_matches_the_golden_sha256(tmp_path, case):
     code, out = stdout_of(tmp_path, command, cfg)
     assert code == EXIT_CODES.get(case, 0), out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_check_stdout_matches_the_golden_sha256():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check"])
+    assert code == 0, out.getvalue()
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == (
+        CHECK_ALL)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))

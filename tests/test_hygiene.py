@@ -1,5 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it,
-every import sits at module level, every function, method and class the
+"""Source hygiene: every name a package or test module imports is used in
+it, every import sits at module level, no package module uses numpy.random, every function, method and class the
 package defines is referenced somewhere, every attribute it stores is
 read somewhere, the compiled batches and kernels
 cover exactly the grammar's functions, one function holds the singularity
@@ -55,8 +55,9 @@ def function_imports(source):
     return sorted(lines)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -65,6 +66,44 @@ def test_unused_import_is_reported():
     source = ("import math\nfrom os import path, sep\n"
               "__all__ = ['sep']\n")
     assert unused_imports(source) == [(1, "math"), (2, "path")]
+
+
+def numpy_random_uses(source):
+    """Line numbers that import numpy.random or read np.random."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.random") for a in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy"
+                    and any(a.name == "random" for a in node.names)):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_does_not_use_numpy_random(path):
+    # the suites' fixtures come from suites._DefaultRng; importing
+    # numpy.random would cost every process that runs them about 6 MB
+    assert numpy_random_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_numpy_random_use_is_reported():
+    source = ("import numpy as np\nimport numpy.random\n"
+              "from numpy.random import default_rng\n"
+              "from numpy import random, linalg\n"
+              "rng = np.random.default_rng(1)\n"
+              "x = numpy.random\n"
+              "y = np.linalg\n"
+              "# np.random in a comment is prose\n")
+    assert numpy_random_uses(source) == [2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

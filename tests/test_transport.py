@@ -22,7 +22,7 @@ from bundleconn.connection import (
 from bundleconn.errors import DomainExit, NonFinite, StepCountTooSmall
 from bundleconn.exprlang import Const
 from bundleconn.fields import MatrixField, Region, ScalarField, _FieldArray
-from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
+from bundleconn.registry import make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
     _checked_step,
@@ -400,6 +400,65 @@ def test_expr_path_grid_equals_per_node_loop():
     pos, vel = per_node_expr_grid(exprs, t0, t1, 200)
     assert np.array_equal(grid.pos, pos)
     assert np.array_equal(grid.vel, vel)
+
+
+def per_segment_polyline_grid(path):
+    """The polyline grid built one segment at a time (the reference)."""
+    pts = path.points
+    diffs = pts[1:] - pts[:-1]
+    lengths = np.sqrt((diffs ** 2).sum(axis=1))
+    total = float(lengths.sum())
+    if total == 0.0:
+        return transport._Grid(
+            np.empty((0, path.dim)), np.empty((0, path.dim)),
+            np.empty(0, dtype=int), np.empty(0), np.zeros(1))
+    pos_parts, vel_parts, bases, hs = [], [], [], []
+    offset = 0
+    for start, d, seg_len in zip(pts[:-1], diffs, lengths):
+        if seg_len == 0.0:
+            continue
+        nk = max(2, int(round(path.steps * seg_len / total)))
+        s = np.arange(2 * nk + 1) / (2.0 * nk)
+        pos_parts.append(start + s[:, None] * d)
+        vel_parts.append(np.broadcast_to(d, (2 * nk + 1, path.dim)).copy())
+        bases.extend(offset + 2 * np.arange(nk))
+        hs.extend([1.0 / nk] * nk)
+        offset += 2 * nk + 1
+    hs = np.asarray(hs)
+    ts = np.concatenate([[0.0], np.cumsum(hs)])
+    return transport._Grid(np.concatenate(pos_parts),
+                           np.concatenate(vel_parts),
+                           np.asarray(bases, dtype=int), hs, ts)
+
+
+def random_polylines(count, seed=2020):
+    """1-3-D polylines of 2-60 points, some with repeated points, and
+    8-5,000 steps (so some segments round to the 2-step minimum)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pts = rng.uniform(-2.0, 2.0, size=(rng.integers(2, 61),
+                                           rng.integers(1, 4)))
+        repeat = rng.random(len(pts)) < 0.2
+        pts[1:][repeat[1:]] = pts[:-1][repeat[1:]]
+        yield PathSpec.from_points(pts, steps=int(rng.integers(8, 5001)))
+    # one segment; steps / 2 = 4.5 and 5.5 on two equal segments, which
+    # round half to even; a repeated point only; one repeated at each end
+    yield PathSpec.from_points([[0.1, 0.2], [0.4, -0.3]], steps=8)
+    yield PathSpec.from_points([[0.0], [1.0], [2.0]], steps=9)
+    yield PathSpec.from_points([[0.0], [1.0], [2.0]], steps=11)
+    yield PathSpec.from_points([[0.5], [0.5], [0.5]], steps=20)
+    yield PathSpec.from_points([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0],
+                                [1.0, 1.0]], steps=101)
+
+
+def test_polyline_grid_equals_per_segment_loop():
+    for path in random_polylines(300):
+        got, want = _grid(path), per_segment_polyline_grid(path)
+        for name in ("pos", "vel", "bases", "hs", "ts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype.kind == b.dtype.kind, name
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("path_kind", ["expr", "polyline"])
