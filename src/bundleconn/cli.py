@@ -763,6 +763,11 @@ def build_parser():
     return parser
 
 
+# built once per process: parse_args keeps no state between calls, and the
+# help width is read from the terminal each time help is printed
+PARSER = build_parser()
+
+
 # malformed configs exit 2; every other EngineError is a numerical failure
 CONFIG_ERRORS = (ConfigError, ParseError, UnboundVariable, StepCountTooSmall)
 
@@ -771,7 +776,7 @@ def main(argv=None):
     logging.basicConfig(stream=sys.stderr,
                         level=os.environ.get("BUNDLECONN_LOG", "WARNING"),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:
         # an overflow or NaN ends in NonFinite, not in a numpy warning

@@ -159,9 +159,24 @@ def make_flat(n=2, r=2):
     return Example("flat", "linear", n, r, g3, TwoIndexField.from_linear(g3))
 
 
+def _is_finite_number(v):
+    """A finite JSON number: not a bool or a string, within the float range
+    (the rule of cli._is_number)."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def make_constant(matrices=None):
     if matrices is None:
         matrices = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    # numpy would read true as 1 and "nan" as nan, and an integer beyond
+    # the float range raises OverflowError; the shape is checked below
+    nested = [matrices]
+    while nested:
+        v = nested.pop()
+        if isinstance(v, (list, tuple)):
+            nested.extend(v)
+        elif not _is_finite_number(v):
+            raise ConfigError("constant matrices must hold finite numbers")
     arr = np.asarray(matrices, dtype=float)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ConfigError(
@@ -176,8 +191,7 @@ def make_constant(matrices=None):
 def make_sphere_lc(margin=0.05):
     # a finite JSON number, not a bool or a string; margin >= pi/2 leaves
     # the region's theta interval empty
-    if (type(margin) not in (int, float)
-            or not 0 <= margin <= sys.float_info.max):
+    if not _is_finite_number(margin) or margin < 0:
         raise ConfigError("registry parameter margin must be a finite "
                           "number >= 0")
     region = Region([(margin, math.pi - margin), (-math.inf, math.inf)])

@@ -616,6 +616,64 @@ def test_missing_config_flag_is_usage_error():
 
 
 # ---------------------------------------------------------------------------
+# one parser per process: main() reuses cli.PARSER
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    sphere = write_config(tmp_path, {
+        "connection": "registry:sphere-lc", "steps": 40,
+        "path": {"exprs": ["1 + 0.2*t", "t"]}, "initial": [1.0, 0.0]})
+    (tmp_path / "point").mkdir()
+    point = write_config(tmp_path / "point", {
+        "connection": "registry:sphere-lc", "point": [1.1, 0.4]})
+    calls = [["transport", "--config", sphere, "--steps", "64"],
+             ["transport", "--config", sphere],
+             ["check", "--suite", "parser"],
+             ["curvature", "--config", point],
+             ["transport", "--config"],
+             ["curvature", "--config", point]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        # a usage error prints only to stderr; logs go there too
+        in_process.append((code, out, err if code == 2 else ""))
+    alone = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "bundleconn.cli", *argv],
+                              capture_output=True, text=True)
+        alone.append((proc.returncode, proc.stdout,
+                      proc.stderr if proc.returncode == 2 else ""))
+    assert in_process == alone
+    steps = [json.loads(out)["inputs"]["effective"]["steps"]
+             for _, out, _ in in_process[:2]]
+    assert steps == [64, 40]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["transport", "--help"],
+                                  ["transport"]])
+def test_help_and_usage_match_a_fresh_parser(capsys, monkeypatch, argv):
+    texts = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for name, parse in (("main", cli.main),
+                            ("fresh", cli.build_parser().parse_args)):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            texts[name, columns] = exc.value.code, capsys.readouterr()
+    assert texts["main", "60"] == texts["fresh", "60"]
+    assert texts["main", "120"] == texts["fresh", "120"]
+    # the width is read when help is printed, not frozen at import
+    assert texts["main", "60"] != texts["main", "120"]
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 
@@ -690,6 +748,12 @@ def two_index_entry(entry):
             "path": {"points": [[0.0, 0.0], [1.0, 1.0]], "steps": 40},
             "connection": {"kind": "two_index",
                            "matrix": [[entry, "0"], ["0", "0"]]}}
+
+
+def constant_entry(entry):
+    return {"connection": {"kind": "registry:constant",
+                           "params": {"matrices": [[[entry, 0], [0, 0]]]}},
+            "point": [0.5]}
 
 
 MALFORMED_CONFIGS = {
@@ -794,6 +858,12 @@ MALFORMED_CONFIGS = {
                        "params": {"matrices": [[[0, 1], [0]],
                                                [[0, 0], [1, 0]]]}},
         "point": [0.5, 0.5]}),
+    # constant matrices hold finite JSON numbers, as margin must be
+    "registry-constant-huge-int": ("curvature", constant_entry(10 ** 400)),
+    "registry-constant-bool": ("curvature", constant_entry(True)),
+    "registry-constant-string": ("curvature", constant_entry("1")),
+    "registry-constant-nan-string": ("curvature", constant_entry("nan")),
+    "registry-constant-null": ("curvature", constant_entry(None)),
     "covd-section-null-entry": ("covd", {
         "connection": "registry:sphere-lc", "point": [1.0, 0.3],
         "direction": [1.0, 0.5], "section": [None, "x1"]}),
@@ -926,6 +996,20 @@ def test_steps_and_samples_must_be_integers(tmp_path, capsys, name):
                           write_config(tmp_path, cfg))
     assert payload["error"] == {"type": "ConfigError",
                                 "message": f"{key} must be an integer"}
+
+
+@pytest.mark.parametrize("name", [
+    "registry-constant-huge-int", "registry-constant-bool",
+    "registry-constant-string", "registry-constant-nan-string",
+    "registry-constant-null"])
+def test_constant_matrices_must_hold_finite_numbers(tmp_path, capsys, name):
+    # numpy would read true as 1 and "nan" as nan, and 10^400 overflowed
+    command, cfg = MALFORMED_CONFIGS[name]
+    _, payload = run_json(capsys, command, "--config",
+                          write_config(tmp_path, cfg))
+    assert payload["error"] == {
+        "type": "ConfigError",
+        "message": "constant matrices must hold finite numbers"}
 
 
 def test_exit_2_unknown_law_lists_the_laws(tmp_path, capsys):

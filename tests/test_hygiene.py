@@ -4,8 +4,9 @@ package defines is referenced somewhere, every attribute it stores is
 read somewhere, the compiled batches and kernels
 cover exactly the grammar's functions, one function holds the singularity
 test, one function loops over RK4 steps, one function compiles generated
-code, one function turns expression trees into code, and a compiled kernel
-calls no Python-level function per point."""
+code, one function turns expression trees into code, a compiled kernel
+calls no Python-level function per point, and cli.main reuses the parser
+built at import."""
 
 import ast
 import builtins
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bundleconn import exprlang, fields, transport
+from bundleconn import cli, exprlang, fields, transport
 from bundleconn.errors import NonFinite
 from bundleconn.fields import MatrixField, ScalarField
 
@@ -608,3 +609,17 @@ def test_python_level_call_in_a_kernel_is_reported():
     assert names == {"_cot", "fallback"}
     assert attributes == {"tolist", "item"}
     assert not isinstance(exprlang._cot, types.BuiltinFunctionType)
+
+
+def test_main_reuses_the_parser_built_at_import(tmp_path, monkeypatch,
+                                                capsys):
+    # rebuilding the argparse tree cost about half of a short job
+    def rebuilt():
+        raise AssertionError("cli.main built a parser")
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    path = tmp_path / "flat.json"
+    path.write_text('{"connection": "registry:flat", "point": [0.5, 0.5]}',
+                    encoding="utf-8")
+    codes = [cli.main(["curvature", "--config", str(path)]) for _ in range(2)]
+    assert codes == [0, 0]
+    assert len(capsys.readouterr().out.splitlines()) == 2
