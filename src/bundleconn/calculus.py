@@ -24,6 +24,7 @@ from .fields import (
     base_names,
     bundle_names,
     fd_partials,
+    fd_partials_at,
     frame_partials,
 )
 from .transport import PathSpec, fundamental_solution
@@ -70,16 +71,32 @@ def curvature(g3, x, h=None, base_frame=None):
     (possibly anholonomic) base frame E:
     R_{mu nu} = E_mu(G_nu) - E_nu(G_mu) + [G_mu, G_nu] - G_lam C^lam_{mu nu},
     with FD partials at a 1e-4 relative step. Without a frame E_mu = d_mu
-    and C = 0."""
+    and C = 0; then this is curvatures() at one point."""
     E = None if base_frame is None else base_frame(x)
-    D = frame_partials(E, g3, x, h, rel=FD_STEP_NESTED)  # E_mu(G_nu)
-    stack = g3(x)
-    T = D + np.einsum("mac,ncb->mnab", stack, stack)
-    Rmn = T - T.transpose(1, 0, 2, 3)
+    Rmn, stack = _curvature_forms(g3, [x], h, E)
+    Rmn, stack = Rmn[0], stack[0]
     if base_frame is not None:
         C = _anholonomy(base_frame, E, x, h)        # C[lam, mu, nu]
         Rmn = Rmn - np.einsum("lab,lmn->mnab", stack, C)
     return CurvatureValues(Rmn.transpose(2, 3, 0, 1))
+
+
+def curvatures(g3, points, h=None):
+    """curvature(g3, x, h).R at every x of K points, as one array
+    R[k, a, b, mu, nu], from one batch of stencils."""
+    return _curvature_forms(g3, points, h)[0].transpose(0, 3, 4, 1, 2)
+
+
+def _curvature_forms(g3, points, h, E=None):
+    """Rmn[k, mu, nu] = E_mu(G_nu) - E_nu(G_mu) + [G_mu, G_nu] at K points
+    (E the frame matrix at the one point, None for E_mu = d_mu) and the
+    stacks G[k], from fields.fd_partials_at."""
+    points = np.asarray(points, dtype=float).reshape(len(points), g3.n)
+    D, stack = fd_partials_at(g3, points, h, rel=FD_STEP_NESTED)
+    if E is not None:
+        D = np.einsum("nm,kn...->km...", E, D)       # E_mu(G_nu)
+    T = D + np.einsum("kmac,kncb->kmnab", stack, stack)
+    return T - T.transpose(0, 2, 1, 3, 4), stack
 
 
 def curvature_commutator_oracle(g3, F, G, Y, x, h=None):
@@ -208,8 +225,8 @@ def is_flat(g3, sample_points, tol=1e-6, h=None):
     """True plus the max |R| over the samples when the connection is flat
     to within tol there; h is curvature()'s finite-difference step."""
     # np.max, unlike max(), carries a NaN through to the verdict
-    worst = float(np.max([np.abs(curvature(g3, x, h).R).max()
-                          for x in sample_points], initial=0.0))
+    worst = float(np.max(np.abs(curvatures(g3, sample_points, h)),
+                         initial=0.0))
     return worst <= tol, worst
 
 

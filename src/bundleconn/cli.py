@@ -25,6 +25,7 @@ from .calculus import (
     covariant_derivative,
     curvature,
     curvature_law,
+    curvatures,
     fibre_curvature_general,
     flat_fundamental_matrix,
     is_flat,
@@ -96,6 +97,15 @@ def _format_float(value):
     return format(value, ".17g")
 
 
+def _template(shape):
+    """The %-template that writes a finite float array of this shape as
+    _emit writes its nested lists."""
+    template = "%.17g"
+    for k in reversed(shape):
+        template = "[" + ", ".join([template] * k) + "]"
+    return template
+
+
 def _emit(obj, parts):
     if obj is None:
         parts.append("null")
@@ -108,7 +118,10 @@ def _emit(obj, parts):
     elif isinstance(obj, (float, np.floating)):
         parts.append(_format_float(float(obj)))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts)
+        if obj.ndim and obj.dtype == np.float64 and np.isfinite(obj).all():
+            parts.append(_template(obj.shape) % tuple(obj.ravel().tolist()))
+        else:
+            _emit(obj.tolist(), parts)
     elif isinstance(obj, dict):
         parts.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -512,13 +525,12 @@ def cmd_curvature(prob):
         result = {"R2": {"value": R2, "eq": eq}}
         worst = float(np.max(np.abs(R2)))
     elif "grid" in cfg or ("points" in cfg and "point" not in cfg):
-        eq, entries = "4.27", []
-        for x in _grid_points(prob):
-            R = curvature(prob.g3, x, prob.fd_step).R
-            entries.append({"point": list(x), "R": R,
-                            "max_abs": float(np.max(np.abs(R))), "eq": eq})
-        result = {"grid": entries}
-        worst = max(entry["max_abs"] for entry in entries)
+        eq, pts = "4.27", _grid_points(prob)
+        Rs = curvatures(prob.g3, pts, prob.fd_step)
+        tops = np.abs(Rs).max(axis=(1, 2, 3, 4)).tolist()
+        result = {"grid": [{"point": list(x), "R": R, "max_abs": top,
+                            "eq": eq} for x, R, top in zip(pts, Rs, tops)]}
+        worst = max(tops)
     else:
         x = prob.base_point()
         frame = prob.frame("base_frame")

@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .errors import DomainExit, NonFinite, SingularFrame
+from .errors import DomainExit, EngineError, NonFinite, SingularFrame
 from .exprlang import (BATCH_GLOBALS, KERNEL_GLOBALS, Code, Const, ExprAst,
                        parse, program, run, ssa_lines)
 
@@ -25,6 +25,8 @@ FD_STEP_FIRST = 1e-5
 FD_STEP_NESTED = 1e-4
 _DEFINED = itertools.count()    # numbers the file names of compiled code
 _ROWS = 4096    # rows per batch call: SSA keeps every temporary column alive
+# fewer rows run point by point: compiling a batch costs as much as ~80 rows
+_BATCH_MIN = 80
 
 
 class Region:
@@ -212,9 +214,10 @@ class _FieldArray:
         (exprlang.ssa_lines) on float columns of _ROWS rows. A callable
         field or entry, a point outside the region, a libm error or a
         non-finite value or tested operand falls back to that per-point
-        loop, so errors and their messages are the per-point ones."""
+        loop, so errors and their messages are the per-point ones. Below
+        _BATCH_MIN rows the loop runs at once, with no compile."""
         points = np.asarray(points, dtype=float)
-        out = self._batch_values(points)
+        out = self._batch_values(points) if len(points) >= _BATCH_MIN else None
         if out is None:
             out = np.array([self.floats(tuple(p.tolist())) for p in points])
         return out.reshape((len(points),) + self.shape)
@@ -388,6 +391,36 @@ def fd_partials(f, x, h=None, axes=None, rel=FD_STEP_FIRST):
     if axes is None:
         axes = range(len(x))
     return np.stack([fd_partial(f, x, axis, h, rel) for axis in axes])
+
+
+def fd_partials_at(f, points, h=None, rel=FD_STEP_FIRST):
+    """fd_partials of an array field at every row of a (K, n) point array,
+    and the field there: (D[k, i] = d f / d x^i, f at points[k]). One
+    f.values call takes every stencil row, each point's in fd_partial's
+    order (+h e_0, -h e_0, ..., then the point) with its own steps, so the
+    numbers are fd_partials' bit for bit. On an EngineError or a non-finite
+    quotient the per-point loop runs instead, so the first error and its
+    message are the per-point ones."""
+    K, n = points.shape
+    steps = (rel * np.maximum(1.0, np.abs(points)) if h is None
+             else np.full(points.shape, float(h)))
+    rows = np.repeat(points[:, None], 2 * n + 1, axis=1)
+    axes = np.arange(n)
+    rows[:, 2 * axes, axes] += steps
+    rows[:, 2 * axes + 1, axes] -= steps
+    try:
+        vals = f.values(rows.reshape(-1, n)).reshape(
+            (K, 2 * n + 1) + f.shape)
+        with np.errstate(all="ignore"):
+            D = (vals[:, :-1:2] - vals[:, 1::2]) / (2.0 * steps).reshape(
+                (K, n) + (1,) * len(f.shape))
+        if np.isfinite(D).all():
+            return D, vals[:, -1]
+    except EngineError:     # the loop below raises the first in its order
+        pass
+    D, vals = zip(*[(fd_partials(f, x, h, rel=rel), f(x))
+                    for x in points.tolist()])
+    return np.stack(D), np.stack(vals)
 
 
 def frame_partials(E, f, x, h=None, rel=FD_STEP_FIRST):

@@ -2,11 +2,13 @@
 flatness certifier, checked against hand values and independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from bundleconn import fields
 from bundleconn.calculus import (
     CurvatureValues,
     DualSectionField,
@@ -15,6 +17,7 @@ from bundleconn.calculus import (
     curvature,
     curvature_commutator_oracle,
     curvature_general_frame,
+    curvatures,
     dual_covariant_derivative,
     fibre_curvature_general,
     flat_fundamental_matrix,
@@ -30,8 +33,14 @@ from bundleconn.connection import (
     bundle_names,
     transform_three_index,
 )
-from bundleconn.errors import NotFlat
-from bundleconn.fields import FrameField, MatrixField, fd_partial
+from bundleconn.errors import DomainExit, NonFinite, NotFlat
+from bundleconn.fields import (
+    FD_STEP_NESTED,
+    FrameField,
+    MatrixField,
+    Region,
+    fd_partial,
+)
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
 from bundleconn.transport import (
     PathSpec,
@@ -462,6 +471,107 @@ def test_is_flat_does_not_fold_away_a_nan():
         flat, worst = is_flat(g3, [(0.5, 0.5), (0.2, 0.3)])
     assert not flat
     assert math.isnan(worst)
+
+
+# ---------------------------------------------------------------------------
+# curvature on a lattice: one batch of stencils for every point
+
+
+def per_point_curvature(g3, x, h=None):
+    """curvature(g3, x, h).R as one point computes it alone: fd_partial
+    along each axis, then the stack at x."""
+    D = np.stack([fd_partial(g3, x, axis, h, rel=FD_STEP_NESTED)
+                  for axis in range(g3.n)])
+    stack = g3(x)
+    T = D + np.einsum("mac,ncb->mnab", stack, stack)
+    return (T - T.transpose(1, 0, 2, 3)).transpose(2, 3, 0, 1)
+
+
+def seeded_stacks(n, r, seed):
+    """A CoefficientField3 of random entries a*f(xi) + b*xj*xk (f one of
+    sin, cos, exp) over (-3, 3)^n, and 30 points inside."""
+    rng = np.random.default_rng(seed)
+    funcs = ("sin", "cos", "exp")
+
+    def entry():
+        i, j, k = rng.integers(1, n + 1, 3)
+        return (f"{rng.uniform(-1, 1):.4f}*{funcs[rng.integers(3)]}(x{i}) "
+                f"+ {rng.uniform(-1, 1):.4f}*x{j}*x{k}")
+    stacks = [[[entry() for _ in range(r)] for _ in range(r)]
+              for _ in range(n)]
+    return (CoefficientField3.from_exprs(stacks, Region([(-3.0, 3.0)] * n)),
+            rng.uniform(-1.0, 1.0, (30, n)))
+
+
+def lattice(lo, hi, k):
+    axes = [np.linspace(a, b, k) for a, b in zip(lo, hi)]
+    return np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(lo), -1).T
+
+
+LATTICES = {
+    "sphere-lc": lambda: (make_sphere_lc().g3,
+                          lattice([0.4, -1.0], [2.7, 1.5], 6)),
+    "pure-gauge": lambda: (make_pure_gauge("sin(x1)*x2 + x1^2").g3,
+                           lattice([-0.8, -0.6], [0.7, 0.9], 5)),
+    "seeded-3-3": lambda: seeded_stacks(3, 3, 1),
+    "seeded-3-2": lambda: seeded_stacks(3, 2, 2),
+    "seeded-2-4": lambda: seeded_stacks(2, 4, 3),
+}
+
+
+@pytest.mark.parametrize("h", [None, 3e-4])
+@pytest.mark.parametrize("case", list(LATTICES))
+def test_curvatures_equal_per_point_curvature_bitwise(case, h):
+    g3, points = LATTICES[case]()
+    # enough stencil rows for the compiled batch
+    assert len(points) * (2 * g3.n + 1) >= fields._BATCH_MIN
+    many = curvatures(g3, points, h)
+    assert many.shape == (len(points), g3.r, g3.r, g3.n, g3.n)
+    for x, R in zip(points.tolist(), many):
+        alone = curvature(g3, x, h).R
+        assert np.array_equal(R, alone)
+        assert R.tobytes() == per_point_curvature(g3, x, h).tobytes()
+    worst = float(np.max(np.abs(many)))
+    assert is_flat(g3, points, worst, h) == (True, worst)
+
+
+def test_curvatures_of_no_points():
+    g3 = make_sphere_lc().g3
+    assert curvatures(g3, [], None).shape == (0, 2, 2, 2, 2)
+    assert is_flat(g3, []) == (True, 0.0)
+
+
+SPHERE_EXIT = ("point (3.09180915, 0.1) outside region "
+               "((0.05, 3.0915926535897933), (-inf, inf))")
+
+
+@pytest.mark.parametrize("good", [2, 30])
+def test_lattice_stencil_leaving_the_region_is_the_per_point_error(good):
+    # the +h stencil along x1 of (3.0915, 0.1) leaves the region, before
+    # the point (3.5, 0.0) outside it: with 2 points ahead the rows run
+    # point by point, with 30 they run as a compiled batch first
+    points = [(1.0 + 0.02 * i, 0.3) for i in range(good)] + [
+        (3.0915, 0.1), (3.5, 0.0)]
+    with pytest.raises(DomainExit, match=f"^{re.escape(SPHERE_EXIT)}$"):
+        curvatures(make_sphere_lc().g3, points)
+    with pytest.raises(DomainExit, match=f"^{re.escape(SPHERE_EXIT)}$"):
+        is_flat(make_sphere_lc().g3, points)
+
+
+@pytest.mark.parametrize("good", [1, 30])
+def test_lattice_quotient_overflow_comes_before_a_later_stencil(good):
+    # at (0.5, 0.99995) the d/dx1 quotient overflows and the +h stencil
+    # along x2 leaves the region: one point alone checks the quotient
+    # first (with 30 points ahead, the rows run as a compiled batch)
+    g3 = CoefficientField3.from_exprs([[["1e308*sin(1e4*x1)*x2^2"]],
+                                       [["0"]]],
+                                      Region([(-1.0, 1.0), (-1.0, 1.0)]))
+    points = [(0.5, 0.0)] * good + [(0.5, 0.99995), (0.5, 2.0)]
+    message = ("non-finite difference quotient along axis 0 at "
+               "(0.5, 0.99995)")
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+            curvatures(g3, points)
 
 
 def test_flat_fundamental_zero():

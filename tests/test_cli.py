@@ -5,12 +5,14 @@ byte-level determinism, and the documented examples."""
 import ast
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +27,7 @@ from bundleconn.connection import (
     three_index_round_trip,
     two_index_round_trip,
 )
-from bundleconn.errors import ConfigError
+from bundleconn.errors import ConfigError, NonFinite
 from bundleconn.fields import FrameField, lie_gamma_law
 from bundleconn.morphism import BundleMorphism
 from bundleconn.registry import REGISTRY
@@ -574,6 +576,89 @@ def test_json_is_sorted_and_round_trips(tmp_path, capsys):
     # the writer is stable through a parse cycle: floats at 17 significant
     # digits re-serialize to the same text
     assert cli.dumps(parsed) == out.strip()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+               -1e300, 0.1, 1 / 3, -1.7976931348623157e308]
+
+
+def per_float(array):
+    """dumps of the array's nested lists: one float at a time."""
+    return cli.dumps(array.tolist())
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 5), (5, 1, 2), (0,), (0, 2),
+                                   (2, 0), ()])
+def test_float_arrays_dump_as_their_nested_lists(shape):
+    values = np.resize(np.array(EDGE_FLOATS), shape)
+    assert cli.dumps(values) == per_float(values)
+    assert cli.dumps({"R": values}) == cli.dumps({"R": values.tolist()})
+    # a strided view dumps in its logical order
+    assert cli.dumps(values.T) == per_float(values.T)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=24),
+       rows=st.sampled_from([1, 2, 3]))
+def test_finite_float_arrays_dump_as_their_nested_lists(values, rows):
+    array = np.array(values[:len(values) // rows * rows]).reshape(rows, -1)
+    assert cli.dumps(array) == per_float(array)
+    assert cli.dumps(array[0]) == per_float(array[0])
+
+
+def test_other_arrays_dump_one_value_at_a_time(monkeypatch):
+    def no_template(shape):
+        raise AssertionError("an array took the template path")
+    monkeypatch.setattr(cli, "_template", no_template)
+    assert cli.dumps(np.arange(3)) == "[0, 1, 2]"
+    assert cli.dumps(np.array([[True], [False]])) == "[[true], [false]]"
+    assert cli.dumps(np.array(0.25)) == "0.25"
+    half = np.array([0.1, -0.0], dtype=np.float32)
+    assert cli.dumps(half) == per_float(half)
+    for bad, text in [(math.nan, "nan"), (-math.inf, "-inf")]:
+        with pytest.raises(NonFinite, match=(
+                f"^cannot serialize non-finite number {text}$")):
+            cli.dumps(np.array([[1.0, 2.0], [bad, 3.0]]))
+
+
+def test_grid_jobs_leave_nothing_behind_in_the_cli(tmp_path, capsys):
+    # one process may run thousands of jobs: what the CLI allocates while
+    # it builds and writes a grid must not outlive the job
+    connections = ["registry:sphere-lc", "registry:pure-gauge",
+                   {"kind": "registry:flat", "params": {"n": 3, "r": 1}}]
+
+    def job(k):
+        connection = connections[k % 3]
+        n = 3 if isinstance(connection, dict) else 2
+        path = write_config(tmp_path, {
+            "connection": connection, "samples": 2 + k % 5,
+            "grid": {"lo": [0.6] * n, "hi": [1.4] * n}})
+        code, payload = run_json(capsys, "curvature", "--config", path)
+        assert code == 0
+        return {np.shape(e["R"]) for e in payload["result"]["grid"]}
+
+    def held():
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, cli.__file__)])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    for k in range(3):          # first-call allocations are not per job
+        job(k)
+    shapes = set()
+    tracemalloc.start()
+    try:
+        for k in range(10):
+            shapes |= job(k)
+        first = held()
+        for k in range(10, 50):
+            shapes |= job(k)
+        last = held()
+    finally:
+        tracemalloc.stop()
+    assert shapes == {(2, 2, 2, 2), (1, 1, 3, 3)}
+    assert last - first < 512
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):
@@ -1394,6 +1479,37 @@ def test_mutated_valid_configs_end_in_one_json_line(tmp_path_factory, data):
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
     assert isinstance(json.loads(lines[0]), dict)
+
+
+# the overflowing polyline of NON_FINITE_RUNS, which the mutations above do
+# not reach: vertices drawn from finite numbers whose differences or squares
+# overflow
+POLYLINE_CONFIGS = [(command, cfg) for command, cfg in VALID_CONFIGS
+                    if "points" in cfg.get("path", {})]
+_COORDINATES = st.sampled_from([0.0, 0.5, -1.0, 1e154, -1e200, 1e308,
+                                -1e308])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_huge_polyline_vertices_end_in_one_json_line(tmp_path_factory, data):
+    command, cfg = data.draw(st.sampled_from(POLYLINE_CONFIGS))
+    cfg = copy.deepcopy(cfg)
+    points = data.draw(st.lists(st.lists(_COORDINATES, min_size=2,
+                                         max_size=2), min_size=2, max_size=4))
+    cfg["path"]["points"] = points
+    path = tmp_path_factory.getbasetemp() / "polyline.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--config", str(path)])
+    lines = out.getvalue().splitlines()
+    assert code in (0, 1, 2) and len(lines) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        length = np.sqrt((np.diff(points, axis=0) ** 2).sum(axis=1)).sum()
+    if not np.isfinite(length):
+        assert (code, json.loads(lines[0])["error"]) == (1, {
+            "type": "NonFinite", "message": "non-finite path length"})
 
 
 def _vocabulary(node, keys, strings):

@@ -1007,6 +1007,20 @@ def test_values_compiles_the_batch_once(monkeypatch):
     assert len(names) == 1 and re.fullmatch(r"<batch \d+>", names[0])
 
 
+def test_few_rows_run_point_by_point_without_a_compile(monkeypatch):
+    # compiling costs more than a handful of rows run one at a time
+    names = []
+    monkeypatch.setattr(fields, "compile", lambda text, name, mode: (
+        names.append(name) or compile(text, name, mode)), raising=False)
+    field = MatrixField.from_exprs(ALL_OPS_ROWS, XY)
+    points = batch_points(fields._BATCH_MIN)
+    for rows in (points[:5], points[:fields._BATCH_MIN - 1]):
+        assert field.values(rows).tobytes() == stacked(field, rows).tobytes()
+    assert names == []
+    assert field.values(points).tobytes() == stacked(field, points).tobytes()
+    assert len(names) == 1 and re.fullmatch(r"<batch \d+>", names[0])
+
+
 def test_batch_tests_each_column_not_their_sum(monkeypatch):
     # each entry is finite, their sum is not: the batch must not give up
     field = MatrixField.from_exprs([["1e308*x1", "1e308*x2"]], XY)

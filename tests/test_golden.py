@@ -1,7 +1,9 @@
 """Golden stdout of the command-line interface: one fixed config per command
 (four for transport: linear, affine, general, and general leaving its
-region; three for geodesic), each pinned by the sha256 of its stdout. A change that moves any printed bit fails here; when
-one does on purpose, re-record only the pins it moves and say why.
+region; three for geodesic; two curvature lattices and a flatness lattice
+besides), each pinned by the sha256 of its stdout. A change that moves any
+printed bit fails here; when one does on purpose, re-record only the pins
+it moves and say why.
 
 The general transport pin was re-recorded when two-index transport began
 contracting G[a, mu] dx^mu/dt on plain floats in index order instead of
@@ -117,6 +119,22 @@ GOLDEN = {
             [["0", "0.05*x1^2/(1 + exp(x2))"], ["0.3/(1 + x1^2)", "0"]]]},
         "x0": [0.4, -0.3], "v0": [0.8, 0.5], "T": 1.5, "steps": 300},
         "2594a8958a5828d884387bc1d180727a0ece4137cefa2e44e31409aa4719f77e"),
+    # lattices: curvature at every point of a samples^n grid, and flatness
+    # over one; recorded while each point still took its own stencil calls
+    "curvature-grid-sphere": ("curvature", {
+        "connection": "registry:sphere-lc", "samples": 6,
+        "grid": {"lo": [0.7, -1.3], "hi": [2.4, 1.1]}},
+        "72e3ff2e96aa3942fc564287858cbc73457e769e1812f5be25876ee64d45a24a"),
+    "curvature-grid-gauge-fd-step": ("curvature", {
+        "connection": {"kind": "registry:pure-gauge",
+                       "params": {"alpha": "sin(x1)*x2 + x1^2"}},
+        "fd_step": 1e-4, "samples": 5,
+        "grid": {"lo": [-0.8, -0.6], "hi": [0.7, 0.9]}},
+        "c7e20137d436344c7be437371be356eabc05eb1a803d9c5a6c9f0cd2faa8da65"),
+    "flatness-samples": ("flatness", {
+        "connection": "registry:pure-gauge", "samples": 4,
+        "grid": {"lo": [-0.5, -0.4], "hi": [0.6, 0.8]}},
+        "b0db2bd97b786228f6fca6e2fc5edf4cb507f3f0f683a1624abc6e6a5795ab2f"),
 }
 # `check` with no suite: all thirteen acceptance suites
 CHECK_ALL = "22dfcb119eac10afd308cdbfbb4f79fda3f3e720f689ca5d932d9da2f41fc737"
