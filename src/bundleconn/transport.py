@@ -2,20 +2,23 @@
 transport, linear and affine transport, fundamental solutions, geodesics,
 and the limit-definition covariant derivative.
 
-Paths are integrated on a precomputed half-step grid: positions and
-velocities are evaluated once at every step boundary and midpoint, so the
-right-hand sides of the linear equations become cheap matrix evaluations.
-RK4 runs on the state as a flat list of floats, one step per call of a
-step function (_checked_step over a right-hand side). The right-hand sides
-that depend on the state (general transport, geodesics) come from one
-helper, _state_rk4: an index plan contracted (_contract, np.einsum order)
-by the checked step and the batched defect over every entry, and by one
-compiled RK4 step per driver call (_FieldArray.kernel) without the entries
-that are the constant 0.0; a failed compiled step is taken again checked.
-The step diagnostic recorded in TransportResult.max_residual is the
-midpoint defect |y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is
-O(h^3) per step for smooth data; it is evaluated after the RK4 loop, for
-every step in one batched right-hand-side call.
+Paths are integrated on a half-step grid: positions and velocities are
+computed once at every step boundary and midpoint. RK4 walks the steps in
+blocks of at most _BLOCK steps, and the linear right-hand sides evaluate
+their coefficients on one block's nodes at a time, so a transport holds its
+samples, the path grid and one block. RK4 runs on the state as a flat list
+of floats, one step per call of a step function (_checked_step over a
+right-hand side). The right-hand sides that depend on the state (general
+transport, geodesics) come from one helper, _state_rk4: an index plan
+contracted (_contract, np.einsum order) by the checked step and the
+batched defect over every entry, and by one compiled RK4 step per driver
+call (_FieldArray.kernel) without the entries that are the constant 0.0;
+a failed compiled step is taken again checked. The step diagnostic
+recorded in TransportResult.max_residual is the midpoint defect
+|y_{i+1} - y_i - h f(t_mid, (y_i + y_{i+1})/2)|, which is O(h^3) per step
+for smooth data; it is evaluated with one batched right-hand-side call per
+block: right after the block's steps, or, where it evaluates a field at new
+points, after the last step, so that a step's error comes first.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .errors import NonFinite, StepCountTooSmall
 from .fields import _FieldArray, as_section, base_names
 
 MIN_STEPS = 8
+# steps per block: n = r = 6 over 10^4 steps peaks at 7.3 MiB (11 MiB at
+# 1024); blocks of 64-256 steps cost 3-6% more per step, larger ones no less
+_BLOCK = 512
 
 
 class PathSpec:
@@ -151,13 +157,15 @@ def _polyline_grid(path):
     first = np.cumsum(nodes) - nodes
     seg = np.repeat(np.arange(len(nk)), nodes)
     s = (np.arange(len(seg)) - first[seg]) / (2.0 * nk[seg])
+    vel, pos = d[seg], start[seg]
+    for column, dcol in zip(pos.T, vel.T):   # no (nodes, dim) temporary
+        column += s * dcol
     # step i, in segment k, starts at node 2 i + k: each segment before
     # it has one more node than twice its steps
     step_seg = np.repeat(np.arange(len(nk)), nk)
     hs = 1.0 / nk[step_seg]
     ts = np.concatenate([[0.0], np.cumsum(hs)])
-    return _Grid(start[seg] + s[:, None] * d[seg], d[seg],
-                 2 * np.arange(len(hs)) + step_seg, hs, ts)
+    return _Grid(pos, vel, 2 * np.arange(len(hs)) + step_seg, hs, ts)
 
 
 def _grid(path):
@@ -182,25 +190,47 @@ def _checked_step(rhs):
     return step
 
 
-def _rk4(step, rhs_many, y0, grid):
-    """Classical RK4 over the grid: y = step(b, h, y) on a flat float list
-    for each step's start node b and width h (_checked_step, or a compiled
-    _FieldArray.kernel); then every step's midpoint defect from one
-    rhs_many(node_indices, ys) call on arrays, row for row. Returns the
-    TransportResult."""
+def _blocks(count, size):
+    """[lo, hi) bounds of ceil(count / size) runs of near-equal length
+    that split range(count) in order."""
+    parts = -(-count // size)
+    cuts = [count * j // parts for j in range(1, parts + 1)]
+    return list(zip([0] + cuts, cuts))
+
+
+def _rk4(block, y0, grid, late=False):
+    """Classical RK4 over the grid, block by block (_blocks): block(lo, hi)
+    builds the data of steps lo..hi-1 and returns their step, run as
+    y = step(b, h, y) on a flat float list for each start node b and width
+    h (_checked_step, or a compiled _FieldArray.kernel), and many(nodes, ys),
+    the right-hand side on arrays, row for row, of their midpoint defects.
+    A block's defects follow its steps, or with `late` (many may raise) the
+    last step. Returns the TransportResult."""
     y0 = np.array(y0, dtype=float)
     samples = np.empty((grid.nsteps + 1,) + y0.shape)
     rows = samples.reshape(grid.nsteps + 1, -1)
     y = rows[0] = y0.ravel().tolist()
-    for i, (b, h) in enumerate(zip(grid.bases.tolist(), grid.hs.tolist()), 1):
-        y = rows[i] = step(b, h, y)
-    start, end = samples[:-1], samples[1:]
-    hs = grid.hs.reshape((-1,) + (1,) * y0.ndim)
-    defect = end - start - hs * rhs_many(grid.bases + 1, 0.5 * (start + end))
+    worst, waiting = 0.0, []
+    for lo, hi in _blocks(grid.nsteps, _BLOCK):
+        step, many = block(lo, hi)
+        for i, b, h in zip(range(lo + 1, hi + 1), grid.bases[lo:hi].tolist(),
+                           grid.hs[lo:hi].tolist()):
+            y = rows[i] = step(b, h, y)
+        waiting.append((lo, hi, many))
+        if late and hi < grid.nsteps:
+            continue
+        for first, last, rhs_many in waiting:
+            start, end = samples[first:last], samples[first + 1:last + 1]
+            hs = grid.hs[first:last].reshape((-1,) + (1,) * y0.ndim)
+            defect = end - start - hs * rhs_many(grid.bases[first:last] + 1,
+                                                 0.5 * (start + end))
+            # np.maximum, unlike max(), carries a NaN defect through
+            worst = np.maximum(worst, np.abs(defect).max())
+        waiting = []
     if not np.isfinite(samples).all():
         raise NonFinite("transport produced non-finite values")
     return TransportResult(samples[-1].copy(), samples, grid.ts,
-                           float(np.abs(defect).max(initial=0.0)))
+                           float(worst))
 
 
 def _contract(plan, G, v, zero=0.0):
@@ -251,7 +281,7 @@ def _state_rk4(field, plan, tail, y0, grid, table=None):
 
     step = field.kernel(lambda G, v: tail(v, _contract(sparse, G, v)),
                         _checked_step(rhs), table)
-    return _rk4(step, rhs_many, y0, grid)
+    return _rk4(lambda lo, hi: (step, rhs_many), y0, grid, late=True)
 
 
 def transport_general(g2, path, p0):
@@ -264,26 +294,38 @@ def transport_general(g2, path, p0):
                       np.column_stack([grid.pos, grid.vel]))
 
 
-def _linear_rhs_matrices(g3, grid):
-    """A[k] = -G3[mu, a, b](x_k) v_k^mu at every grid node."""
-    return -np.einsum("kmab,km->kab", g3.values(grid.pos), grid.vel)
+def _linear_rhs_matrices(g3, grid, nodes):
+    """A[j] = -G3[mu, a, b](x_k) v_k^mu at the grid nodes k of the slice
+    nodes."""
+    return -np.einsum("kmab,km->kab", g3.values(grid.pos[nodes]),
+                      grid.vel[nodes])
 
 
 def _transport_linear_system(g3, grid, y0, gvecs=None):
-    A = _linear_rhs_matrices(g3, grid)
     if gvecs is None:
         gvecs = np.zeros((len(grid.pos), g3.r))
     shape = np.shape(y0)
 
-    def rhs(k, y):
-        return (A[k] @ np.array(y).reshape(shape) + gvecs[k]).ravel().tolist()
+    def block(lo, hi):
+        # steps lo..hi-1 span the nodes bases[lo] to bases[hi - 1] + 2; the
+        # defect reads their matrices, so it evaluates nothing and cannot raise
+        first = int(grid.bases[lo])
+        A = _linear_rhs_matrices(g3, grid,
+                                 slice(first, int(grid.bases[hi - 1]) + 3))
 
-    def rhs_many(ks, ys):
-        if ys.ndim == 2:            # vector states, as r x 1 columns
-            return (A[ks] @ ys[:, :, None])[:, :, 0] + gvecs[ks]
-        return A[ks] @ ys + gvecs[ks][:, None, :]
+        def rhs(k, y):
+            return (A[k - first] @ np.array(y).reshape(shape)
+                    + gvecs[k]).ravel().tolist()
 
-    return _rk4(_checked_step(rhs), rhs_many, y0, grid)
+        def rhs_many(ks, ys):
+            Ak = A[ks - first]
+            if ys.ndim == 2:            # vector states, as r x 1 columns
+                return (Ak @ ys[:, :, None])[:, :, 0] + gvecs[ks]
+            return Ak @ ys + gvecs[ks][:, None, :]
+
+        return _checked_step(rhs), rhs_many
+
+    return _rk4(block, y0, grid)
 
 
 def transport_linear(g3, path, X0):
@@ -302,7 +344,12 @@ def transport_affine(aff, path, p0):
     + Ginh[a, mu] dx^mu/dt. With a zero inhomogeneous part this follows
     the exact step sequence of transport_linear."""
     grid = _grid(path)
-    gvecs = (aff.inhom.values(grid.pos) @ grid.vel[:, :, None])[:, :, 0]
+    # the inhomogeneous part on every node, block by block, before any
+    # coefficient of the linear part
+    gvecs = np.empty((len(grid.pos), aff.inhom.shape[0]))
+    for lo, hi in _blocks(len(grid.pos), 2 * _BLOCK):
+        gvecs[lo:hi] = (aff.inhom.values(grid.pos[lo:hi])
+                        @ grid.vel[lo:hi, :, None])[:, :, 0]
     return _transport_linear_system(aff.linear, grid, p0, gvecs)
 
 

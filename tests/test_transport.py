@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from bundleconn import cli, transport
+from bundleconn import cli, fields, transport
 from bundleconn.connection import (
     AffineCoefficients,
     CoefficientField3,
@@ -461,18 +461,61 @@ def test_polyline_grid_equals_per_segment_loop():
             assert a.tobytes() == b.tobytes(), name
 
 
+def block_nodes(grid, size):
+    """For each block of steps of at most `size` (_blocks), the slice of its
+    nodes, as the linear driver evaluates them."""
+    for lo, hi in transport._blocks(grid.nsteps, size):
+        yield slice(grid.bases[lo], grid.bases[hi - 1] + 3)
+
+
+def test_blocks_split_in_order_into_near_equal_runs():
+    assert transport._blocks(0, 512) == []
+    assert transport._blocks(5, 512) == [(0, 5)]
+    assert transport._blocks(1024, 512) == [(0, 512), (512, 1024)]
+    assert transport._blocks(1025, 512) == [(0, 341), (341, 683), (683, 1025)]
+    for count in range(1, 300):
+        for size in (1, 7, 64):
+            blocks = transport._blocks(count, size)
+            assert len(blocks) == -(-count // size)
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in
+                                                      blocks[:-1]]
+            assert blocks[-1][1] == count
+            lengths = [hi - lo for lo, hi in blocks]
+            assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+
+
 @pytest.mark.parametrize("path_kind", ["expr", "polyline"])
 @pytest.mark.parametrize("name", list(GRID_CONNECTIONS))
 def test_coefficient_grid_equals_per_node_loop(name, path_kind):
+    # on each block's nodes: one block of the 200 steps, and blocks of 37
+    # steps, whose node slices share their end nodes and run point by point
+    # (fewer than _BATCH_MIN nodes)
     g3 = GRID_CONNECTIONS[name]()
     grid = _grid(grid_paths()[path_kind])
-    assert np.array_equal(_linear_rhs_matrices(g3, grid),
-                          per_node_coefficients(g3, grid))
+    want = per_node_coefficients(g3, grid)
+    for size in (transport._BLOCK, 37):
+        for nodes in block_nodes(grid, size):
+            assert np.array_equal(_linear_rhs_matrices(g3, grid, nodes),
+                                  want[nodes])
 
 
-@pytest.mark.parametrize("path_kind", ["expr", "polyline"])
-@pytest.mark.parametrize("inhom_kind", ["exprs", "callable"])
-def test_affine_gvecs_equal_per_node_loop(path_kind, inhom_kind):
+def in_blocks(cases):
+    """Each case (a tuple) as it is and in blocks of 60 steps (block None
+    or 60), with the ids "a-b" and "a-b-in-blocks"."""
+    return pytest.mark.parametrize(
+        "case, block", [(c, b) for b in (None, 60) for c in cases],
+        ids=["-".join(c) + ("-in-blocks" if b else "")
+             for b in (None, 60) for c in cases])
+
+
+@in_blocks([(inhom_kind, path_kind) for path_kind in ("expr", "polyline")
+            for inhom_kind in ("exprs", "callable")])
+def test_affine_gvecs_equal_per_node_loop(case, block, monkeypatch):
+    # in blocks of 60 steps: four blocks of 50, the inhomogeneous part in
+    # four runs of 100 or 101 nodes
+    inhom_kind, path_kind = case
+    if block is not None:
+        monkeypatch.setattr(transport, "_BLOCK", block)
     aff = AffineCoefficients.from_exprs(AFFINE_LINEAR, AFFINE_INHOM)
     if inhom_kind == "callable":
         inhom = aff.inhom
@@ -523,39 +566,77 @@ def run_driver(case):
     return runs[case]()
 
 
-@pytest.mark.parametrize("case", ["linear-vector", "linear-skew-r3",
-                                  "linear-matrix", "affine", "general",
-                                  "geodesic", "general-sparse",
-                                  "geodesic-sparse"])
-def test_batched_rhs_equals_per_step_rhs_bitwise(case, monkeypatch):
+DRIVER_CASES = ["linear-vector", "linear-skew-r3", "linear-matrix", "affine",
+                "general", "geodesic", "general-sparse", "geodesic-sparse"]
+
+
+@in_blocks([(case,) for case in DRIVER_CASES])
+def test_batched_rhs_equals_per_step_rhs_bitwise(case, block, monkeypatch):
     # the per-step right-hand side is the one the driver's checked step
-    # runs (the fallback of a compiled step)
-    calls, rhss = [], []
+    # runs (the fallback of a compiled step): a linear driver builds it and
+    # the batched one of the defect per block of steps, on that block's
+    # nodes, and a state-dependent driver one pair for every node; blocks of
+    # 60 split the 200 steps into four, whose node ranges share their end
+    # nodes (the 64-step geodesics into two)
+    case, = case
+    if block is not None:
+        monkeypatch.setattr(transport, "_BLOCK", block)
+    calls, rhss, pairs = [], [], []
     rk4, checked_step = transport._rk4, transport._checked_step
 
-    def spy(step, rhs_many, y0, grid):
-        result = rk4(step, rhs_many, y0, grid)
-        calls.append((rhs_many, result, grid))
+    def spy(build, y0, grid, **late):
+        def spied(lo, hi):
+            step, many = build(lo, hi)
+            pairs.append((lo, hi, rhss[-1], many))
+            return step, many
+        result = rk4(spied, y0, grid, **late)
+        calls.append((result, grid))
         return result
 
     monkeypatch.setattr(transport, "_rk4", spy)
     monkeypatch.setattr(transport, "_checked_step",
                         lambda rhs: rhss.append(rhs) or checked_step(rhs))
     run_driver(case)
-    (rhs_many, result, grid), = calls
-    rhs, = rhss
+    (result, grid), = calls
+    blocks = transport._blocks(grid.nsteps, transport._BLOCK)
+    assert [(lo, hi) for lo, hi, _, _ in pairs] == blocks
+    assert len(blocks) == (1 if block is None else 4 if grid.pos is not None
+                           else 2)
+    if case.startswith(("general", "geodesic")):
+        nodes = 2 * grid.nsteps + 1 if grid.pos is None else len(grid.pos)
+        assert len(rhss) == 1
+        ranges = [(rhs, many, 0, nodes) for _, _, rhs, many in pairs[:1]]
+    else:
+        assert len(rhss) == len(blocks)
+        ranges = [(rhs, many, grid.bases[lo], grid.bases[hi - 1] + 3)
+                  for lo, hi, rhs, many in pairs]
     rng = np.random.default_rng(7)
-    rows = rng.integers(0, len(result.samples), 300)
-    ys = result.samples[rows] * (1.0 + 0.01 * rng.standard_normal(
-        (len(rows),) + result.samples.shape[1:]))
-    nodes = 2 * grid.nsteps + 1 if grid.pos is None else len(grid.pos)
-    ks = rng.integers(0, nodes, len(rows))
-    many = rhs_many(ks, ys)
-    for j, (k, y) in enumerate(zip(ks.tolist(), ys)):
-        # the per-step right-hand side takes and returns flat float lists
-        one = rhs(k, y.ravel().tolist())
-        assert all(type(c) is float for c in one), (k, y)
-        assert np.array(one).tobytes() == many[j].tobytes(), (k, y)
+    for rhs, rhs_many, first, stop in ranges:
+        rows = rng.integers(0, len(result.samples), 300)
+        ys = result.samples[rows] * (1.0 + 0.01 * rng.standard_normal(
+            (len(rows),) + result.samples.shape[1:]))
+        ks = np.concatenate([[first, stop - 1],
+                             rng.integers(first, stop, len(rows) - 2)])
+        many = rhs_many(ks, ys)
+        for j, (k, y) in enumerate(zip(ks.tolist(), ys)):
+            # the per-step right-hand side takes and returns flat float lists
+            one = rhs(k, y.ravel().tolist())
+            assert all(type(c) is float for c in one), (k, y)
+            assert np.array(one).tobytes() == many[j].tobytes(), (k, y)
+
+
+@pytest.mark.parametrize("case", DRIVER_CASES)
+def test_block_size_moves_no_bit(case, monkeypatch):
+    # one block of all steps (the whole-path coefficient grid and defect),
+    # blocks of 7 steps and of one step give the same samples and defect
+    results = []
+    for block in (10 ** 6, 7, 1):
+        monkeypatch.setattr(transport, "_BLOCK", block)
+        results.append(run_driver(case))
+    for result in results[1:]:
+        assert result.samples.tobytes() == results[0].samples.tobytes()
+        assert result.final.tobytes() == results[0].final.tobytes()
+        assert result.max_residual == results[0].max_residual
 
 
 def state_contractions(run):
@@ -575,7 +656,7 @@ def state_contractions(run):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "_state_rk4", spy)
-        patch.setattr(transport, "_rk4", lambda *_: None)
+        patch.setattr(transport, "_rk4", lambda *_, **__: None)
         patch.setattr(_FieldArray, "kernel", kernel)
         run()
     plan, tail = captured["plan"], captured["tail"]
@@ -790,8 +871,32 @@ def test_callable_two_index_transport_equals_the_staged_one(path):
     assert staged.max_residual == plain.max_residual
 
 
+def linear_stack(n, r):
+    """An n x r x r stack of distinct expression entries in every base
+    coordinate."""
+    return [[[f"{0.05 * ((m + 2 * a + 3 * b) % 7 - 3)}"
+              f"*sin(x{m + 1} + x{(a + b) % n + 1})"
+              for b in range(r)] for a in range(r)] for m in range(n)]
+
+
+def test_linear_transport_memory_peak():
+    # the coefficient matrices of one block at a time: a grid of all
+    # 20,001 nodes would hold 20,001 x 6 x 6 x 6 doubles (33 MB) at once
+    g3 = CoefficientField3.from_exprs(linear_stack(6, 6))
+    path = PathSpec.from_exprs([f"0.3*sin(t + {i})" for i in range(6)], 0.0,
+                               1.0, steps=10_000)
+    tracemalloc.start()
+    try:
+        transport_linear(g3, path, [0.1] * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
 def test_two_index_transport_memory_peak():
-    # the grid table is one (K, 2n) float array: no grid-sized list
+    # the grid table is one (K, 2n) float array: no grid-sized list, and
+    # the defect of one block at a time
     g2 = TwoIndexField.from_exprs(STAGED_ROWS, 2, 2)
     path = PathSpec.from_exprs(["0.3 + 0.5*t", "0.2 + sin(t)"], 0.0, 1.0,
                                steps=4000)
@@ -801,11 +906,12 @@ def test_two_index_transport_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5e6
+    assert peak <= 1.6e6
 
 
 def test_geodesic_memory_peak():
-    # the index plans are built once per call: no step-sized list
+    # the index plans are built once per call: no step-sized list, and the
+    # defect of one block at a time
     g3 = make_sphere_lc().g3
     tracemalloc.start()
     try:
@@ -813,7 +919,7 @@ def test_geodesic_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5e6
+    assert peak <= 0.8e6
 
 
 def two_index_config(entry, initial, points, region=None):
@@ -936,6 +1042,72 @@ def test_contraction_failures_keep_their_stdout(tmp_path, command, cfg, kind,
                               f'"type": "{kind}"}}}}\n')
 
 
+def line_config(connection, steps, region=None, initial=0.5):
+    """A transport of one fibre coordinate along x1 from 0 to 1."""
+    cfg = {"base_dim": 1, "fibre_rank": 1, "initial": [initial],
+           "connection": connection,
+           "path": {"points": [[0.0], [1.0]], "steps": steps}}
+    if region is not None:
+        cfg["region"] = region
+    return cfg
+
+
+# stdout recorded before transport ran in blocks of steps: the first error
+# is the one of the whole-path grid, coefficients and defect
+BLOCK_FAILURES = {
+    # u' = exp(8000 (x1 - 0.5)) x1' steepens inside step 511, the last of
+    # the first block: its four stages stay below the bound 0.25005 but its
+    # end (0.250176) and its midpoint (0.250088) do not, so step 512 leaves
+    # the region before any defect is evaluated
+    "two-index-leaves-on-the-last-step-of-a-block": (
+        line_config({"kind": "two_index",
+                     "matrix": [["exp(8000*(x1 - 0.5))"]]}, 1024,
+                    [[-1.0, 2.0], [-1.0, 0.25005]], 0.25),
+        "DomainExit", "point (0.5, 0.25017599371195787) outside region "
+        "((-1.0, 2.0), (-1.0, 0.25005))"),
+    # the linear stack fails from node 0; the inhomogeneous part only at
+    # node 1800 (x1 = 0.9), in its second run of nodes
+    "affine-inhom-fails-in-a-later-block": (
+        line_config({"kind": "affine", "linear": [[["ln(x1 - 0.1)"]]],
+                     "inhom": [["1/(x1 - 0.9)"]]}, 1000),
+        "NonFinite", "division by zero"),
+    # 61 nodes, fewer than _BATCH_MIN: evaluated point by point
+    "coefficient-exit-in-a-short-transport": (
+        line_config({"kind": "three_index", "stacks": [[["x1"]]]}, 30,
+                    [[-1.0, 0.9]]),
+        "DomainExit", "point (0.9,) outside region ((-1.0, 0.9),)"),
+    # node 2090 (x1 = 0.95), in the last of three blocks
+    "coefficient-exit-in-the-last-block": (
+        line_config({"kind": "three_index", "stacks": [[["x1"]]]}, 1100,
+                    [[-1.0, 0.95]]),
+        "DomainExit", "point (0.95,) outside region ((-1.0, 0.95),)"),
+}
+
+
+def test_block_failures_sit_where_they_claim():
+    blocks = transport._blocks
+    assert 512 in [hi for _, hi in blocks(1024, transport._BLOCK)][:-1]
+    assert len(blocks(2001, 2 * transport._BLOCK)) > 1
+    assert blocks(2001, 2 * transport._BLOCK)[0][1] <= 1800
+    assert 2 * 30 + 1 < fields._BATCH_MIN
+    last = blocks(1100, transport._BLOCK)
+    assert len(last) > 1 and 2 * last[-1][0] <= 2090
+
+
+@pytest.mark.parametrize("cfg, kind, message", BLOCK_FAILURES.values(),
+                         ids=list(BLOCK_FAILURES))
+def test_block_failures_keep_their_stdout(tmp_path, cfg, kind, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["transport", "--config", str(path)])
+    assert code == 1
+    assert out.getvalue() == ('{"command": "transport", "error": '
+                              f'{{"message": {json.dumps(message)}, '
+                              f'"type": "{kind}"}}}}\n')
+
+
 # --- the fused right-hand side: the kernel returns the derivative -------------
 
 def entries(names):
@@ -955,15 +1127,17 @@ values = st.one_of(st.floats(min_value=-3.0, max_value=3.0),
 
 
 def driver_step(run, grid=None):
-    """The RK4 step a driver hands to _rk4 (on `grid`)."""
+    """The RK4 step of the first block of steps that a driver hands to
+    _rk4 (on `grid`); a state-dependent driver's step serves every block."""
     captured = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "_rk4",
-                      lambda step, *_: captured.append(step))
+                      lambda block, *_, **__: captured.append(block))
         if grid is not None:
             patch.setattr(transport, "_grid", lambda path: grid)
         run()
-    return captured[0]
+    step, _ = captured[0](0, 1)
+    return step
 
 
 def dense_geodesic_step(g3):
