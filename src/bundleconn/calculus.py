@@ -8,8 +8,6 @@ coefficient stacks are [mu, a, b] as in the connection module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .connection import transformed_three_index
@@ -18,7 +16,6 @@ from .fields import (
     FD_STEP_FIRST,
     FD_STEP_NESTED,
     FrameField,
-    SectionField,
     _anholonomy,
     as_section,
     base_names,
@@ -28,22 +25,6 @@ from .fields import (
     frame_partials,
 )
 from .transport import PathSpec, fundamental_solution
-
-
-class DualSectionField(SectionField):
-    """A section of the dual bundle: r covariant component fields."""
-
-
-@dataclass
-class CurvatureValues:
-    """Curvature components R[a, b, mu, nu] at a point; exactly
-    antisymmetric in the last two indices."""
-
-    R: np.ndarray
-
-    def matrix(self, mu, nu):
-        """The r x r curvature matrix R_{mu nu}."""
-        return self.R[:, :, mu, nu]
 
 
 def covariant_derivative(g3, F, Y, x, h=None):
@@ -67,8 +48,8 @@ def dual_covariant_derivative(g3, F, omega, x, h=None):
 
 
 def curvature(g3, x, h=None, base_frame=None):
-    """Curvature components from the coefficient stack, given in a
-    (possibly anholonomic) base frame E:
+    """Curvature components R[a, b, mu, nu] from the coefficient stack,
+    given in a (possibly anholonomic) base frame E:
     R_{mu nu} = E_mu(G_nu) - E_nu(G_mu) + [G_mu, G_nu] - G_lam C^lam_{mu nu},
     with FD partials at a 1e-4 relative step. Without a frame E_mu = d_mu
     and C = 0; then this is curvatures() at one point."""
@@ -78,11 +59,11 @@ def curvature(g3, x, h=None, base_frame=None):
     if base_frame is not None:
         C = _anholonomy(base_frame, E, x, h)        # C[lam, mu, nu]
         Rmn = Rmn - np.einsum("lab,lmn->mnab", stack, C)
-    return CurvatureValues(Rmn.transpose(2, 3, 0, 1))
+    return Rmn.transpose(2, 3, 0, 1)
 
 
 def curvatures(g3, points, h=None):
-    """curvature(g3, x, h).R at every x of K points, as one array
+    """curvature(g3, x, h) at every x of K points, as one array
     R[k, a, b, mu, nu], from one batch of stencils."""
     return _curvature_forms(g3, points, h)[0].transpose(0, 3, 4, 1, 2)
 
@@ -124,19 +105,14 @@ def curvature_commutator_oracle(g3, F, G, Y, x, h=None):
     return first - second - third
 
 
-def curvature_general_frame(g3, base_frame, x, h=None):
-    """curvature() in a base frame, with the frame first."""
-    return curvature(g3, x, h, base_frame)
-
-
 def curvature_law(g3, change, x, h=None):
     """Both sides of the curvature law for a frame change (Bb, Bf):
     (the sandwich inv(Bf) R_(lam rho) Bf Bb[lam, mu] Bb[rho, nu] of the old
     curvature, the curvature of the transformed coefficients computed
     directly in the changed base frame)."""
     direct = curvature(transformed_three_index(g3, change, h=h), x, h,
-                       FrameField(change.base)).R
-    R = curvature(g3, x, h).R
+                       FrameField(change.base))
+    R = curvature(g3, x, h)
     Bb, Bf = change.base_at(x), change.fibre_at(x)
     predicted = np.einsum("ac,cdlr,db,lm,rn->abmn",
                           np.linalg.inv(Bf), R, Bf, Bb, Bb)
@@ -252,7 +228,7 @@ def flat_fundamental_matrix(g3, x0, x1, tol=1e-6, steps_per_leg=256):
         for a, b in zip(pts[:-1], pts[1:]):
             if np.array_equal(a, b):
                 continue
-            leg = PathSpec.from_points([a, b], steps=steps_per_leg)
+            leg = PathSpec(points=[a, b], steps=steps_per_leg)
             W = fundamental_solution(g3, leg) @ W
         return W
 

@@ -66,7 +66,7 @@ from .morphism import (
     preserves_connection,
     vb_morphism_coeffs,
 )
-from .registry import REGISTRY
+from .registry import REGISTRY, _is_finite_number
 from .transport import (
     PathSpec,
     covariant_derivative_limit,
@@ -197,16 +197,10 @@ def _require(cfg, key, what):
     return cfg[key]
 
 
-def _is_number(v):
-    """A finite number (a float flag may read nan or inf)."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 def _float_list(value, length, what):
     """A list of `length` finite numbers."""
     if (not isinstance(value, (list, tuple)) or len(value) != length
-            or not all(_is_number(v) for v in value)):
+            or not all(_is_finite_number(v) for v in value)):
         raise ConfigError(f"{what} must be a list of {length} numbers")
     return tuple(float(v) for v in value)
 
@@ -270,7 +264,7 @@ class Problem:
             value = cfg[name]
         if cast is int and type(value) is not int:
             raise ConfigError(f"{name} must be an integer")
-        if not _is_number(value):
+        if not _is_finite_number(value):
             raise ConfigError(f"{name} must be a finite number")
         return cast(value)
 
@@ -391,13 +385,13 @@ class Problem:
             exprs = _entries(spec["exprs"], self.n, "path.exprs")
             t0 = spec.get("t0", 0.0)
             t1 = spec.get("t1", 1.0)
-            if not (_is_number(t0) and _is_number(t1)):
+            if not (_is_finite_number(t0) and _is_finite_number(t1)):
                 raise ConfigError("path.t0 and path.t1 must be numbers")
-            return _build(PathSpec.from_exprs, exprs, float(t0), float(t1),
+            return _build(PathSpec, exprs=exprs, interval=(t0, t1),
                           steps=steps)
         if "points" in spec:
             pts = _points(spec["points"], self.n, "path.points", 2)
-            return _build(PathSpec.from_points, pts, steps=steps)
+            return _build(PathSpec, points=pts, steps=steps)
         raise ConfigError("path needs either exprs (with t0, t1) or points")
 
     def base_point(self, key="point"):
@@ -505,7 +499,7 @@ def cmd_geodesic(prob):
     v0 = _float_list(_require(prob.cfg, "v0", "the initial velocity"),
                      prob.n, "v0")
     T = _require(prob.cfg, "T", "the parameter span")
-    if not _is_number(T) or float(T) <= 0.0:
+    if not _is_finite_number(T) or float(T) <= 0.0:
         raise ConfigError("T must be a positive number")
     res = geodesic(g3, x0, v0, float(T), prob.steps)
     eq = "3.27, 4.29"
@@ -534,7 +528,7 @@ def cmd_curvature(prob):
     else:
         x = prob.base_point()
         frame = prob.frame("base_frame")
-        R = curvature(prob.g3, x, prob.fd_step, frame).R
+        R = curvature(prob.g3, x, prob.fd_step, frame)
         eq = "4.27" if frame is None else "6.40"
         result = {"R": {"value": R, "eq": eq}}
         worst = float(np.max(np.abs(R)))
@@ -698,8 +692,8 @@ def cmd_morphism(prob):
                    region=full_region, base_region=prob.region)
     elif "fibre" in spec:
         fibre = _entries(spec["fibre"], target.r, "morphism.fibre")
-        m = _build(BundleMorphism.from_exprs, base, fibre, prob.n,
-                   prob.r, region=full_region, base_region=prob.region)
+        m = _build(BundleMorphism, base, fibre, prob.n, prob.r,
+                   region=full_region, base_region=prob.region)
     else:
         raise ConfigError("morphism needs either matrix (vector-bundle "
                           "form) or fibre (general components)")

@@ -59,7 +59,7 @@ class Call(ExprAst):
 
 
 def _tokenize(source):
-    """Produce (kind, text, byte offset) triples plus a trailing 'end'."""
+    """Produce (kind, text, character offset) triples plus a trailing 'end'."""
     toks = []
     i, n = 0, len(source)
     while i < n:
@@ -90,6 +90,10 @@ def _tokenize(source):
                 i = j
                 while i < n and source[i].isdigit():
                     i += 1
+            try:        # isdigit admits digits float rejects, such as "²"
+                float(source[start:i])
+            except ValueError:
+                raise ParseError("malformed number", start) from None
             toks.append(("num", source[start:i], start))
             continue
         if c.isalpha() or c == "_":
@@ -203,14 +207,18 @@ class _Parser:
 
 
 def parse(source):
-    """Parse source text into an ExprAst. Raises ParseError with the byte
-    offset where the problem starts, also for a tree or a nesting deeper
-    than MAX_DEPTH levels."""
-    parser = _Parser(_tokenize(source))
-    node, _ = parser.expr()
-    kind, text, off = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected token {text!r}", off)
+    """Parse source text into an ExprAst. Raises ParseError with the UTF-8
+    byte offset where the problem starts, also for a tree or a nesting
+    deeper than MAX_DEPTH levels."""
+    try:
+        parser = _Parser(_tokenize(source))
+        node, _ = parser.expr()
+        kind, text, off = parser.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {text!r}", off)
+    except ParseError as exc:       # the tokenizer counts characters
+        start = len(source[:exc.offset].encode("utf-8", "surrogatepass"))
+        raise ParseError(exc.reason, start) from None
     return node
 
 

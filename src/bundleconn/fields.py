@@ -263,14 +263,6 @@ class ScalarField(_FieldArray):
         super().__init__((), names, region, entries=source)
         self._source = np.array(source, dtype=object).item()
 
-    @classmethod
-    def from_expr(cls, source, names, region=None):
-        return cls(source, names, region)
-
-    @classmethod
-    def from_callable(cls, fn, names, region=None):
-        return cls(fn, names, region)
-
     def __call__(self, point):
         return self.floats(point)[0]
 
@@ -423,13 +415,13 @@ def fd_partials_at(f, points, h=None, rel=FD_STEP_FIRST):
     return np.stack(D), np.stack(vals)
 
 
-def frame_partials(E, f, x, h=None, rel=FD_STEP_FIRST):
+def frame_partials(E, f, x, h=None):
     """Frame derivatives out[mu] = E_mu(f) = E[nu, mu] d_nu f of a scalar or
     array field at x, from fd_partials and the frame matrix E at x; with E
     None (the coordinate frame E_mu = d_mu) the coordinate partials."""
     if E is None:
-        return fd_partials(f, x, h, rel=rel)
-    return np.einsum("nm,n...->m...", E, fd_partials(f, x, h, rel=rel))
+        return fd_partials(f, x, h)
+    return np.einsum("nm,n...->m...", E, fd_partials(f, x, h))
 
 
 def anholonomy(frame, x, h=None):

@@ -35,12 +35,6 @@ class BundleMorphism:
         self.matrix = matrix
 
     @classmethod
-    def from_exprs(cls, base_components, fibre_components, n, r,
-                   region=None, base_region=None):
-        return cls(base_components, fibre_components, n, r,
-                   region, base_region)
-
-    @classmethod
     def vector(cls, base_components, matrix, n, r,
                region=None, base_region=None):
         """Vector-bundle morphism: F^{a'} = matrix[a', b](x) u^b."""

@@ -160,9 +160,10 @@ def make_flat(n=2, r=2):
 
 
 def _is_finite_number(v):
-    """A finite JSON number: not a bool or a string, within the float range
-    (the rule of cli._is_number)."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+    """A finite number: an int or a float (numpy's float64 too), not a bool,
+    within the float range; the rule for configs and registry parameters."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def make_constant(matrices=None):
@@ -189,7 +190,7 @@ def make_constant(matrices=None):
 
 
 def make_sphere_lc(margin=0.05):
-    # a finite JSON number, not a bool or a string; margin >= pi/2 leaves
+    # a finite number, not a bool or a string; margin >= pi/2 leaves
     # the region's theta interval empty
     if not _is_finite_number(margin) or margin < 0:
         raise ConfigError("registry parameter margin must be a finite "

@@ -358,7 +358,7 @@ def curvature_commutator_suite():
     F, G = [1.0, 0.0], [0.0, 1.0]
     Y = ["x1", "x2"]
     oracle = curvature_commutator_oracle(g3c, F, G, Y, x)
-    R = curvature(g3c, x).R
+    R = curvature(g3c, x)
     contraction = np.einsum("abmn,b,m,n->a", R, np.array(x),
                             np.array(F), np.array(G))
     exact_err = float(np.max(np.abs(oracle - contraction)))
@@ -368,7 +368,7 @@ def curvature_commutator_suite():
     Fs, Gs = ["0.8", "x2"], ["x1", "-0.5"]
     Ys = ["sin(x2)", "x1"]
     oracle_s = curvature_commutator_oracle(g3s, Fs, Gs, Ys, xs)
-    Rs = curvature(g3s, xs).R
+    Rs = curvature(g3s, xs)
     contraction_s = np.einsum("abmn,b,m,n->a", Rs,
                               np.array([math.sin(xs[1]), xs[0]]),
                               np.array([0.8, xs[1]]),
@@ -389,8 +389,7 @@ def curvature_commutator_suite():
 def transport_linearity_suite():
     rng = _DefaultRng(505)
     g3 = make_sphere_lc().g3
-    path = PathSpec.from_points([(1.0, 0.3), (1.3, 1.0), (0.8, 1.6)],
-                                steps=1000)
+    path = PathSpec(points=[(1.0, 0.3), (1.3, 1.0), (0.8, 1.6)], steps=1000)
     X = rng.uniform(-1.0, 1.0, size=2)
     Y = rng.uniform(-1.0, 1.0, size=2)
     al, be = rng.uniform(-2.0, 2.0, size=2)
@@ -400,8 +399,8 @@ def transport_linearity_suite():
     lin_err = float(np.max(np.abs(mixed - split)))
 
     aff = AffineCoefficients(_rand_g3(rng), _rand_inhom(rng))
-    apath = PathSpec.from_points([(0.2, 0.3), (0.6, 0.8), (0.9, 0.4)],
-                                 steps=1000)
+    apath = PathSpec(points=[(0.2, 0.3), (0.6, 0.8), (0.9, 0.4)],
+                     steps=1000)
 
     def P(v):
         return transport_affine(aff, apath, v).final
@@ -423,19 +422,19 @@ def transport_linearity_suite():
 # criterion 6: holonomy of the spherical octant loop
 
 
-def sphere_holonomy_suite(steps=4000):
+def sphere_holonomy_suite():
     eps = 1e-4
     half_pi = math.pi / 2.0
     hp = "1.5707963267948966"
     g3 = make_sphere_lc(margin=1e-5).g3
     legs = [
-        PathSpec.from_exprs([hp, "t"], 0.0, half_pi, steps=steps),
-        PathSpec.from_exprs([f"{eps} + {half_pi - eps}*(1-t)^2", hp],
-                            0.0, 1.0, steps=steps),
-        PathSpec.from_exprs([f"{eps}", f"{hp}*(1-t)"], 0.0, 1.0,
-                            steps=steps),
-        PathSpec.from_exprs([f"{eps} + {half_pi - eps}*t^2", "0"],
-                            0.0, 1.0, steps=steps),
+        PathSpec(exprs=[hp, "t"], interval=(0.0, half_pi), steps=4000),
+        PathSpec(exprs=[f"{eps} + {half_pi - eps}*(1-t)^2", hp],
+                 interval=(0.0, 1.0), steps=4000),
+        PathSpec(exprs=[f"{eps}", f"{hp}*(1-t)"], interval=(0.0, 1.0),
+                 steps=4000),
+        PathSpec(exprs=[f"{eps} + {half_pi - eps}*t^2", "0"],
+                 interval=(0.0, 1.0), steps=4000),
     ]
     u = np.array([1.0, 0.0])
     for leg in legs:
@@ -479,7 +478,7 @@ def geodesic_suite():
     pts = _embed(res.samples[:, 0], res.samples[:, 1])
     plane_err = float(np.max(np.abs(pts @ normal)))
 
-    path = PathSpec.from_points(res.samples[:, :2], steps=2 * 4000)
+    path = PathSpec(points=res.samples[:, :2], steps=2 * 4000)
     transported = transport_linear(g3, path, np.array(vg)).final
     self_err = float(np.max(np.abs(transported - res.final[2:])))
 
@@ -530,7 +529,7 @@ def rk4_order_suite():
     sizes = (100, 200, 400, 800)
     errs = []
     for N in sizes:
-        path = PathSpec.from_points([(0.0,), (1.0,)], steps=N)
+        path = PathSpec(points=[(0.0,), (1.0,)], steps=N)
         final = transport_linear(g3, path, np.array([1.0])).final[0]
         errs.append(abs(final - exact))
     slope = -float(np.polyfit(np.log(sizes), np.log(errs), 1)[0])
@@ -566,8 +565,7 @@ def covariantly_constant_suite():
         gv = g2((*x, *Y(x)))
         worst_ii = max(worst_ii, float(np.max(np.abs(dY - gv))))
 
-    path = PathSpec.from_points([(0.3, 0.2), (0.7, 0.5), (0.4, 0.8)],
-                                steps=1000)
+    path = PathSpec(points=[(0.3, 0.2), (0.7, 0.5), (0.4, 0.8)], steps=1000)
     moved = transport_linear(pg.g3, path, Y(path.points[0])).final
     worst_iii = float(np.max(np.abs(moved - Y(path.points[-1]))))
 

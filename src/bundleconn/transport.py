@@ -67,14 +67,6 @@ class PathSpec:
             self.points = pts
             self.dim = pts.shape[1]
 
-    @classmethod
-    def from_exprs(cls, exprs, t0, t1, steps=100):
-        return cls(exprs=exprs, interval=(t0, t1), steps=steps)
-
-    @classmethod
-    def from_points(cls, points, steps=100):
-        return cls(points=points, steps=steps)
-
     def reverse(self):
         """The same image traversed backwards (reversed parametrization)."""
         if self.kind == "expr":

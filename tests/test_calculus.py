@@ -10,13 +10,9 @@ import scipy.linalg
 
 from bundleconn import fields
 from bundleconn.calculus import (
-    CurvatureValues,
-    DualSectionField,
-    SectionField,
     covariant_derivative,
     curvature,
     curvature_commutator_oracle,
-    curvature_general_frame,
     curvatures,
     dual_covariant_derivative,
     fibre_curvature_general,
@@ -39,6 +35,7 @@ from bundleconn.fields import (
     FrameField,
     MatrixField,
     Region,
+    SectionField,
     fd_partial,
 )
 from bundleconn.registry import make_constant, make_pure_gauge, make_sphere_lc
@@ -116,7 +113,7 @@ def test_covd_axioms():
     lhs = covariant_derivative(
         g3, F, ["(1 + 0.3*x1*x2)*sin(x1)", "(1 + 0.3*x1*x2)*(x1*x2)"], x)
     from bundleconn.fields import ScalarField
-    ffield = ScalarField.from_expr(f, ("x1", "x2"))
+    ffield = ScalarField(f, ("x1", "x2"))
     Ff = 0.7 * fd_partial(ffield, x, 0) + x[0] * fd_partial(ffield, x, 1)
     Yv = np.array([math.sin(x[0]), x[0] * x[1]])
     rhs = Ff * Yv + fval * covariant_derivative(g3, F, Y, x)
@@ -145,10 +142,10 @@ def test_dual_pairing_rule():
     Yc = ["sin(x1)", "x1*x2"]
     wc = ["x2^2", "cos(x1) + 2"]
     Y = SectionField.from_exprs(Yc, 2)
-    w = DualSectionField.from_exprs(wc, 2)
+    w = SectionField.from_exprs(wc, 2)
 
     from bundleconn.fields import ScalarField
-    pairing = ScalarField.from_callable(
+    pairing = ScalarField(
         lambda x1, x2: float(w((x1, x2)) @ Y((x1, x2))), ("x1", "x2"))
     Fv = np.array([0.4, x[0]])
     lhs = Fv @ np.array([fd_partial(pairing, x, mu) for mu in range(2)])
@@ -162,31 +159,31 @@ def test_dual_pairing_rule():
 
 
 def test_curvature_zero_for_flat():
-    R = curvature(g3_zero(), (0.3, 0.4)).R
+    R = curvature(g3_zero(), (0.3, 0.4))
     assert np.max(np.abs(R)) < 1e-12
 
 
 def test_curvature_constant_stack_is_commutator():
     R = curvature(g3_constant(), (0.1, 0.2))
     expected = np.array([[1.0, 0.0], [0.0, -1.0]])
-    assert R.matrix(0, 1) == pytest.approx(expected, abs=1e-10)
-    assert R.matrix(1, 0) == pytest.approx(-expected, abs=1e-10)
+    assert R[:, :, 0, 1] == pytest.approx(expected, abs=1e-10)
+    assert R[:, :, 1, 0] == pytest.approx(-expected, abs=1e-10)
 
 
 def test_curvature_sphere_value():
     g3 = make_sphere_lc().g3
     theta = math.pi / 3
-    R = curvature(g3, (theta, 0.4)).R
+    R = curvature(g3, (theta, 0.4))
     assert R[0, 1, 0, 1] == pytest.approx(math.sin(theta) ** 2, abs=1e-6)
 
 
 def test_curvature_exactly_antisymmetric():
-    R = curvature(make_sphere_lc().g3, (1.1, 0.7)).R
+    R = curvature(make_sphere_lc().g3, (1.1, 0.7))
     assert np.array_equal(R, -R.transpose(0, 1, 3, 2))
 
 
 def test_curvature_pure_gauge_vanishes():
-    R = curvature(make_pure_gauge().g3, (0.6, 0.9)).R
+    R = curvature(make_pure_gauge().g3, (0.6, 0.9))
     assert np.max(np.abs(R)) < 1e-7
 
 
@@ -201,7 +198,7 @@ def test_commutator_oracle_matches_curvature_contraction():
     G = ["0", "1"]
     Y = ["x1 + 1", "x2"]
     out = curvature_commutator_oracle(g3, F, G, Y, x)
-    R = curvature(g3, x).R
+    R = curvature(g3, x)
     Yv = np.array([x[0] + 1, x[1]])
     expected = np.einsum("abmn,b,m,n->a", R, Yv,
                          np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -215,7 +212,7 @@ def test_commutator_oracle_sphere():
     G = ["x1", "-0.5"]
     Y = ["sin(x2)", "x1"]
     out = curvature_commutator_oracle(g3, F, G, Y, x)
-    R = curvature(g3, x).R
+    R = curvature(g3, x)
     Fv = np.array([0.8, x[1]])
     Gv = np.array([x[0], -0.5])
     Yv = np.array([math.sin(x[1]), x[0]])
@@ -244,8 +241,8 @@ def test_general_frame_reduces_to_coordinate_case():
     g3 = make_sphere_lc().g3
     x = (1.2, 0.5)
     frame = FrameField.identity(2, ("x1", "x2"))
-    direct = curvature(g3, x).R
-    framed = curvature_general_frame(g3, frame, x).R
+    direct = curvature(g3, x)
+    framed = curvature(g3, x, base_frame=frame)
     assert framed == pytest.approx(direct, abs=1e-8)
 
 
@@ -259,8 +256,8 @@ def test_general_frame_constant_rescaling():
     g3t = CoefficientField3.from_callable(
         lambda *xx: transform_three_index(g3, fc, xx), 2, 2, g3.region)
     frame = FrameField(B)
-    Rt = curvature_general_frame(g3t, frame, x).R
-    R = curvature(g3, x).R
+    Rt = curvature(g3t, x, base_frame=frame)
+    R = curvature(g3, x)
     assert Rt[:, :, 0, 1] == pytest.approx(2.0 * R[:, :, 0, 1], rel=1e-5)
 
 
@@ -273,7 +270,7 @@ def test_general_frame_anholonomic_flat_stays_flat():
     fc = FrameChange(B, MatrixField.constant(np.eye(2), ("x1", "x2")))
     g3t = CoefficientField3.from_callable(
         lambda *xx: transform_three_index(pg.g3, fc, xx), 2, 2)
-    Rt = curvature_general_frame(g3t, FrameField(B), x).R
+    Rt = curvature(g3t, x, base_frame=FrameField(B))
     assert np.max(np.abs(Rt)) < 1e-6
 
 
@@ -288,7 +285,7 @@ def test_fibre_curvature_linear_natural_frame():
     u = np.array([1.0, 0.0])
     p = (0.5, 0.25, 1.0, 0.0)
     R2, S, coeffs = fibre_curvature_general(g2, None, p)
-    R3 = curvature(ex.g3, x).R
+    R3 = curvature(ex.g3, x)
     expected = -np.einsum("abmn,b->amn", R3, u)
     assert R2 == pytest.approx(expected, abs=1e-6)
     assert np.array_equal(S, np.zeros((2, 2, 2)))
@@ -428,8 +425,7 @@ def test_transported_pairing_is_constant():
     g3 = make_sphere_lc().g3
     g3d = CoefficientField3.from_callable(
         lambda *x: -np.transpose(g3(x), (0, 2, 1)), 2, 2, g3.region)
-    path = PathSpec.from_points([(1.0, 0.2), (1.3, 0.8), (0.9, 1.4)],
-                                steps=400)
+    path = PathSpec(points=[(1.0, 0.2), (1.3, 0.8), (0.9, 1.4)], steps=400)
     Y0 = np.array([0.3, -0.7])
     w0 = np.array([1.2, 0.4])
     ry = transport_linear(g3, path, Y0)
@@ -478,7 +474,7 @@ def test_is_flat_does_not_fold_away_a_nan():
 
 
 def per_point_curvature(g3, x, h=None):
-    """curvature(g3, x, h).R as one point computes it alone: fd_partial
+    """curvature(g3, x, h) as one point computes it alone: fd_partial
     along each axis, then the stack at x."""
     D = np.stack([fd_partial(g3, x, axis, h, rel=FD_STEP_NESTED)
                   for axis in range(g3.n)])
@@ -528,7 +524,7 @@ def test_curvatures_equal_per_point_curvature_bitwise(case, h):
     many = curvatures(g3, points, h)
     assert many.shape == (len(points), g3.r, g3.r, g3.n, g3.n)
     for x, R in zip(points.tolist(), many):
-        alone = curvature(g3, x, h).R
+        alone = curvature(g3, x, h)
         assert np.array_equal(R, alone)
         assert R.tobytes() == per_point_curvature(g3, x, h).tobytes()
     worst = float(np.max(np.abs(many)))
@@ -606,12 +602,12 @@ def test_flat_fundamental_rejects_sphere():
         flat_fundamental_matrix(g3, (1.0, 0.5), (1.4, 1.2))
 
 
-def test_curvature_values_container():
-    R = np.zeros((2, 2, 2, 2))
-    R[0, 1, 0, 1] = 3.0
-    R[0, 1, 1, 0] = -3.0
-    cv = CurvatureValues(R)
-    assert cv.matrix(0, 1)[0, 1] == 3.0
+def test_curvature_returns_its_array():
+    # R[a, b, mu, nu] at one point, as curvatures() gives it at each
+    g3 = make_sphere_lc().g3
+    R = curvature(g3, (1.1, 0.3))
+    assert type(R) is np.ndarray and R.shape == (2, 2, 2, 2)
+    assert np.array_equal(R, curvatures(g3, [(1.1, 0.3)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +623,7 @@ def small_loop(x, mu, nu, eps, steps=400):
     x = np.asarray(x, dtype=float)
     e_mu, e_nu = eps * np.eye(len(x))[mu], eps * np.eye(len(x))[nu]
     corners = [x, x + e_mu, x + e_mu + e_nu, x + e_nu, x]
-    return PathSpec.from_points(corners, steps=steps)
+    return PathSpec(points=corners, steps=steps)
 
 
 def richardson_loop_curvature(around, start, x, mu, nu, eps=1e-2, steps=400):
@@ -655,7 +651,7 @@ LOOP_CASES = {
 @pytest.mark.parametrize("g3, x, curved", LOOP_CASES.values(),
                          ids=list(LOOP_CASES))
 def test_small_loop_holonomy_is_minus_curvature(g3, x, curved, mu, nu):
-    R = curvature(g3, x).R[:, :, mu, nu]
+    R = curvature(g3, x)[:, :, mu, nu]
     minus_R, tol = richardson_loop_curvature(
         lambda path: fundamental_solution(g3, path), np.eye(g3.r), x, mu, nu)
     assert np.max(np.abs(minus_R + R)) <= tol

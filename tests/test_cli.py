@@ -45,10 +45,14 @@ CONSTANT_STACKS = [
 
 
 def write_config(tmp_path, cfg):
-    """Write a config dict as JSON, or a string as the raw file text."""
+    """Write a config dict as JSON, a string as the raw file text, or bytes
+    as they are."""
     path = tmp_path / "config.json"
-    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg),
-                    encoding="utf-8")
+    if isinstance(cfg, bytes):
+        path.write_bytes(cfg)
+    else:
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg),
+                        encoding="utf-8")
     return str(path)
 
 
@@ -537,7 +541,7 @@ def test_flatness_uses_fd_step(tmp_path, capsys, fd_step):
     g3 = REGISTRY.build("sphere-lc").g3
 
     def worst(h):
-        return max(float(np.abs(curvature(g3, x, h).R).max())
+        return max(float(np.abs(curvature(g3, x, h)).max())
                    for x in SPHERE_SAMPLES)
     assert payload["result"]["max_R"] == worst(fd_step) != worst(None)
 
@@ -1050,11 +1054,93 @@ MALFORMED_CONFIGS = {
         "-" * 1000 + "u1")),
     "expression-999-term-sum": ("transport", two_index_entry(
         "+".join(["u1"] * 999))),
+    # a digit that float rejects; an offset counted in UTF-8 bytes
+    "expression-superscript-digit": ("transport", two_index_entry("u1 + 2²")),
+    "expression-non-ascii-offset": ("transport", two_index_entry("é + $")),
+    # one entry per config check of cli.py that no entry above reaches
+    "config-not-utf-8": ("curvature", b'{"connection": "registry:flat", '
+                                      b'"point": [0.5, 0.5], "note": "\xff"}'),
+    "connection-kind-number": ("curvature", {
+        "connection": {"kind": 3}, "point": [0.5, 0.5]}),
+    "connection-params-list": ("curvature", {
+        "connection": {"kind": "registry:flat", "params": [2]},
+        "point": [0.5, 0.5]}),
+    "registry-dims-not-declared": ("curvature", {
+        "connection": "registry:flat", "base_dim": 3, "fibre_rank": 2,
+        "point": [0.5, 0.5, 0.5]}),
+    "region-three-axes": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "region": [[0.0, 1.0]] * 3,
+        "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
+    "connection-kind-unknown": ("curvature", {
+        "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
+        "connection": {"kind": "torsion"}}),
+    "stacks-dims-not-declared": ("curvature", {
+        "base_dim": 3, "fibre_rank": 2, "point": [0.5, 0.5, 0.5],
+        "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
+    "flatness-two-index": ("flatness", {
+        "base_dim": 1, "fibre_rank": 1, "points": [[0.5]],
+        "connection": {"kind": "two_index", "matrix": [["u1"]]}}),
+    "path-t0-string": ("transport", {
+        "connection": "registry:sphere-lc", "initial": [1.0, 0.0],
+        "path": {"exprs": ["1 + 0.2*t", "t"], "t0": "0"}}),
+    "path-no-exprs-or-points": ("transport", {
+        "connection": "registry:sphere-lc", "initial": [1.0, 0.0],
+        "path": {"steps": 50}}),
+    "base-frame-1x1": ("curvature", {
+        "connection": "registry:sphere-lc", "point": [1.1, 0.4],
+        "base_frame": [["1"]]}),
+    "target-string": ("morphism", {
+        "connection": "registry:sphere-lc", "point": [1.0, 0.3, 0.5, -0.2],
+        "target": "registry:flat",
+        "morphism": {"base": ["x1", "x2"], "fibre": ["u1", "u2"]}}),
+    "geodesic-r-not-n": ("geodesic", {
+        "connection": {"kind": "registry:flat", "params": {"n": 2, "r": 1}},
+        "x0": [0.0, 0.0], "v0": [1.0, 0.0], "T": 1.0}),
+    "inhomogeneous-law-linear": ("frames", frames_config("inhomogeneous")),
+    "morphism-no-matrix-or-fibre": ("morphism", {
+        "connection": "registry:sphere-lc", "point": [1.0, 0.3, 0.5, -0.2],
+        "morphism": {"base": ["x1", "x2"]}}),
 }
 # the error type of the MALFORMED_CONFIGS entries that are not ConfigError
 MALFORMED_TYPES = dict.fromkeys(
     ["expression-200-parentheses", "expression-1000-unary-minus",
-     "expression-999-term-sum"], "ParseError")
+     "expression-999-term-sum", "expression-superscript-digit",
+     "expression-non-ascii-offset"], "ParseError")
+# the whole message of some entries; {path} is the config's path
+MALFORMED_MESSAGES = {
+    "expression-superscript-digit": "malformed number at byte 5",
+    "expression-non-ascii-offset": "unexpected character at byte 5",
+    "config-not-utf-8": "config {path} is not UTF-8: 'utf-8' codec can't "
+                        "decode byte 0xff in position 62: invalid start byte",
+    "connection-kind-number": "connection.kind must be a string",
+    "connection-params-list": "connection.params must be an object",
+    "registry-dims-not-declared": "registry entry 'flat' has base_dim 2, "
+                                  "fibre_rank 2; the config declares 3, 2",
+    "region-three-axes": "region must list 2 per-axis bounds (base only) or "
+                         "4 (base plus fibre), got 3",
+    "connection-kind-unknown": "unknown connection kind 'torsion'; expected "
+                               "three_index, two_index, affine, or "
+                               "registry:<name>",
+    "stacks-dims-not-declared": "connection dimensions (2, 2) do not match "
+                                "base_dim 3, fibre_rank 2",
+    "flatness-two-index": "flatness certification needs three-index (linear "
+                          "or affine) coefficients; this connection is "
+                          "two-index",
+    "path-t0-string": "path.t0 and path.t1 must be numbers",
+    "path-no-exprs-or-points": "path needs either exprs (with t0, t1) or "
+                               "points",
+    "base-frame-1x1": "base_frame must be 2 rows of 2 entries",
+    "target-string": "target must be an object with its own connection "
+                     "block",
+    "geodesic-r-not-n": "geodesics need tangent-bundle coefficients "
+                        "(fibre_rank == base_dim, got 1 != 2)",
+    "inhomogeneous-law-linear": "the inhomogeneous-term law needs an affine "
+                                "connection",
+    "morphism-no-matrix-or-fibre": "morphism needs either matrix "
+                                   "(vector-bundle form) or fibre (general "
+                                   "components)",
+}
 
 
 @pytest.mark.parametrize(
@@ -1069,6 +1155,37 @@ def test_exit_2_malformed_config(tmp_path, capsys, command, cfg,
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == error_type
+
+
+@pytest.mark.parametrize("name", MALFORMED_MESSAGES)
+def test_malformed_config_message(tmp_path, capsys, name):
+    command, cfg = MALFORMED_CONFIGS[name]
+    path = write_config(tmp_path, cfg)
+    _, payload = run_json(capsys, command, "--config", path)
+    assert payload["error"]["message"] == MALFORMED_MESSAGES[name].format(
+        path=path)
+    if payload["error"]["type"] == "ParseError":
+        assert payload["error"]["message"].endswith(
+            f" at byte {payload['error']['offset']}")
+
+
+def test_region_beside_a_registry_connection_is_ignored(tmp_path, capsys):
+    # the registry entry keeps its own region: a warning on stderr, and the
+    # same output as without the region but for its echo
+    cfg = {"connection": "registry:sphere-lc", "point": [1.1, 0.4]}
+    _, plain = run_json(capsys, "curvature", "--config",
+                        write_config(tmp_path, cfg))
+    cfg["region"] = [[0.0, 1.0], [0.0, 1.0]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bundleconn.cli", "curvature", "--config",
+         write_config(tmp_path, cfg)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("WARNING bundleconn.cli: registry entry "
+                           "'sphere-lc' manages its own region; the config "
+                           "region is ignored\n")
+    warned = json.loads(proc.stdout)
+    assert warned["inputs"]["config"].pop("region") == cfg["region"]
+    assert warned == plain
 
 
 @pytest.mark.parametrize("name", ["steps-fraction", "steps-half",

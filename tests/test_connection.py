@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bundleconn import cli
 from bundleconn.connection import (
     AffineCoefficients,
     CoefficientField3,
@@ -26,6 +27,7 @@ from bundleconn.morphism import BundleMorphism, adapted_frame_matrix
 from bundleconn.registry import (
     MAX_DIM,
     REGISTRY,
+    _is_finite_number,
     derivative,
     make_cartan_flat,
     make_constant,
@@ -294,6 +296,24 @@ def test_registry_size_parameters_are_bounded_integers(monkeypatch, name,
     with pytest.raises(ConfigError, match=f"^registry parameter [nr] must "
                        f"be an integer from 1 to {MAX_DIM}$"):
         REGISTRY.build(name, **params)
+
+
+@pytest.mark.parametrize("value, finite", [
+    (0, True), (-2.5, True), (np.float64(0.1), True), (10 ** 308, True),
+    (True, False), ("0.1", False), (None, False), (math.nan, False),
+    (-math.inf, False), (np.float64("nan"), False), (10 ** 309, False)])
+def test_one_finite_number_rule(value, finite):
+    # configs and registry parameters share it
+    assert cli._is_finite_number is _is_finite_number
+    assert bool(_is_finite_number(value)) is finite
+
+
+def test_registry_takes_numpy_floats():
+    ex = REGISTRY.build("sphere-lc", margin=np.float64(0.1))
+    assert ex.region.bounds == REGISTRY.build("sphere-lc",
+                                              margin=0.1).region.bounds
+    ex = REGISTRY.build("constant", matrices=[[[np.float64(2.0)]]])
+    assert ex.g3((0.5,)).tolist() == [[[2.0]]]
 
 
 def test_registry_size_ceiling_is_inclusive():

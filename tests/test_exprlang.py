@@ -230,6 +230,29 @@ def test_scientific_literals():
     assert evaluate(parse("2E+2"), {}) == 200.0
 
 
+@pytest.mark.parametrize("source, offset", [
+    ("²", 0), ("1²", 0), ("1.²", 0), ("x1 + 2³", 5), ("1e²", 0)])
+def test_digits_that_float_rejects_are_a_malformed_number(source, offset):
+    # str.isdigit admits them; float does not
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert (exc.value.reason, exc.value.offset) == ("malformed number", offset)
+
+
+def test_decimal_digits_of_any_script_parse():
+    assert parse("٣") == Const(3.0)
+    assert parse("x1*١٢") == BinOp("*", Var("x1"), Const(12.0))
+
+
+@pytest.mark.parametrize("source, offset", [
+    ("é + $", 5), ("π*(x1", 6), ("日本 + 2²", 9), ("x1 + é)", 7)])
+def test_error_offsets_count_utf8_bytes(source, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert exc.value.offset == offset
+    assert str(exc.value).endswith(f" at byte {offset}")
+
+
 # nesting at the limit parses; one level more is a ParseError at the byte
 # where the level starts (a '(' or function name, a '-', '^' or operator)
 DEPTH_CASES = {

@@ -87,17 +87,17 @@ def test_region_rejects_empty_interval():
 
 
 def test_fd_partial_exact_on_quadratic():
-    f = ScalarField.from_expr("x1*x1", ("x1",))
+    f = ScalarField("x1*x1", ("x1",))
     assert fd_partial(f, (1.0,), 0) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_fd_partial_bilinear():
-    f = ScalarField.from_expr("x1*x2", XY)
+    f = ScalarField("x1*x2", XY)
     assert fd_partial(f, (2.0, 3.0), 1) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_fd_partial_sin_against_richardson():
-    f = ScalarField.from_expr("sin(x1)", ("x1",))
+    f = ScalarField("sin(x1)", ("x1",))
     assert fd_partial(f, (0.0,), 0) == pytest.approx(1.0, abs=1e-10)
     for h in (1e-3, 1e-4):
         oracle = richardson_partial(f, (0.0,), 0, h)
@@ -105,7 +105,7 @@ def test_fd_partial_sin_against_richardson():
 
 
 def test_fd_partial_second_order_convergence():
-    f = ScalarField.from_expr("sin(x1)", ("x1",))
+    f = ScalarField("sin(x1)", ("x1",))
     x, exact = (0.7,), math.cos(0.7)
     errors = [abs(fd_partial(f, x, 0, h) - exact) for h in (1e-3, 5e-4)]
     assert 3.6 <= errors[0] / errors[1] <= 4.4
@@ -113,13 +113,14 @@ def test_fd_partial_second_order_convergence():
 
 def test_fd_partial_domain_exit_on_stencil():
     region = Region([(0.0, 1.0)])
-    f = ScalarField.from_expr("x1", ("x1",), region)
+    f = ScalarField("x1", ("x1",), region)
     with pytest.raises(DomainExit):
         fd_partial(f, (1e-7,), 0)
 
 
 def test_scalar_field_from_callable_checks_finiteness():
-    f = ScalarField.from_callable(lambda x1: x1 and 1.0 / 0.0 if False else float("nan"), ("x1",))
+    f = ScalarField(lambda x1: x1 and 1.0 / 0.0 if False else float("nan"),
+                    ("x1",))
     with pytest.raises(NonFinite):
         f((0.0,))
 
@@ -131,7 +132,7 @@ def test_callable_entry_returning_an_int_gives_float64():
     assert value.tolist() == [2.0, -1.0]
     assert all(type(c) is float for c in field.floats((0.5, 0.25)))
     assert field.values(np.array([(0.5, 0.25)])).dtype == np.float64
-    scalar = ScalarField.from_callable(lambda x1, x2: 3, XY)
+    scalar = ScalarField(lambda x1, x2: 3, XY)
     assert type(scalar((0.5, 0.25))) is float
 
 
@@ -330,7 +331,7 @@ SECTION = ["sin(x1)*x2", "x1^2 - 3*x2", "exp(0.3*x1*x2)"]
 def test_fd_partials_of_section_equals_per_component(h, rel):
     x = (2.3, -0.4)
     whole = fd_partials(SectionField(SECTION, XY), x, h, rel=rel)
-    comps = [ScalarField.from_expr(c, XY) for c in SECTION]
+    comps = [ScalarField(c, XY) for c in SECTION]
     by_component = np.array([[fd_partial(c, x, mu, h, rel) for c in comps]
                              for mu in range(2)])
     assert whole.shape == (2, 3)
@@ -350,10 +351,10 @@ def test_jacobi_natural_of_vector_morphism_is_elementwise():
                                      ["0.5*x2", "exp(x1)"]], 2, 2)
     p = (0.4, 0.9, -1.2, 0.7)
     names = bundle_names(2, 2)
-    base = [ScalarField.from_expr(c, names[:2]) for c in base]
+    base = [ScalarField(c, names[:2]) for c in base]
 
     def fibre(a):
-        return ScalarField.from_callable(
+        return ScalarField(
             lambda *q: (m.matrix(q[:2]) @ np.asarray(q[2:]))[a], names)
 
     expected = np.zeros((4, 4))
@@ -428,7 +429,7 @@ def test_values_equals_stacked_calls_bitwise(region, monkeypatch):
 
 
 def test_scalar_field_entries_take_the_batch_path(monkeypatch):
-    comps = [ScalarField.from_expr(e, XY) for e in ALL_OPS_ROWS[0]]
+    comps = [ScalarField(e, XY) for e in ALL_OPS_ROWS[0]]
     assert isinstance(comps[0]((1.0, 1.0)), float)
     field = SectionField(comps, XY)
     points = batch_points()
@@ -486,7 +487,7 @@ def test_values_fallback_errors_name_plain_floats():
 @pytest.mark.parametrize("field", [
     MatrixField.from_callable(lambda x1, x2: [[x1, x2, 1.0]] * 2, (2, 3), XY),
     MatrixField.from_exprs(ALL_OPS_ROWS, XY, ALL_OPS_REGION),
-    ScalarField.from_callable(lambda x1, x2: x1 * x2, XY),
+    ScalarField(lambda x1, x2: x1 * x2, XY),
 ], ids=["callable", "expressions", "scalar-callable"])
 def test_values_of_no_points_is_empty(field):
     assert field.values(np.empty((0, 2))).shape == (0,) + field.shape

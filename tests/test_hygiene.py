@@ -5,11 +5,14 @@ read somewhere, the compiled batches and kernels
 cover exactly the grammar's functions, one function holds the singularity
 test, one function loops over RK4 steps, one function compiles generated
 code, one function turns expression trees into code, a compiled kernel
-calls no Python-level function per point, and cli.main reuses the parser
-built at import."""
+calls no Python-level function per point, cli.main reuses the parser
+built at import, no function only passes its own parameters on to another,
+and every `module.name` the README and docs name exists."""
 
 import ast
 import builtins
+import importlib
+import re
 import types
 from pathlib import Path
 
@@ -623,3 +626,117 @@ def test_main_reuses_the_parser_built_at_import(tmp_path, monkeypatch,
     codes = [cli.main(["curvature", "--config", str(path)]) for _ in range(2)]
     assert codes == [0, 0]
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def pass_throughs(source, module):
+    """Qualified names of the functions and methods whose body, after the
+    docstring, is one return of a call that passes exactly the function's
+    own parameters (a method's self or cls aside), each once and by name:
+    another name for the function it calls."""
+    found = []
+
+    def passes_its_parameters(func, method):
+        args = func.args
+        params = [a.arg for a in args.posonlyargs + args.args
+                  + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+        if method and not any(isinstance(d, ast.Name)
+                              and d.id == "staticmethod"
+                              for d in func.decorator_list):
+            params = params[1:]
+        body = func.body[1:] if ast.get_docstring(func) else func.body
+        if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)):
+            return False
+        call = body[0].value
+        passed = [a.value if isinstance(a, ast.Starred) else a
+                  for a in call.args] + [k.value for k in call.keywords]
+        return (all(isinstance(a, ast.Name) for a in passed)
+                and sorted(a.id for a in passed) == sorted(params))
+
+    def walk(node, scope, method):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, f"{scope}.{child.name}", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if passes_its_parameters(child, method):
+                    found.append(f"{scope}.{child.name}")
+                walk(child, f"{scope}.{child.name}", False)
+            else:
+                walk(child, scope, method)
+
+    walk(ast.parse(source), module, False)
+    return sorted(found)
+
+
+def test_no_function_only_passes_its_parameters_on():
+    # callers call the function itself, with their own argument order
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += pass_throughs(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
+
+
+def test_pass_through_is_reported():
+    source = ("def alias(g, x, h=None):\n"
+              "    \"\"\"The target, with g first.\"\"\"\n"
+              "    return target(x, g, h=h)\n"
+              "def star(*args, **kwargs):\n"
+              "    return target(*args, **kwargs)\n"
+              "class Box:\n"
+              "    @classmethod\n"
+              "    def make(cls, a, b):\n"
+              "        return cls(a, b=b)\n"
+              "    @staticmethod\n"
+              "    def wrap(a):\n"
+              "        return Box(a)\n"
+              "    def moved(self, a):\n"
+              "        return self.move(a + 1)\n"
+              "    def pair(self, a):\n"
+              "        return make(a, a)\n"
+              "def fixed(a):\n"
+              "    return target(a, 2)\n"
+              "def fewer(a, b):\n"
+              "    return target(a)\n"
+              "def named(a):\n"
+              "    x = a\n"
+              "    return target(x)\n")
+    assert pass_throughs(source, "m") == ["m.Box.make", "m.Box.wrap",
+                                          "m.alias", "m.star"]
+
+
+DOCS = [SRC.parent.parent / "README.md",
+        *sorted((SRC.parent.parent / "docs").glob("*.md"))]
+
+
+def doc_references(text, modules):
+    """(every backticked `module.name` of a Markdown text whose module is
+    one of {name: module}, those that name no attribute of it)."""
+    refs = [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)",
+                                                          text)
+            if module in modules]
+    return refs, sorted({f"{module}.{name}" for module, name in refs
+                         if not hasattr(modules[module], name)})
+
+
+def test_docs_name_only_what_exists():
+    modules = {path.stem: importlib.import_module(f"bundleconn.{path.stem}")
+               for path in SRC.glob("*.py") if path.stem != "__init__"}
+    found, stale = [], {}
+    for path in DOCS:
+        refs, missing = doc_references(path.read_text(encoding="utf-8"),
+                                       modules)
+        found += refs
+        stale[path.name] = missing
+    assert found
+    assert stale == dict.fromkeys(stale, [])
+
+
+def test_stale_doc_reference_is_reported():
+    text = ("`fields.frame_partials` with `transport.gone(x)` and\n"
+            "`fields.Region.contains`, `cli.PARSER`, `np.gone`, `x.y`;\n"
+            "fields.gone outside backticks is prose\n")
+    refs, stale = doc_references(text, {"fields": fields, "cli": cli,
+                                        "transport": transport})
+    assert refs == [("fields", "frame_partials"), ("transport", "gone"),
+                    ("fields", "Region"), ("cli", "PARSER")]
+    assert stale == ["transport.gone"]

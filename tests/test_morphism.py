@@ -38,7 +38,7 @@ def test_jacobi_natural_constant_vector_blocks():
 
 def test_jacobi_natural_dimension_change():
     # one base dimension and two fibre ranks into two and one
-    m = BundleMorphism.from_exprs(["x1", "x1^2"], ["u1 + 2*u2"], 1, 2)
+    m = BundleMorphism(["x1", "x1^2"], ["u1 + 2*u2"], 1, 2)
     J = jacobi_natural(m, (0.5, 1.0, -1.0))
     assert J.shape == (3, 3)
     assert J[:2, 0] == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -165,7 +165,7 @@ def test_vb_coeffs_contraction_matches_adapted_block():
 
 def test_vb_coeffs_requires_vector_form():
     g3 = CoefficientField3.zero(1, 1)
-    m = BundleMorphism.from_exprs(["x1"], ["u1^2"], 1, 1)
+    m = BundleMorphism(["x1"], ["u1^2"], 1, 1)
     with pytest.raises(ValueError):
         vb_morphism_coeffs(m, g3, g3, (0.5,))
 

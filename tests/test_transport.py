@@ -45,7 +45,7 @@ CONSTANT_STACK = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
 
 def straight_expr_path(steps):
-    return PathSpec.from_exprs(["t"], 0.0, 1.0, steps=steps)
+    return PathSpec(exprs=["t"], interval=(0.0, 1.0), steps=steps)
 
 
 # --- PathSpec -----------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_step_count_too_small():
 
 def test_zero_length_path_returns_initial_value():
     g3 = CoefficientField3.constant(CONSTANT_STACK)
-    path = PathSpec.from_points([[0.5, 0.5], [0.5, 0.5]], steps=100)
+    path = PathSpec(points=[[0.5, 0.5], [0.5, 0.5]], steps=100)
     out = transport_linear(g3, path, [1.0, -2.0])
     assert np.array_equal(out.final, [1.0, -2.0])
     assert out.max_residual == 0.0
@@ -94,7 +94,7 @@ def _callable_zero_length_transports():
 
 @pytest.mark.parametrize("kind", ["linear", "affine", "general"])
 def test_zero_length_path_with_callable_fields_returns_initial_value(kind):
-    path = PathSpec.from_points([[0.5, 0.5], [0.5, 0.5]], steps=100)
+    path = PathSpec(points=[[0.5, 0.5], [0.5, 0.5]], steps=100)
     out = _callable_zero_length_transports()[kind](path, [1.0, -2.0])
     assert np.array_equal(out.final, [1.0, -2.0])
     assert out.max_residual == 0.0
@@ -106,7 +106,7 @@ def test_zero_length_path_with_callable_fields_returns_initial_value(kind):
 
 def test_general_transport_flat_is_identity():
     g2 = TwoIndexField.zero(2, 2)
-    path = PathSpec.from_exprs(["t", "sin(t)"], 0.0, 2.0, steps=50)
+    path = PathSpec(exprs=["t", "sin(t)"], interval=(0.0, 2.0), steps=50)
     out = transport_general(g2, path, [3.0, -1.0])
     assert np.array_equal(out.final, [3.0, -1.0])
 
@@ -123,7 +123,7 @@ def test_general_transport_scalar_exponential():
 def test_general_transport_reversal():
     ex = make_pure_gauge()
     g2 = TwoIndexField.from_linear(ex.g3)
-    path = PathSpec.from_exprs(["t", "0.3 + 0.5*t"], 0.0, 1.0, steps=500)
+    path = PathSpec(exprs=["t", "0.3 + 0.5*t"], interval=(0.0, 1.0), steps=500)
     x0 = [0.8, -0.4]
     there = transport_general(g2, path, x0)
     back = transport_general(g2, path.reverse(), there.final)
@@ -133,7 +133,7 @@ def test_general_transport_reversal():
 def test_general_matches_linear_for_linear_connection():
     g3 = CoefficientField3.constant(CONSTANT_STACK)
     g2 = TwoIndexField.from_linear(g3)
-    path = PathSpec.from_exprs(["t", "t*t"], 0.0, 1.0, steps=200)
+    path = PathSpec(exprs=["t", "t*t"], interval=(0.0, 1.0), steps=200)
     x0 = [0.7, 1.1]
     a = transport_general(g2, path, x0)
     b = transport_linear(g3, path, x0)
@@ -144,14 +144,14 @@ def test_general_matches_linear_for_linear_connection():
 
 def test_linear_transport_zero_connection():
     g3 = CoefficientField3.zero(2, 2)
-    path = PathSpec.from_exprs(["t", "2*t"], 0.0, 1.0, steps=64)
+    path = PathSpec(exprs=["t", "2*t"], interval=(0.0, 1.0), steps=64)
     out = transport_linear(g3, path, [5.0, 6.0])
     assert np.array_equal(out.final, [5.0, 6.0])
 
 
 def test_linear_transport_linearity():
     g3 = CoefficientField3.constant(CONSTANT_STACK)
-    path = PathSpec.from_exprs(["t", "t*t"], 0.0, 1.0, steps=64)
+    path = PathSpec(exprs=["t", "t*t"], interval=(0.0, 1.0), steps=64)
     rng = np.random.default_rng(7)
     X, Y = rng.normal(size=2), rng.normal(size=2)
     a, b = 1.7, -0.45
@@ -163,7 +163,8 @@ def test_linear_transport_linearity():
 
 def test_linear_transport_pure_gauge_closed_form():
     ex = make_pure_gauge()
-    path = PathSpec.from_exprs(["t", "0.3 + 0.5*t"], 0.0, 1.0, steps=1000)
+    path = PathSpec(exprs=["t", "0.3 + 0.5*t"], interval=(0.0, 1.0),
+                    steps=1000)
     X0 = np.array([1.0, 2.0])
     out = transport_linear(ex.g3, path, X0)
     B1 = ex.gauge((1.0, 0.8))
@@ -178,7 +179,8 @@ def test_fundamental_solution_zero_and_consistency():
                              straight_expr_path(16)),
         np.eye(3))
     ex = make_sphere_lc()
-    path = PathSpec.from_exprs(["1.0 + 0.2*t", "0.5*t"], 0.0, 1.0, steps=128)
+    path = PathSpec(exprs=["1.0 + 0.2*t", "0.5*t"], interval=(0.0, 1.0),
+                    steps=128)
     W = fundamental_solution(ex.g3, path)
     rng = np.random.default_rng(11)
     X0 = rng.normal(size=2)
@@ -190,7 +192,7 @@ def test_fundamental_solution_matrix_exponential_oracle():
     K1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     K2 = 2.0 * K1  # commuting pair
     g3 = CoefficientField3.constant([K1.tolist(), K2.tolist()])
-    path = PathSpec.from_points([[0.2, -0.1], [0.9, 0.5]], steps=400)
+    path = PathSpec(points=[[0.2, -0.1], [0.9, 0.5]], steps=400)
     W = fundamental_solution(g3, path)
     dx = np.array([0.7, 0.6])
     expected = scipy.linalg.expm(-(K1 * dx[0] + K2 * dx[1]))
@@ -201,11 +203,11 @@ def test_transport_concatenation():
     g3 = CoefficientField3.constant(CONSTANT_STACK)
     exprs = ["t", "t*t"]
     whole = transport_linear(
-        g3, PathSpec.from_exprs(exprs, 0.0, 1.0, steps=128), [1.0, -1.0])
+        g3, PathSpec(exprs=exprs, interval=(0.0, 1.0), steps=128), [1.0, -1.0])
     first = transport_linear(
-        g3, PathSpec.from_exprs(exprs, 0.0, 0.5, steps=64), [1.0, -1.0])
+        g3, PathSpec(exprs=exprs, interval=(0.0, 0.5), steps=64), [1.0, -1.0])
     second = transport_linear(
-        g3, PathSpec.from_exprs(exprs, 0.5, 1.0, steps=64), first.final)
+        g3, PathSpec(exprs=exprs, interval=(0.5, 1.0), steps=64), first.final)
     assert np.allclose(second.final, whole.final, atol=1e-9)
 
 
@@ -213,7 +215,7 @@ def test_rk4_fourth_order_convergence():
     g3 = CoefficientField3.constant([[[3.0]]])
     errs = []
     for N in (100, 200, 400, 800):
-        path = PathSpec.from_points([[0.0], [1.0]], steps=N)
+        path = PathSpec(points=[[0.0], [1.0]], steps=N)
         out = transport_linear(g3, path, [1.0])
         errs.append(abs(out.final[0] - math.exp(-3.0)))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
@@ -222,7 +224,7 @@ def test_rk4_fourth_order_convergence():
 
 def test_transport_samples_and_ts():
     g3 = CoefficientField3.constant(CONSTANT_STACK)
-    path = PathSpec.from_exprs(["t", "0.5*t"], 2.0, 3.0, steps=32)
+    path = PathSpec(exprs=["t", "0.5*t"], interval=(2.0, 3.0), steps=32)
     out = transport_linear(g3, path, [1.0, 0.0])
     assert out.samples.shape == (33, 2)
     assert out.ts[0] == pytest.approx(2.0)
@@ -243,7 +245,7 @@ def test_affine_zero_inhom_matches_linear_bitwise():
     zero_inhom = MatrixField.from_exprs([["0", "0"], ["0", "0"]],
                                         base_names(2))
     aff = AffineCoefficients(linear, zero_inhom)
-    path = PathSpec.from_exprs(["t", "t*t"], 0.0, 1.0, steps=64)
+    path = PathSpec(exprs=["t", "t*t"], interval=(0.0, 1.0), steps=64)
     x0 = [0.3, -0.9]
     a = transport_affine(aff, path, x0)
     b = transport_linear(linear, path, x0)
@@ -256,7 +258,7 @@ def test_affine_constant_inhom_quadrature():
     aff = AffineCoefficients(
         CoefficientField3.zero(2, 2),
         MatrixField.constant(G, base_names(2)))
-    path = PathSpec.from_points([[0.3, 0.4], [1.3, 0.2]], steps=16)
+    path = PathSpec(points=[[0.3, 0.4], [1.3, 0.2]], steps=16)
     p0 = np.array([4.0, -1.0])
     out = transport_affine(aff, path, p0)
     assert np.allclose(out.final, p0 + G @ np.array([1.0, -0.2]),
@@ -265,7 +267,7 @@ def test_affine_constant_inhom_quadrature():
 
 def test_affine_affinity_property():
     aff = affine_fixture()
-    path = PathSpec.from_exprs(["t", "t*t"], 0.0, 1.0, steps=128)
+    path = PathSpec(exprs=["t", "t*t"], interval=(0.0, 1.0), steps=128)
     rng = np.random.default_rng(3)
     X = rng.normal(size=2)
     rho = 0.37
@@ -280,7 +282,7 @@ def test_affine_decomposition():
     # affine result = (fundamental solution of the linear part) @ p0
     #                 + transport of zero
     aff = affine_fixture()
-    path = PathSpec.from_exprs(["t", "t*t"], 0.0, 1.0, steps=128)
+    path = PathSpec(exprs=["t", "t*t"], interval=(0.0, 1.0), steps=128)
     p0 = np.array([0.6, 2.2])
     W = fundamental_solution(aff.linear, path)
     y = transport_affine(aff, path, np.zeros(2)).final
@@ -352,13 +354,13 @@ AFFINE_INHOM = [["tan(x1/2)", "ln(1 + x2)"], ["sqrt(x1)", "-x1*x2"]]
 
 def grid_paths(steps=200):
     exprs, t0, t1 = GRID_EXPRS
-    return {"expr": PathSpec.from_exprs(exprs, t0, t1, steps=steps),
-            "polyline": PathSpec.from_points(GRID_POINTS, steps=steps)}
+    return {"expr": PathSpec(exprs=exprs, interval=(t0, t1), steps=steps),
+            "polyline": PathSpec(points=GRID_POINTS, steps=steps)}
 
 
 def per_node_expr_grid(exprs, t0, t1, steps):
     """Positions and FD velocities evaluated one component at a time."""
-    comps = [ScalarField.from_expr(c, ("t",)) for c in exprs]
+    comps = [ScalarField(c, ("t",)) for c in exprs]
     span = t1 - t0
     hv = span / (64.0 * steps)
     tgrid = t0 + span * np.arange(2 * steps + 1) / (2.0 * steps)
@@ -440,15 +442,15 @@ def random_polylines(count, seed=2020):
                                            rng.integers(1, 4)))
         repeat = rng.random(len(pts)) < 0.2
         pts[1:][repeat[1:]] = pts[:-1][repeat[1:]]
-        yield PathSpec.from_points(pts, steps=int(rng.integers(8, 5001)))
+        yield PathSpec(points=pts, steps=int(rng.integers(8, 5001)))
     # one segment; steps / 2 = 4.5 and 5.5 on two equal segments, which
     # round half to even; a repeated point only; one repeated at each end
-    yield PathSpec.from_points([[0.1, 0.2], [0.4, -0.3]], steps=8)
-    yield PathSpec.from_points([[0.0], [1.0], [2.0]], steps=9)
-    yield PathSpec.from_points([[0.0], [1.0], [2.0]], steps=11)
-    yield PathSpec.from_points([[0.5], [0.5], [0.5]], steps=20)
-    yield PathSpec.from_points([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0],
-                                [1.0, 1.0]], steps=101)
+    yield PathSpec(points=[[0.1, 0.2], [0.4, -0.3]], steps=8)
+    yield PathSpec(points=[[0.0], [1.0], [2.0]], steps=9)
+    yield PathSpec(points=[[0.0], [1.0], [2.0]], steps=11)
+    yield PathSpec(points=[[0.5], [0.5], [0.5]], steps=20)
+    yield PathSpec(points=[[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]],
+                   steps=101)
 
 
 def test_polyline_grid_equals_per_segment_loop():
@@ -672,7 +674,7 @@ def geodesic_contractions(g3):
 
 
 def general_contractions(g2):
-    path = PathSpec.from_points([[0.5] * g2.n, [0.7] * g2.n], steps=8)
+    path = PathSpec(points=[[0.5] * g2.n, [0.7] * g2.n], steps=8)
     return state_contractions(
         lambda: transport_general(g2, path, [0.5] * g2.r))
 
@@ -824,17 +826,17 @@ def test_final_and_max_residual_pinned(case):
 
 def test_general_transport_nonfinite_names_plain_floats():
     g2 = TwoIndexField.from_callable(lambda x1, u1: [[math.inf]], 1, 1)
-    path = PathSpec.from_points([[0.53125], [1.0]], steps=16)
+    path = PathSpec(points=[[0.53125], [1.0]], steps=16)
     with pytest.raises(NonFinite) as info:
         transport_general(g2, path, [1.53125])
     assert str(info.value) == "non-finite array value at (0.53125, 1.53125)"
 
 
 @pytest.mark.parametrize("path, message", [
-    (PathSpec.from_points([[0.0, 0.0], [1e200, 0.0]]), "length"),
-    (PathSpec.from_points([[0.0, -1e308], [0.0, 1e308]]), "length"),
-    (PathSpec.from_exprs(["1e308*sin(1e5*t)", "t"], 0.0, 1.0, steps=20),
-     "velocity"),
+    (PathSpec(points=[[0.0, 0.0], [1e200, 0.0]]), "length"),
+    (PathSpec(points=[[0.0, -1e308], [0.0, 1e308]]), "length"),
+    (PathSpec(exprs=["1e308*sin(1e5*t)", "t"], interval=(0.0, 1.0),
+              steps=20), "velocity"),
 ], ids=["squares-overflow", "difference-overflows", "expression-velocity"])
 def test_path_data_that_overflows_names_the_path(path, message):
     # numpy's overflow warnings are off, as in the CLI
@@ -858,8 +860,9 @@ def staged_rows_callable(x1, x2, u1, u2):
 
 
 @pytest.mark.parametrize("path", [
-    PathSpec.from_exprs(["0.3 + 0.5*t", "0.2 + sin(t)"], 0.0, 1.0, steps=300),
-    PathSpec.from_points([[0.7, 0.5], [-0.9, -0.3], [0.2, -0.6]], steps=300),
+    PathSpec(exprs=["0.3 + 0.5*t", "0.2 + sin(t)"], interval=(0.0, 1.0),
+             steps=300),
+    PathSpec(points=[[0.7, 0.5], [-0.9, -0.3], [0.2, -0.6]], steps=300),
 ], ids=["expr", "polyline"])
 def test_callable_two_index_transport_equals_the_staged_one(path):
     staged = transport_general(TwoIndexField.from_exprs(STAGED_ROWS, 2, 2),
@@ -883,8 +886,8 @@ def test_linear_transport_memory_peak():
     # the coefficient matrices of one block at a time: a grid of all
     # 20,001 nodes would hold 20,001 x 6 x 6 x 6 doubles (33 MB) at once
     g3 = CoefficientField3.from_exprs(linear_stack(6, 6))
-    path = PathSpec.from_exprs([f"0.3*sin(t + {i})" for i in range(6)], 0.0,
-                               1.0, steps=10_000)
+    path = PathSpec(exprs=[f"0.3*sin(t + {i})" for i in range(6)],
+                    interval=(0.0, 1.0), steps=10_000)
     tracemalloc.start()
     try:
         transport_linear(g3, path, [0.1] * 6)
@@ -898,8 +901,8 @@ def test_two_index_transport_memory_peak():
     # the grid table is one (K, 2n) float array: no grid-sized list, and
     # the defect of one block at a time
     g2 = TwoIndexField.from_exprs(STAGED_ROWS, 2, 2)
-    path = PathSpec.from_exprs(["0.3 + 0.5*t", "0.2 + sin(t)"], 0.0, 1.0,
-                               steps=4000)
+    path = PathSpec(exprs=["0.3 + 0.5*t", "0.2 + sin(t)"], interval=(0.0, 1.0),
+                    steps=4000)
     tracemalloc.start()
     try:
         transport_general(g2, path, [1.0, 0.5])
@@ -1208,7 +1211,7 @@ def test_fused_rhs_runs_without_fallback(monkeypatch):
     # a finite state never reaches the checked interpreter
     g3 = make_sphere_lc().g3
     g2 = TwoIndexField.from_exprs(STAGED_ROWS, 2, 2)
-    path = PathSpec.from_points([[0.7, 0.5], [-0.9, -0.3]], steps=8)
+    path = PathSpec(points=[[0.7, 0.5], [-0.9, -0.3]], steps=8)
     x, v, u = [1.0, 0.2], [0.3, 0.7], [1.1, 0.4]
     grid = _grid(path)
     dense = [[(None, [(0, 0), (1, 1)])], [(None, [(2, 0), (3, 1)])]]
