@@ -76,7 +76,18 @@ from .transport import (
     transport_linear,
 )
 
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to sys.stderr as it is at each record, redirected or not."""
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
+# the CLI's own stderr channel, whatever handlers the host process set up
+_handler = _StderrHandler()
+_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 log = logging.getLogger("bundleconn.cli")
+log.addHandler(_handler)
+log.propagate = False
 
 DEFAULT_STEPS = 400
 DEFAULT_TOL = 1e-6
@@ -779,9 +790,7 @@ CONFIG_ERRORS = (ConfigError, ParseError, UnboundVariable, StepCountTooSmall)
 
 
 def main(argv=None):
-    logging.basicConfig(stream=sys.stderr,
-                        level=os.environ.get("BUNDLECONN_LOG", "WARNING"),
-                        format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(os.environ.get("BUNDLECONN_LOG", "WARNING"))
     args = PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:

@@ -127,6 +127,10 @@ class _FieldArray:
 
     @classmethod
     def from_callable(cls, fn, shape, names, region=None):
+        # a class with a constructor of its own has no whole-array form
+        if cls.__init__ is not _FieldArray.__init__:
+            raise TypeError(f"{cls.__name__} takes callables as entries; "
+                            f"use MatrixField.from_callable")
         return cls(shape, names, region,
                    array_fn=lambda point: fn(*point))
 
@@ -211,26 +215,48 @@ class _FieldArray:
         """The field at every row of a (K, dim) point array, shape
         (K,) + shape, equal to stacking self(tuple(p)) over the rows. The
         program runs as one compiled batch, the kernel's statements
-        (exprlang.ssa_lines) on float columns of _ROWS rows. A callable
-        field or entry, a point outside the region, a libm error or a
-        non-finite value or tested operand falls back to that per-point
-        loop, so errors and their messages are the per-point ones. Below
-        _BATCH_MIN rows the loop runs at once, with no compile."""
+        (exprlang.ssa_lines) on float columns of _ROWS rows; a whole-array
+        callable is called once per row, in order, and its (K,) + shape
+        array built and tested once. An exception, a wrong shape, a callable
+        entry, a point outside the region, a libm error or a non-finite
+        value or tested operand falls back to that per-point loop, from the
+        first row, so errors and their messages are the per-point ones.
+        Below _BATCH_MIN rows a program runs the loop at once, with no
+        compile."""
         points = np.asarray(points, dtype=float)
-        out = self._batch_values(points) if len(points) >= _BATCH_MIN else None
+        if self._array_fn is not None:
+            out = self._callable_values(points)
+        elif len(points) >= _BATCH_MIN:
+            out = self._batch_values(points)
+        else:
+            out = None
         if out is None:
             out = np.array([self.floats(tuple(p.tolist())) for p in points])
         return out.reshape((len(points),) + self.shape)
 
-    def _batch_values(self, points):
-        if (self._array_fn is not None or self._program.callables
-                or points.shape[1] != len(self.names)):
-            return None
-        if self.region is not None:
-            lo, hi = np.array(self.region.bounds).T
-            if len(lo) != points.shape[1] or not (
-                    (lo < points) & (points < hi)).all():
+    def _inside(self, points):
+        """Whether every row lies in the region, as Region.contains tests."""
+        return self.region is None or (
+            points.shape[1] == self.region.dim
+            and bool(((self.region.lo < points)
+                      & (points < self.region.hi)).all()))
+
+    def _callable_values(self, points):
+        try:
+            if not self._inside(points):
                 return None
+            rows = map(tuple, points.tolist())
+            out = np.array([self._array_fn(p) for p in rows], dtype=float)
+        except Exception:   # noqa: BLE001 - the loop raises it in its order
+            return None
+        if out.shape == (len(points),) + self.shape and np.isfinite(out).all():
+            return out
+        return None
+
+    def _batch_values(self, points):
+        if (self._program.callables or points.shape[1] != len(self.names)
+                or not self._inside(points)):
+            return None
         if self._batch is None:
             v = [f"v{i}" for i in range(len(self.names))]
             lines, values, tested = ssa_lines(self._program, v)

@@ -406,9 +406,9 @@ def transport_linearity_suite():
         return transport_affine(aff, apath, v).final
 
     rho = float(rng.uniform(-1.5, 1.5))
-    zero = P(np.zeros(2))
-    err_a = float(np.max(np.abs(P(rho * X) - rho * P(X) - (1 - rho) * zero)))
-    err_b = float(np.max(np.abs(P(X + Y) - P(X) - P(Y) + zero)))
+    zero, PX = P(np.zeros(2)), P(X)
+    err_a = float(np.max(np.abs(P(rho * X) - rho * PX - (1 - rho) * zero)))
+    err_b = float(np.max(np.abs(P(X + Y) - PX - P(Y) + zero)))
 
     checks = [
         _check("linearity", "4.18", lin_err, 1e-9),

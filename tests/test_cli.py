@@ -8,6 +8,7 @@ import copy
 import gc
 import io
 import json
+import logging
 import math
 import re
 import subprocess
@@ -1186,6 +1187,32 @@ def test_region_beside_a_registry_connection_is_ignored(tmp_path, capsys):
     warned = json.loads(proc.stdout)
     assert warned["inputs"]["config"].pop("region") == cfg["region"]
     assert warned == plain
+
+
+def test_cli_warnings_reach_stderr_beside_a_host_root_handler(
+        tmp_path, capsys, monkeypatch):
+    # a host that configured logging first: the CLI still prints its
+    # warning on stderr, once, at the BUNDLECONN_LOG level, and the host's
+    # handlers see none of its lines
+    cfg = {"connection": "registry:sphere-lc", "point": [1.1, 0.4],
+           "region": [[0.0, 1.0], [0.0, 1.0]]}
+    path = write_config(tmp_path, cfg)
+    alone = subprocess.run(
+        [sys.executable, "-m", "bundleconn.cli", "curvature", "--config",
+         path], capture_output=True, text=True)
+    host = logging.StreamHandler(io.StringIO())
+    logging.getLogger().addHandler(host)
+    try:
+        assert cli.main(["curvature", "--config", path]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (alone.stdout, alone.stderr)
+        assert err.count("WARNING bundleconn.cli: ") == 1
+        monkeypatch.setenv("BUNDLECONN_LOG", "ERROR")
+        assert cli.main(["curvature", "--config", path]) == 0
+        assert capsys.readouterr() == (alone.stdout, "")
+    finally:
+        logging.getLogger().removeHandler(host)
+    assert host.stream.getvalue() == "" and not cli.log.propagate
 
 
 @pytest.mark.parametrize("name", ["steps-fraction", "steps-half",

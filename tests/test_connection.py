@@ -244,6 +244,12 @@ def test_adapted_frame_matrix_blocks():
     assert np.allclose(Minv, np.linalg.inv(M), atol=1e-14)
 
 
+def test_two_index_from_exprs_rejects_the_wrong_shape():
+    with pytest.raises(ValueError) as info:
+        TwoIndexField.from_exprs([["0", "0"]], 2, 2)
+    assert str(info.value) == "expected shape (2, 2), got (1, 2)"
+
+
 def test_adapted_frame_matrix_shape():
     g3 = CoefficientField3.constant(CONSTANT_STACK)
     g2 = TwoIndexField.from_linear(g3)

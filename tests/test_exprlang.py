@@ -83,6 +83,13 @@ def test_unbalanced_call_offset():
     assert exc.value.offset == 4
 
 
+def test_call_without_its_closing_parenthesis():
+    with pytest.raises(ParseError) as exc:
+        parse("sin(1 2)")
+    assert (str(exc.value), exc.value.offset) == (
+        "unbalanced parenthesis, expected ')' at byte 6", 6)
+
+
 def test_eval_linear_arithmetic():
     assert evaluate(parse("x1+2"), {"x1": 3.0}) == 5.0
 

@@ -464,6 +464,78 @@ def test_values_raises_the_per_point_error(entries, region, bad):
     assert first_error(lambda: field.values(points)) == expected
 
 
+def raised(fn):
+    """The type and message of any exception fn() raises."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+CALLABLE_ROWS = np.array([(1.0, 1.0), (1.2, 0.7), (0.5, 0.5), (0.9, 1.1)])
+INNER = MatrixField.from_exprs([["x1 * x2"]], XY,
+                               Region([(0.6, 2.0), (0.1, 1.5)]))
+CALLABLE_ROW_CASES = {
+    # a 1 x 2 callable field whose row 2 of CALLABLE_ROWS fails (every row,
+    # where named), its region, and the per-point loop's first error
+    "wrong-shape": (
+        lambda x1, x2: [x1, x2] if x1 == 0.5 else [[x1, x2]], None,
+        (ValueError, "callable returned shape (2,), expected (1, 2)")),
+    "every-row-the-wrong-shape": (
+        lambda x1, x2: [x1, x2], None,
+        (ValueError, "callable returned shape (2,), expected (1, 2)")),
+    "nan": (
+        lambda x1, x2: [[math.nan if x1 == 0.5 else x1, x2]], None,
+        (NonFinite, "non-finite array value at (0.5, 0.5)")),
+    "nan-before-a-zero-division": (
+        lambda x1, x2: [[math.nan if x1 == 0.5 else x1, x2 / (x1 - 0.9)]],
+        None, (NonFinite, "non-finite array value at (0.5, 0.5)")),
+    "nested-domain-exit": (
+        lambda x1, x2: [[INNER((x1, x2))[0, 0], x2]], None,
+        (DomainExit, "point (0.5, 0.5) outside region "
+                     "((0.6, 2.0), (0.1, 1.5))")),
+    "outside-region": (
+        lambda x1, x2: [[x1, x2]], Region([(0.6, 2.0), (0.1, 1.5)]),
+        (DomainExit, "point (0.5, 0.5) outside region "
+                     "((0.6, 2.0), (0.1, 1.5))")),
+}
+
+
+@pytest.mark.parametrize("fn, region, expected", CALLABLE_ROW_CASES.values(),
+                         ids=list(CALLABLE_ROW_CASES))
+def test_callable_values_raise_the_per_point_error(fn, region, expected):
+    field = MatrixField.from_callable(fn, (1, 2), XY, region)
+    assert raised(lambda: stacked(field, CALLABLE_ROWS)) == expected
+    assert raised(lambda: field.values(CALLABLE_ROWS)) == expected
+
+
+def test_callable_values_take_one_pass(monkeypatch):
+    calls = []
+
+    def fn(x1, x2):
+        calls.append((x1, x2))
+        return np.array([[x1 * x2, math.exp(x1)], [1.0, x2]])
+
+    field = MatrixField.from_callable(fn, (2, 2), XY, ALL_OPS_REGION)
+    points = batch_points(40)
+    want = stacked(field, points)
+    calls.clear()
+    monkeypatch.setattr(MatrixField, "floats", lambda self, p: 1 / 0)
+    for rows in (points[:1], points):     # any row count takes the pass
+        assert field.values(rows).tobytes() == want[:len(rows)].tobytes()
+    assert calls == [tuple(p) for p in points[:1].tolist() + points.tolist()]
+
+
+@pytest.mark.parametrize("cls, shape", [(ScalarField, ()),
+                                        (SectionField, (2,)),
+                                        (TensorField, (2, 2))])
+def test_from_callable_is_refused_by_entry_classes(cls, shape):
+    # these classes build from entries, a callable entry among them
+    with pytest.raises(TypeError) as info:
+        cls.from_callable(lambda x1, x2: np.zeros(shape), shape, XY)
+    assert str(info.value) == (f"{cls.__name__} takes callables as entries; "
+                               f"use MatrixField.from_callable")
+
+
 def test_values_raises_at_the_first_bad_point_not_the_first_bad_entry():
     # the second entry fails at row 1, the first entry only at row 2
     field = MatrixField.from_exprs([["1/(x1 - 0.5)", "ln(x2)"]], XY)

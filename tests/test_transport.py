@@ -61,6 +61,18 @@ def test_pathspec_validation():
         PathSpec()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PathSpec(exprs=["t"]), "expression paths need an interval"),
+    (lambda: geodesic(CoefficientField3.zero(2, 1), (0.0, 0.0), (1.0, 0.0),
+                      1.0, 16),
+     "geodesics need tangent-bundle coefficients (r = n)"),
+], ids=["expr-path-without-interval", "geodesic-r-not-n"])
+def test_rejected_inputs_name_their_fault(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_step_count_too_small():
     g3 = CoefficientField3.zero(1, 1)
     with pytest.raises(StepCountTooSmall):
