@@ -110,55 +110,62 @@ def _format_float(value):
 
 def _template(shape):
     """The %-template that writes a finite float array of this shape as
-    _emit writes its nested lists."""
+    dumps writes its nested lists."""
     template = "%.17g"
     for k in reversed(shape):
         template = "[" + ", ".join([template] * k) + "]"
     return template
 
 
-def _emit(obj, parts):
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif isinstance(obj, np.ndarray):
-        if obj.ndim and obj.dtype == np.float64 and np.isfinite(obj).all():
-            parts.append(_template(obj.shape) % tuple(obj.ravel().tolist()))
-        else:
-            _emit(obj.tolist(), parts)
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string JSON key {key!r}")
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(key))
-            parts.append(": ")
-            _emit(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _emit(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+# json.dumps's own writer for a str: ASCII out, the same escapes
+_escape = json.encoder.encode_basestring_ascii
+# one template per array shape the process has written
+_TEMPLATES = {}
 
 
 def dumps(obj):
-    parts = []
-    _emit(obj, parts)
-    return "".join(parts)
+    """The JSON text of obj: keys sorted, floats at 17 significant digits.
+    The exact payload types are dispatched first; the isinstance chain
+    serves None, bools, ints, numpy scalars and subclasses."""
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is not dict and kind is not list and kind is not tuple \
+            and kind is not np.ndarray:
+        if obj is None:
+            return "null"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, str):
+            return _escape(obj)
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return _format_float(float(obj))
+        if isinstance(obj, np.ndarray):
+            kind = np.ndarray
+        elif isinstance(obj, dict):
+            kind = dict
+        elif not isinstance(obj, (list, tuple)):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if kind is dict:
+        parts = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string JSON key {key!r}")
+            parts.append(_escape(key) + ": " + dumps(obj[key]))
+        return "{" + ", ".join(parts) + "}"
+    if kind is np.ndarray:
+        if not (obj.ndim and obj.dtype == np.float64
+                and np.isfinite(obj).all()):
+            return dumps(obj.tolist())
+        template = _TEMPLATES.get(obj.shape)
+        if template is None:
+            template = _TEMPLATES[obj.shape] = _template(obj.shape)
+        return template % tuple(obj.ravel().tolist())
+    return "[" + ", ".join([dumps(item) for item in obj]) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -787,13 +794,22 @@ PARSER = build_parser()
 
 # malformed configs exit 2; every other EngineError is a numerical failure
 CONFIG_ERRORS = (ConfigError, ParseError, UnboundVariable, StepCountTooSmall)
+# the values of BUNDLECONN_LOG, in any case
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def main(argv=None):
-    log.setLevel(os.environ.get("BUNDLECONN_LOG", "WARNING"))
     args = PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        level = os.environ.get("BUNDLECONN_LOG", "WARNING")
+        known = level.upper() in LOG_LEVELS
+        # an unknown level is reported at the default one
+        log.setLevel(level.upper() if known else "WARNING")
+        if not known:
+            raise ConfigError(f"BUNDLECONN_LOG must be one of "
+                              f"{', '.join(LOG_LEVELS)} (in any case), "
+                              f"got {level!r}")
         # an overflow or NaN ends in NonFinite, not in a numpy warning
         with np.errstate(all="ignore"):
             if args.command == "check":

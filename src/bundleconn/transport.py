@@ -116,11 +116,14 @@ def _expr_grid(path):
     hv = span / (64.0 * N)
     tgrid = t0 + span * np.arange(2 * N + 1) / (2.0 * N)
     pos = path.exprs.values(tgrid[:, None])
-    # t + hv and t - hv interleaved node by node, so a failing batch
-    # re-runs in the order the stencil visits the points
-    shifted = path.exprs.values(
-        np.stack([tgrid + hv, tgrid - hv], axis=1).reshape(-1, 1))
-    vel = (shifted[0::2] - shifted[1::2]) / (2.0 * hv)
+    vel = np.empty_like(pos)
+    # in runs of nodes, t + hv and t - hv interleaved node by node, so a
+    # failing run re-runs in the order the stencil visits the points
+    for lo, hi in _blocks(len(tgrid), 2 * _BLOCK):
+        t = tgrid[lo:hi]
+        shifted = path.exprs.values(
+            np.stack([t + hv, t - hv], axis=1).reshape(-1, 1))
+        vel[lo:hi] = (shifted[0::2] - shifted[1::2]) / (2.0 * hv)
     if not np.isfinite(vel).all():
         raise NonFinite("non-finite path velocity")
     bases = 2 * np.arange(N)

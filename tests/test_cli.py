@@ -3,6 +3,7 @@ contract (eq tags, sorted keys, 17-significant-digit floats), exit codes,
 byte-level determinism, and the documented examples."""
 
 import ast
+import collections
 import contextlib
 import copy
 import gc
@@ -19,6 +20,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bundleconn import cli
 from bundleconn.calculus import curvature, curvature_law
@@ -627,6 +629,122 @@ def test_other_arrays_dump_one_value_at_a_time(monkeypatch):
             cli.dumps(np.array([[1.0, 2.0], [bad, 3.0]]))
 
 
+def test_writer_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="^non-string JSON key 1$"):
+        cli.dumps({1: 2})
+    with pytest.raises(TypeError, match="^cannot serialize set$"):
+        cli.dumps({"a": {1}})
+
+
+def reference_emit(obj, parts):
+    """The writer as it was before dumps returned each value's text: one
+    isinstance chain, pieces appended to a list."""
+    if obj is None:
+        parts.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(cli._format_float(float(obj)))
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim and obj.dtype == np.float64 and np.isfinite(obj).all():
+            parts.append(cli._template(obj.shape)
+                         % tuple(obj.ravel().tolist()))
+        else:
+            reference_emit(obj.tolist(), parts)
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string JSON key {key!r}")
+            if i:
+                parts.append(", ")
+            parts.append(json.dumps(key))
+            parts.append(": ")
+            reference_emit(obj[key], parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                parts.append(", ")
+            reference_emit(item, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj):
+    parts = []
+    reference_emit(obj, parts)
+    return "".join(parts)
+
+
+def outcome(write, obj):
+    """The text write gives obj, or the type and message of its error."""
+    try:
+        return write(obj)
+    except (TypeError, NonFinite) as exc:
+        return type(exc), str(exc)
+
+
+ARRAY_SHAPES = st.sampled_from([(), (0,), (3,), (2, 0), (2, 3), (1, 2, 2)])
+JSON_TEXT = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", " ",
+     "\U0001d11e", "\ud800"]), max_size=8)
+PAYLOAD_LEAVES = st.one_of(
+    JSON_TEXT,
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324]),
+    st.floats(width=32).map(np.float32),
+    ARRAY_SHAPES.flatmap(lambda shape: st.one_of(
+        hnp.arrays(np.float64, shape),
+        hnp.arrays(np.float64, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False)),
+        hnp.arrays(np.int64, shape),
+        hnp.arrays(np.bool_, shape))),
+)
+PAYLOADS = st.recursive(
+    PAYLOAD_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(obj=PAYLOADS)
+def test_writer_matches_the_reference_writer(obj):
+    assert outcome(cli.dumps, obj) == outcome(reference_dumps, obj)
+
+
+class Label(str):
+    pass
+
+
+class Grid(np.ndarray):
+    pass
+
+
+def test_subclasses_write_as_their_base_types():
+    point = collections.namedtuple("point", "x y")
+    obj = collections.OrderedDict(
+        [("z", point(0.5, Label("é\n"))),
+         ("a", np.array([[1.0, -0.0]]).view(Grid)),
+         (Label("m"), np.int64(3))])
+    text = '{"a": [[1, -0]], "m": 3, "z": [0.5, "\\u00e9\\n"]}'
+    assert cli.dumps(obj) == reference_dumps(obj) == text
+
+
 def test_grid_jobs_leave_nothing_behind_in_the_cli(tmp_path, capsys):
     # one process may run thousands of jobs: what the CLI allocates while
     # it builds and writes a grid must not outlive the job
@@ -1213,6 +1331,34 @@ def test_cli_warnings_reach_stderr_beside_a_host_root_handler(
     finally:
         logging.getLogger().removeHandler(host)
     assert host.stream.getvalue() == "" and not cli.log.propagate
+
+
+@pytest.mark.parametrize("level", ["info", "Info", "DEBUG"])
+def test_log_level_names_are_read_in_any_case(tmp_path, capsys, monkeypatch,
+                                              level):
+    path = write_config(tmp_path, {"connection": "registry:sphere-lc",
+                                   "point": [1.1, 0.4]})
+    monkeypatch.setenv("BUNDLECONN_LOG", level)
+    assert cli.main(["curvature", "--config", path]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["command"] == "curvature"
+    assert re.fullmatch(r"INFO bundleconn\.cli: curvature finished in "
+                        r"\d+\.\d{3}s\n", err)
+
+
+@pytest.mark.parametrize("level", ["verbose", "", "WARN"])
+def test_an_unknown_log_level_is_a_config_error(tmp_path, capsys,
+                                                monkeypatch, level):
+    # reported before the config is read, so a missing config is no matter
+    monkeypatch.setenv("BUNDLECONN_LOG", level)
+    message = ("BUNDLECONN_LOG must be one of DEBUG, INFO, WARNING, ERROR, "
+               f"CRITICAL (in any case), got {level!r}")
+    assert cli.main(["curvature", "--config",
+                     str(tmp_path / "missing.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == cli.dumps({"command": "curvature", "error": {
+        "type": "ConfigError", "message": message}}) + "\n"
+    assert err == f"ERROR bundleconn.cli: curvature failed: {message}\n"
 
 
 @pytest.mark.parametrize("name", ["steps-fraction", "steps-half",

@@ -250,6 +250,25 @@ def test_two_index_from_exprs_rejects_the_wrong_shape():
     assert str(info.value) == "expected shape (2, 2), got (1, 2)"
 
 
+def test_affine_coefficients_reject_an_inhomogeneous_part_of_the_wrong_shape():
+    linear = CoefficientField3.constant(np.zeros((2, 2, 2)))
+    inhom = MatrixField.constant(np.zeros((1, 3)), base_names(2))
+    with pytest.raises(ValueError) as info:
+        AffineCoefficients(linear, inhom)
+    assert str(info.value) == ("inhomogeneous part must have shape (2, 2), "
+                               "got (1, 3)")
+
+
+@pytest.mark.parametrize("base, fibre", [(np.ones((1, 2)), np.eye(2)),
+                                         (np.eye(2), np.ones((2, 1)))])
+def test_frame_change_rejects_blocks_that_are_not_square(base, fibre):
+    names = base_names(2)
+    with pytest.raises(ValueError) as info:
+        FrameChange(MatrixField.constant(base, names),
+                    MatrixField.constant(fibre, names))
+    assert str(info.value) == "frame-change blocks must be square"
+
+
 def test_adapted_frame_matrix_shape():
     g3 = CoefficientField3.constant(CONSTANT_STACK)
     g2 = TwoIndexField.from_linear(g3)

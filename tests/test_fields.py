@@ -150,6 +150,14 @@ def test_matrix_field_constant_template():
     assert np.allclose(out, [[1.0, 0.0], [3.0, 2.0]])
 
 
+def test_matrix_field_constant_rejects_a_non_finite_entry():
+    # the entry becomes a Const node, and building its program refuses it
+    with pytest.raises(NonFinite, match="^constant inf$") as info:
+        MatrixField.constant([[math.inf]], ("x1",))
+    frames = [(entry.path.name, entry.name) for entry in info.traceback]
+    assert ("exprlang.py", "program") in frames
+
+
 def test_frame_field_singular_detection():
     frame = FrameField.from_exprs([["1", "0"], ["0", "x1"]], XY)
     with pytest.raises(SingularFrame):

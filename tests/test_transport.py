@@ -409,11 +409,51 @@ GRID_CONNECTIONS = {
 
 
 def test_expr_path_grid_equals_per_node_loop():
+    # velocities are taken in runs of at most 2 * _BLOCK nodes: 2 * steps + 1
+    # nodes make one run, one, two and five
     exprs, t0, t1 = GRID_EXPRS
-    grid = _grid(grid_paths()["expr"])
-    pos, vel = per_node_expr_grid(exprs, t0, t1, 200)
-    assert np.array_equal(grid.pos, pos)
-    assert np.array_equal(grid.vel, vel)
+    for steps in (200, transport._BLOCK - 1, transport._BLOCK, 2500):
+        grid = _grid(grid_paths(steps)["expr"])
+        pos, vel = per_node_expr_grid(exprs, t0, t1, steps)
+        assert np.array_equal(grid.pos, pos)
+        assert np.array_equal(grid.vel, vel)
+
+
+@pytest.mark.parametrize("pole, log_zero, message", [
+    (2500, 3500, "division by zero"),
+    (3500, 2500, "ln: math domain error"),
+    (3001, 3500, "division by zero"),
+])
+def test_expr_path_velocity_fails_at_its_first_failing_node(pole, log_zero,
+                                                            message):
+    # each singularity sits on a shifted stencil point, never on a node; the
+    # node first visited raises, whichever run of nodes it falls in
+    steps = 2000
+    hv = 1.0 / (64.0 * steps)
+    nodes = np.arange(2 * steps + 1) / (2.0 * steps)
+    c = float(nodes[pole] - hv)
+    d = float(nodes[log_zero] + hv)
+    path = PathSpec(exprs=[f"ln(abs(t - {d!r})) + 1/(t - {c!r})", "t"],
+                    interval=(0.0, 1.0), steps=steps)
+    path.exprs.values(nodes[:, None])           # every node is fine
+    with pytest.raises(NonFinite, match=f"^{message}$"):
+        _grid(path)
+
+
+def test_expr_path_grid_memory_peak():
+    # velocities are built in runs of nodes, so the grid's build holds
+    # little beyond the grid itself
+    path = PathSpec(exprs=["0.3 + 0.5*t", "0.2 + sin(t)"], interval=(0.0, 1.0),
+                    steps=20_000)
+    tracemalloc.start()
+    try:
+        grid = _grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (grid.pos, grid.vel, grid.bases, grid.hs,
+                                  grid.ts))
+    assert peak < 2 * size
 
 
 def per_segment_polyline_grid(path):
