@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 
 import numpy as np
 
@@ -24,7 +25,7 @@ SINGULAR_DET = 1e-12
 FD_STEP_FIRST = 1e-5
 FD_STEP_NESTED = 1e-4
 _DEFINED = itertools.count()    # numbers the file names of compiled code
-_ROWS = 4096    # rows per batch call: SSA keeps every temporary column alive
+_ROWS = 4096    # rows per batch call: a batch holds its live temporary columns
 # fewer rows run point by point: compiling a batch costs as much as ~80 rows
 _BATCH_MIN = 80
 
@@ -262,7 +263,7 @@ class _FieldArray:
             lines, values, tested = ssa_lines(self._program, v)
             self._batch = _define("batch", [
                 f"def batch({', '.join(v)}):",
-                *(f"    {line}" for line in lines),
+                *(f"    {line}" for line in _freeing(lines, values + tested)),
                 f"    return [{', '.join(values + tested)}]"],
                 dict(BATCH_GLOBALS))
         out = np.empty((len(points), len(self._program.outputs)))
@@ -278,6 +279,24 @@ class _FieldArray:
                 for pos, value in enumerate(checks[:out.shape[1]]):
                     out[start:start + _ROWS, pos] = value
         return out
+
+
+def _freeing(lines, kept):
+    """The statements t{j} = ... of ssa_lines, each followed by a `del` of
+    the temporaries it reads last, except those in kept: a batch then holds
+    only the columns it still reads."""
+    last, kept = {}, set(kept)
+    for i, line in enumerate(lines):
+        for name in re.findall(r"\bt\d+\b", line.partition(" = ")[2]):
+            last[name] = i
+    dead = [[] for _ in lines]
+    for name, i in last.items():
+        if name not in kept:
+            dead[i].append(name)
+    for line, names in zip(lines, dead):
+        yield line
+        if names:
+            yield f"del {', '.join(names)}"
 
 
 class ScalarField(_FieldArray):

@@ -8,7 +8,10 @@ blocks of at most _BLOCK steps, and the linear right-hand sides evaluate
 their coefficients on one block's nodes at a time, so a transport holds its
 samples, the path grid and one block. RK4 runs on the state as a flat list
 of floats, one step per call of a step function (_checked_step over a
-right-hand side). The right-hand sides that depend on the state (general
+right-hand side). A linear stage is A.dot(state) + g on the node's
+coefficient matrix A: for a matrix times a vector or a matrix, the BLAS
+product of A @ state without its dispatch, taking a vector state's float
+list as it is. The right-hand sides that depend on the state (general
 transport, geodesics) come from one helper, _state_rk4: an index plan
 contracted (_contract, np.einsum order) by the checked step and the
 batched defect over every entry, and by one compiled RK4 step per driver
@@ -297,9 +300,12 @@ def _linear_rhs_matrices(g3, grid, nodes):
 
 
 def _transport_linear_system(g3, grid, y0, gvecs=None):
-    if gvecs is None:
-        gvecs = np.zeros((len(grid.pos), g3.r))
-    shape = np.shape(y0)
+    r, shape = g3.r, np.shape(y0)
+    if shape not in ((r,), (r, r)):
+        raise ValueError(f"initial value of shape {shape}, expected ({r},) "
+                         f"or ({r}, {r})")
+    if gvecs is None:       # one zero row, read at every node
+        gvecs = np.broadcast_to(np.zeros(r), (len(grid.pos), r))
 
     def block(lo, hi):
         # steps lo..hi-1 span the nodes bases[lo] to bases[hi - 1] + 2; the
@@ -308,9 +314,15 @@ def _transport_linear_system(g3, grid, y0, gvecs=None):
         A = _linear_rhs_matrices(g3, grid,
                                  slice(first, int(grid.bases[hi - 1]) + 3))
 
-        def rhs(k, y):
-            return (A[k - first] @ np.array(y).reshape(shape)
-                    + gvecs[k]).ravel().tolist()
+        # ndarray.dot runs the BLAS product of @ without its dispatch, and
+        # takes the float list of a vector state as it is
+        if len(shape) == 1:
+            def rhs(k, y):
+                return (A[k - first].dot(y) + gvecs[k]).tolist()
+        else:
+            def rhs(k, y):
+                return (A[k - first].dot(np.array(y).reshape(shape))
+                        + gvecs[k]).ravel().tolist()
 
         def rhs_many(ks, ys):
             Ak = A[ks - first]

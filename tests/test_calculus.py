@@ -585,6 +585,19 @@ def test_flat_fundamental_pure_gauge():
     assert residual <= 1e-7
 
 
+def test_flat_fundamental_skips_a_leg_of_zero_length():
+    # x0 and x1 share x2: each staircase has one leg of zero length, which
+    # is skipped, so both integrate the same x1 leg
+    pg = make_pure_gauge()
+    x0, x1 = (0.2, 0.1), (0.9, 0.1)
+    W, residual = flat_fundamental_matrix(pg.g3, x0, x1, steps_per_leg=64)
+    leg = fundamental_solution(pg.g3, PathSpec(points=[x0, x1], steps=64))
+    assert W.tobytes() == leg.tobytes()
+    assert residual == 0.0
+    expected = pg.gauge(x1) @ np.linalg.inv(pg.gauge(x0))
+    assert W == pytest.approx(expected, abs=1e-7)
+
+
 def test_flat_fundamental_constant_commuting():
     K = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g3 = CoefficientField3.constant(np.stack([K, 2.0 * K]))

@@ -128,6 +128,13 @@ def test_eval_nonfinite_cases(source):
         evaluate(parse(source), {})
 
 
+def test_function_that_returns_a_non_finite_value_names_it():
+    # cos(x) / sin(x) overflows without raising: docs/grammar.md's example
+    with pytest.raises(NonFinite) as info:
+        evaluate(parse("cot(x1)"), {"x1": 1e-320})
+    assert str(info.value) == "cot produced inf"
+
+
 def test_eval_pow_corner_values():
     assert evaluate(parse("0^0"), {}) == 1.0
     assert evaluate(parse("pow(0, 0)"), {}) == 1.0

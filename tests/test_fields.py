@@ -86,6 +86,11 @@ def test_region_rejects_empty_interval():
         Region([(1.0, 1.0)])
 
 
+def test_region_repr_lists_its_bounds():
+    region = Region([(0, 1.5), (-math.inf, math.inf)])
+    assert repr(region) == "Region([(0.0, 1.5), (-inf, inf)])"
+
+
 def test_fd_partial_exact_on_quadratic():
     f = ScalarField("x1*x1", ("x1",))
     assert fd_partial(f, (1.0,), 0) == pytest.approx(2.0, abs=1e-9)
@@ -144,6 +149,21 @@ def test_callable_entry_returning_nan_raises_the_array_message():
         assert str(info.value) == "non-finite array value at (0.5, 0.25)"
 
 
+def test_scalar_field_entry_over_other_names_reads_the_point_by_position():
+    # a ScalarField entry keeps its own names: over other names its program
+    # runs as a callable entry on the point's coordinates in order
+    inner = ScalarField("x1 - 2*x2", XY)
+    field = SectionField([inner, "y3", ScalarField(4.0, XY)],
+                         ("y1", "y2", "y3"))
+    assert field.r == 3
+    assert field.floats((5.0, 1.5, 7.0)) == [2.0, 7.0, 4.0]
+    assert field._program.callables
+    # over the same names it lends its expression, and runs compiled
+    same = SectionField([inner, "x1"], XY)
+    assert not same._program.callables
+    assert same.floats((5.0, 1.5)) == [2.0, 5.0]
+
+
 def test_matrix_field_constant_template():
     M = MatrixField.from_exprs([["1", "0"], ["x1", "2"]], ("x1",))
     out = M((3.0,))
@@ -162,6 +182,12 @@ def test_frame_field_singular_detection():
     frame = FrameField.from_exprs([["1", "0"], ["0", "x1"]], XY)
     with pytest.raises(SingularFrame):
         frame((0.0, 0.0))
+
+
+def test_identity_frame_defaults_to_the_base_names():
+    frame = FrameField.identity(3)
+    assert frame.names == ("x1", "x2", "x3") and frame.region is None
+    assert np.array_equal(frame((0.3, -1.2, 4.0)), np.eye(3))
 
 
 def test_anholonomy_coordinate_frame_is_zero():
@@ -1044,6 +1070,7 @@ def batch_source(field):
 
 
 SSA_NAME = re.compile(r"[tv]\d+")
+SSA_DEL = re.compile(r"del t\d+(, t\d+)*")
 BATCH_LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                 tokenize.ENDMARKER)
 
@@ -1057,14 +1084,17 @@ def test_kernel_statements_hold_only_generated_names(tree):
         *(line.split(" = ")[0] for line in lines),
         *(f"v{i}" for i in range(len(XU)))} | {
         v for v in values + tested if v.startswith("(")}
-    # the statements, and the batch of a field around them
+    # the statements, and the batch of a field around them, which frees
+    # its temporaries with `del` and nothing but SSA names after it
     source = batch_source(ScalarField(tree, XU))
     for line in lines + source.splitlines():
         for tok in tokenize.generate_tokens(io.StringIO(line).readline):
             if tok.type == tokenize.NAME:
                 assert (SSA_NAME.fullmatch(tok.string)
                         or tok.string in FUNCTION_ARITY
-                        or tok.string in ("def", "batch", "return")), line
+                        or tok.string in ("def", "batch", "return")
+                        or tok.string == "del"
+                        and SSA_DEL.fullmatch(line.strip())), line
             elif tok.type == tokenize.NUMBER:
                 assert repr(float(tok.string)) == tok.string, line
             elif tok.type == tokenize.OP:
