@@ -8,14 +8,15 @@ with one entry per numeric verdict. A check is
 where kind "le" means value must stay at or below bound and "ge" means at
 or above.
 
-The random fixtures are uniform draws from the stream of
-`numpy.random.default_rng(seed)`, one fixed seed per suite, made by
-`_DefaultRng`, which reproduces it bit for bit without numpy.random.
+The random fixtures are uniform draws `low + (high - low) * random()` on the
+stream of the standard library's `random.Random(seed)`, one fixed integer
+seed per suite, made by `_Rng` in row-major order.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -98,59 +99,12 @@ def _rel(a, b):
 # ---------------------------------------------------------------------------
 # random smooth fixtures (all suite randomness is seeded and deterministic)
 
-_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
-
-
-def _hashmix(const, mult):
-    """numpy SeedSequence's hashmix: one word in, its constant advancing."""
-    def mix(value):
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return mix
-
-
-def _mix(x, y):
-    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-    return r ^ r >> 16
-
-
-class _DefaultRng:
-    """`numpy.random.default_rng(seed).uniform` for a seed below 2**128,
-    bit for bit, without importing numpy.random: SeedSequence(seed) hashes
-    the seed into four 64-bit words, which seed PCG64 (a 128-bit LCG with
-    the XSL-RR output; O'Neill 2014), whose 64-bit outputs become doubles
-    in [0, 1)."""
-
-    MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, seed):
-        words = [seed >> k & _M32
-                 for k in range(0, seed.bit_length() or 1, 32)]
-        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        out = _hashmix(0x8B51F9DD, 0x58F38DED)
-        s = [out(pool[i % 4]) for i in range(8)]
-        w = [s[i] | s[i + 1] << 32 for i in (0, 2, 4, 6)]
-        # pcg_setseq_128_srandom_r: state 0, step, add the seed, step
-        self.inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
-        init = w[0] << 64 | w[1]
-        self.state = ((self.inc + init) * self.MULT + self.inc) & _M128
-
-    def _next64(self):
-        self.state = (self.state * self.MULT + self.inc) & _M128
-        x, rot = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
-        return (x >> rot | x << (64 - rot)) & _M64
+class _Rng(random.Random):
+    """Seeded uniform draws built on `random()`, whose stream Python keeps
+    the same for an integer seed (`Random.uniform` has no such promise)."""
 
     def uniform(self, low, high, size=None):
-        width = high - low
-        u = [low + width * ((self._next64() >> 11) * 2.0 ** -53)
+        u = [low + (high - low) * self.random()
              for _ in range(1 if size is None else int(np.prod(size)))]
         return u[0] if size is None else np.reshape(u, size)
 
@@ -214,7 +168,7 @@ def _rand_section(rng):
 
 
 def transformation_laws_suite():
-    rng = _DefaultRng(101)
+    rng = _Rng(101)
     worst = {"3.22": 0.0, "4.25": 0.0, "6.33": 0.0, "4.63": 0.0,
              "2.7-1": 0.0, "2.7-3": 0.0}
     for _ in range(20):
@@ -229,8 +183,6 @@ def transformation_laws_suite():
         # two-index law under a coordinate change: transform, then invert
         g2 = _rand_g2(rng)
         M = np.eye(2) + rng.uniform(-0.4, 0.4, size=(2, 2))
-        while abs(np.linalg.det(M)) < 0.3:
-            M = np.eye(2) + rng.uniform(-0.4, 0.4, size=(2, 2))
         shift = rng.uniform(-0.5, 0.5, size=2)
         S = _rand_unitriangular(rng, BASE_NAMES)
         Minv = np.linalg.inv(M)
@@ -292,7 +244,7 @@ def transformation_laws_suite():
 
 
 def curvature_tensoriality_suite():
-    rng = _DefaultRng(202)
+    rng = _Rng(202)
     worst = 0.0
     for _ in range(20):
         x = _rand_point(rng)
@@ -322,7 +274,7 @@ def _triangle(g3, g2, rng):
 
 
 def covd_triangle_suite():
-    rng = _DefaultRng(303)
+    rng = _Rng(303)
     worst = {"lin-4.37-vs-4.38": 0.0, "lin-4.37-vs-4.32": 0.0,
              "lin-4.38-vs-4.32": 0.0, "aff-4.37-vs-4.38": 0.0,
              "aff-4.37-vs-4.32": 0.0, "aff-4.38-vs-4.32": 0.0}
@@ -387,7 +339,7 @@ def curvature_commutator_suite():
 
 
 def transport_linearity_suite():
-    rng = _DefaultRng(505)
+    rng = _Rng(505)
     g3 = make_sphere_lc().g3
     path = PathSpec(points=[(1.0, 0.3), (1.3, 1.0), (0.8, 1.6)], steps=1000)
     X = rng.uniform(-1.0, 1.0, size=2)
@@ -582,7 +534,7 @@ def covariantly_constant_suite():
 
 
 def affine_gap_suite():
-    rng = _DefaultRng(1111)
+    rng = _Rng(1111)
     lin = _rand_g3(rng)
     G = _rand_inhom(rng)
     aff = AffineCoefficients(lin, G)
@@ -629,7 +581,7 @@ def morphism_suite():
     m = BundleMorphism.vector(["x1", "x2"], [["1", "x1"], ["x2", "2"]], 2, 2)
     x = (1.1, 0.6)
     D = vb_morphism_coeffs(m, g3s, g3t, x)
-    rng = _DefaultRng(1212)
+    rng = _Rng(1212)
     worst_contract = 0.0
     for _ in range(5):
         u = rng.uniform(-2.0, 2.0, size=2)
@@ -672,7 +624,6 @@ def _sexpr(ast):
     if isinstance(ast, Call):
         args = " ".join(_sexpr(a) for a in ast.args)
         return f"(call {ast.func} {args})"
-    raise TypeError(f"unknown node {ast!r}")
 
 
 # Hand-derived from the published grammar; the test battery cross-checks

@@ -3,10 +3,11 @@ each (run with -s to see the lines). Every test executes the matching
 property suite from bundleconn.suites at its stated tolerances; the four
 criteria with runtime budgets enforce them; the parser criterion further
 pins the frozen grammar tables to the independent oracle parser. The
-suites' random fixtures are checked against numpy's own stream, and
-running every suite must not import numpy.random."""
+suites' random fixtures are checked against the standard library's
+random() stream, and running every suite must not import numpy.random."""
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from bundleconn import suites
+from bundleconn.errors import ConfigError
 
 from _oracle_parser import ERROR_CASES, PRECEDENCE_CASES, oracle_sexpr
 
@@ -97,26 +99,72 @@ def test_criterion_13_parser():
     _run("parser")
 
 
+def test_flatness_suite_fails_on_a_wrong_verdict(monkeypatch):
+    is_flat = suites.is_flat
+
+    def flipped(g3, pts):
+        flat, worst = is_flat(g3, pts)
+        return not flat, worst
+
+    monkeypatch.setattr(suites, "is_flat", flipped)
+    res = suites.run_suite("flatness")
+    assert not res["passed"]
+    assert [c["name"] for c in res["checks"] if not c["passed"]] == [
+        "verdicts"]
+
+
+def test_parser_suite_counts_each_wrong_entry(monkeypatch):
+    monkeypatch.setattr(suites, "PARSER_CASES",
+                        [("x1", "x1"), ("x1", "x2"), ("sin(", "sin")])
+    monkeypatch.setattr(suites, "PARSER_ERROR_CASES",
+                        [("sin(", 4), ("sin(", 3), ("x1", 0)])
+    res = suites.run_suite("parser")
+    assert not res["passed"]
+    assert [(c["name"], c["value"]) for c in res["checks"]] == [
+        ("precedence-mismatches", 2.0), ("error-offset-mismatches", 2.0)]
+
+
+def test_unknown_suite_is_a_config_error():
+    with pytest.raises(ConfigError, match=(
+            "^unknown suite 'nope'; choose from transformation-laws, ")):
+        suites.run_suite("nope")
+
+
 # the seed of every suite that draws random fixtures
 SUITE_SEEDS = [101, 202, 303, 505, 1111, 1212]
 # the sizes the suites draw, scalar first
 DRAW_SIZES = [None, 2, 3, (2, 2), (2, 4), (2, 2, 4), (2, 2, 5), (2, 2, 2, 4)]
 
 
-@pytest.mark.parametrize("seed", SUITE_SEEDS + [0, 2 ** 40 + 7, 2 ** 128 - 1])
-def test_fixture_stream_is_numpys_default_rng(seed):
-    """If numpy ever changes the stream of default_rng, it shows here."""
-    ours = suites._DefaultRng(seed)
-    numpys = np.random.default_rng(seed)
+# the first three draws of uniform(0, 1), which are random()'s own
+FIRST_DRAWS = {
+    101: [0.58115213250456466, 0.19475449553413671, 0.96525110706111117],
+    202: [0.76388157446339544, 0.64478075108630639, 0.40943808013995275],
+    303: [0.031657474042347089, 0.96880376145586378, 0.19490559467584401],
+    505: [0.14960684073609387, 0.84431006237428508, 0.28050135327894532],
+    1111: [0.21760077176688164, 0.34438073460308238, 0.64225362346990755],
+    1212: [0.78995677645831663, 0.29996159568611847, 0.28813490713343437],
+}
+
+
+@pytest.mark.parametrize("seed", SUITE_SEEDS)
+def test_fixture_stream_is_pythons_random(seed):
+    """If Python ever changes the stream of random() for an integer seed,
+    it shows here."""
+    assert suites._Rng(seed).uniform(0.0, 1.0, size=3).tolist() == (
+        FIRST_DRAWS[seed])
+    ours, ref = suites._Rng(seed), random.Random(seed)
     for low, high in [(0.3, 1.0), (-0.8, 0.8), (-2.0, 2.0)]:
         for size in DRAW_SIZES:
             a = ours.uniform(low, high, size=size)
-            b = numpys.uniform(low, high, size=size)
             if size is None:
-                assert type(a) is float and a == b
+                assert type(a) is float
             else:
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+                assert a.dtype == np.float64
+                assert a.shape == np.empty(size).shape
+            want = [low + (high - low) * ref.random()
+                    for _ in range(np.size(a))]
+            assert np.ravel(a).tobytes() == np.array(want).tobytes()
 
 
 def test_suites_do_not_import_numpy_random():

@@ -409,10 +409,22 @@ def test_pure_gauge_custom_alpha_closed_form():
     ("sqrt(x1)", "x1", {"x1": 9.0}, 1.0 / 6.0),
     ("ln(x1*x2)", "x2", {"x1": 3.0, "x2": 5.0}, 0.2),
     ("x2", "x1", {"x1": 1.0, "x2": 1.0}, 0.0),
+    ("2*x1 + 3*x1", "x1", {"x1": 0.7}, 5.0),
+    ("x1 - 3", "x1", {"x1": 0.7}, 1.0),
+    ("2*x1 - 3*x1", "x1", {"x1": 0.7}, -1.0),
+    ("sin(x1) - x1^3", "x1", {"x1": 0.5}, math.cos(0.5) - 0.75),
+    ("3*(2*x1)", "x1", {"x1": 0.7}, 6.0),
+    ("x1/1", "x1", {"x1": 0.7}, 1.0),
+    ("x1^1", "x1", {"x1": 0.7}, 1.0),
 ])
 def test_symbolic_derivative_values(source, var, point, expected):
     d = derivative(parse(source), var)
     assert evaluate(d, point) == pytest.approx(expected, rel=1e-12)
+
+
+def test_symbolic_derivative_refuses_a_non_node():
+    with pytest.raises(TypeError, match="cannot differentiate object"):
+        derivative(object(), "x1")
 
 
 def test_symbolic_derivative_round_trips_through_parser():

@@ -8,14 +8,16 @@ it moves and say why.
 The general transport pin was re-recorded when two-index transport began
 contracting G[a, mu] dx^mu/dt on plain floats in index order instead of
 through numpy's matmul, which may fuse multiply-adds: its last bits moved.
+The pin of `check` with every suite was re-recorded when the suites'
+random fixtures moved from numpy's default_rng stream to the standard
+library's random(): every fixture, and so `check`'s stdout, changed.
 Every other pin is unchanged since it was first recorded. The two pins of
 the compiled per-point kernels (a two-index transport with a repeated
 entry that leaves a bounded fibre region, exit 1, and a geodesic on an
 explicit stack with '/', exp and '^') were recorded before those kernels
 existed, on the checked closures they replace; the geodesic that ends
 just inside the sphere's pole bound was recorded before the compiled RK4
-step existed. The pin of `check` with every suite was recorded while the
-suites still drew their random fixtures from numpy.random itself."""
+step existed."""
 
 import contextlib
 import hashlib
@@ -137,7 +139,7 @@ GOLDEN = {
         "b0db2bd97b786228f6fca6e2fc5edf4cb507f3f0f683a1624abc6e6a5795ab2f"),
 }
 # `check` with no suite: all thirteen acceptance suites
-CHECK_ALL = "22dfcb119eac10afd308cdbfbb4f79fda3f3e720f689ca5d932d9da2f41fc737"
+CHECK_ALL = "d4bd1eb2d1471986a8814adcc2a2e1637e3ebb97c7ffbc07612981c92f1980ac"
 # the exit code of a pin that ends in an error line (0 for the others)
 EXIT_CODES = {"transport-general-region-exit": 1}
 # compiled kernels per run: one per state-dependent transport or geodesic,

@@ -94,8 +94,9 @@ def numpy_random_uses(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_package_does_not_use_numpy_random(path):
-    # the suites' fixtures come from suites._DefaultRng; importing
-    # numpy.random would cost every process that runs them about 6 MB
+    # the suites' fixtures come from suites._Rng, on the standard library's
+    # random(); importing numpy.random would cost every process that runs
+    # them about 6 MB
     assert numpy_random_uses(path.read_text(encoding="utf-8")) == []
 
 
@@ -297,9 +298,7 @@ def singularity_sites(source, module):
     return sorted(sites)
 
 
-# the suite's determinant bound draws well-conditioned random matrices; it
-# is not a singularity test
-SINGULARITY_SITES = ["fields.nonsingular", "suites.transformation_laws_suite"]
+SINGULARITY_SITES = ["fields.nonsingular"]
 
 
 def test_singularity_test_lives_in_nonsingular():

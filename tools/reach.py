@@ -2,8 +2,9 @@
 
     python tools/reach.py [pytest arguments]
 
-Runs the tier-1 suite (pytest -q --continue-on-collection-errors, plus
-any arguments given) in this process under a sys.settrace line tracer that
+Runs the tier-1 suite (pytest -q --continue-on-collection-errors, with
+Hypothesis seeded so that two runs draw the same examples, plus any
+arguments given) in this process under a sys.settrace line tracer that
 watches only the files of src/bundleconn, then prints each executable line
 that never ran as `path:line: source`. Executable lines are the line
 starts of every code object compiled from a source file. Lines that no
@@ -67,8 +68,8 @@ def main(argv):
     sys.settrace(tracer)
     try:
         status = pytest.main(["-q", "--continue-on-collection-errors",
-                              "-p", "no:cacheprovider", str(ROOT / "tests"),
-                              *argv])
+                              "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                              str(ROOT / "tests"), *argv])
     finally:
         sys.settrace(None)
         threading.settrace(None)
