@@ -66,7 +66,7 @@ from .morphism import (
     preserves_connection,
     vb_morphism_coeffs,
 )
-from .registry import REGISTRY, _is_finite_number
+from .registry import MAX_DIM, REGISTRY, Example, _is_finite_number
 from .transport import (
     PathSpec,
     covariant_derivative_limit,
@@ -303,9 +303,10 @@ class Problem:
             raise ConfigError("base_dim and fibre_rank are required for "
                               "explicit connection blocks")
         for name, v in (("base_dim", n), ("fibre_rank", r)):
-            if v is not None and (not isinstance(v, int)
-                                  or isinstance(v, bool) or v < 1):
-                raise ConfigError(f"{name} must be a positive integer")
+            if v is not None and (type(v) is not int
+                                  or not 1 <= v <= MAX_DIM):
+                raise ConfigError(f"{name} must be an integer from 1 to "
+                                  f"{MAX_DIM}")
         return n, r
 
     def _build_connection(self, conn):
@@ -316,69 +317,61 @@ class Problem:
         kind = conn.get("kind")
         if not isinstance(kind, str):
             raise ConfigError("connection.kind must be a string")
-        self.aff = None
-        if kind.startswith("registry:"):
+        registry = kind.startswith("registry:")
+        n, r = self._declared_dims(required=not registry)
+        region = self.region
+        if registry:
             params = conn.get("params", {})
             if not isinstance(params, dict):
                 raise ConfigError("connection.params must be an object")
             ex = REGISTRY.build(kind[len("registry:"):], **params)
-            n, r = self._declared_dims(required=False)
             if (n is not None and n != ex.n) or (r is not None and r != ex.r):
                 raise ConfigError(
                     f"registry entry {ex.name!r} has base_dim {ex.n}, "
                     f"fibre_rank {ex.r}; the config declares {n}, {r}")
-            if self.region is not None:
+            if region is not None:
                 log.warning("registry entry %r manages its own region; "
                             "the config region is ignored", ex.name)
-            self.kind = ex.kind
-            self.n, self.r = ex.n, ex.r
-            self.g3, self.g2, self.aff = ex.g3, ex.g2, ex.affine
-            self.region = ex.region
-            return
-        n, r = self._declared_dims(required=True)
-        self.n, self.r = n, r
-        # the config region is over the base; general connections extend it
-        # with unbounded fibre axes unless the config bounds them explicitly
-        if self.region is not None and self.region.dim not in (n, n + r):
+        # the config region is over the base; a two_index block may bound
+        # its fibre axes too, and leaves them unbounded otherwise
+        elif region is not None and region.dim not in (n, n + r):
             raise ConfigError(
                 f"region must list {n} per-axis bounds (base only) or "
-                f"{n + r} (base plus fibre), got {self.region.dim}")
-        if self.region is not None and self.region.dim == n + r:
-            full_region = self.region
-            self.region = Region(self.region.bounds[:n])
-        else:
-            full_region = bundle_region(self.region, r)
-        if kind == "three_index":
-            stacks = _require(conn, "stacks",
-                              "n entries of r x r expression rows")
-            self.g3 = _build(CoefficientField3.from_exprs, stacks,
-                             self.region)
-            self.g2 = TwoIndexField.from_linear(self.g3)
-            self.kind = "linear"
+                f"{n + r} (base plus fibre), got {region.dim}")
         elif kind == "two_index":
             rows = _require(conn, "matrix",
                             "r x n expression rows over x1..xn, u1..ur")
-            self.g2 = _build(TwoIndexField.from_exprs, rows, n, r,
-                             full_region)
-            self.g3 = None
-            self.kind = "general"
-        elif kind == "affine":
-            stacks = _require(conn, "linear",
-                              "n entries of r x r expression rows")
-            inhom = _require(conn, "inhom", "r x n expression rows")
-            self.aff = _build(AffineCoefficients.from_exprs, stacks, inhom,
-                              self.region)
-            self.g3 = self.aff.linear
-            self.g2 = TwoIndexField.from_affine(self.aff)
-            self.kind = "affine"
-        else:
+            if region is not None and region.dim == n:
+                region = bundle_region(region, r)
+            ex = Example(kind, g2=_build(TwoIndexField.from_exprs, rows, n, r,
+                                         region))
+        elif kind not in ("three_index", "affine"):
             raise ConfigError(
                 f"unknown connection kind {kind!r}; expected three_index, "
                 "two_index, affine, or registry:<name>")
-        if self.g3 is not None and (self.g3.n != n or self.g3.r != r):
+        elif region is not None and region.dim != n:
             raise ConfigError(
-                f"connection dimensions ({self.g3.n}, {self.g3.r}) do not "
+                f"only a two_index connection may bound the fibre; the "
+                f"region of a {kind} connection must list {n} per-axis "
+                "bounds (base only)")
+        elif kind == "three_index":
+            stacks = _require(conn, "stacks",
+                              "n entries of r x r expression rows")
+            ex = Example(kind, g3=_build(CoefficientField3.from_exprs, stacks,
+                                         region))
+        else:
+            stacks = _require(conn, "linear",
+                              "n entries of r x r expression rows")
+            inhom = _require(conn, "inhom", "r x n expression rows")
+            ex = Example(kind, affine=_build(AffineCoefficients.from_exprs,
+                                             stacks, inhom, region))
+        if not registry and (ex.n, ex.r) != (n, r):
+            raise ConfigError(
+                f"connection dimensions ({ex.n}, {ex.r}) do not "
                 f"match base_dim {n}, fibre_rank {r}")
+        self.kind, self.n, self.r = ex.kind, ex.n, ex.r
+        self.g3, self.g2, self.aff = ex.g3, ex.g2, ex.affine
+        self.region = ex.region
 
     # -- derived requirements ------------------------------------------------
 

@@ -1,4 +1,6 @@
-"""Built-in example connections used by the tests and the CLI.
+"""Built-in example connections used by the tests and the CLI, and
+`Example`, the one connection record that both these registry entries and
+the CLI's explicit connection blocks build.
 
 Entries: "flat" (zero coefficients), "constant" (constant coefficient
 matrices), "sphere-lc" (Levi-Civita connection of the round 2-sphere in
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,23 +142,36 @@ def derivative(ast, name):
 
 @dataclass
 class Example:
-    """A named connection fixture: either linear (g3 set) or affine
-    (affine set; g3 is its linear part), plus the induced 2-index field."""
+    """The one connection record, built by the registry entries and by the
+    CLI's explicit connection blocks. A source gives what it owns: g3
+    (linear), affine (g3 becomes its linear part) or g2 (general); the
+    record works out the kind, (n, r), the induced g2 and the base region."""
 
     name: str
-    kind: str
-    n: int
-    r: int
-    g3: CoefficientField3
-    g2: TwoIndexField
+    g3: CoefficientField3 | None = None
+    g2: TwoIndexField | None = None
     affine: AffineCoefficients | None = None
-    region: Region | None = None
     gauge: MatrixField | None = None
+    kind: str = field(init=False)
+    n: int = field(init=False)
+    r: int = field(init=False)
+    region: Region | None = field(init=False)
+
+    def __post_init__(self):
+        if self.affine is not None:
+            self.kind, self.g3 = "affine", self.affine.linear
+            self.g2 = TwoIndexField.from_affine(self.affine)
+        elif self.g3 is not None:
+            self.kind, self.g2 = "linear", TwoIndexField.from_linear(self.g3)
+        else:
+            self.kind = "general"
+        self.n, self.r = self.g2.n, self.g2.r
+        bundle = self.g2.region  # over x1..xn, u1..ur: keep the base axes
+        self.region = bundle and Region(bundle.bounds[:self.n])
 
 
 def make_flat(n=2, r=2):
-    g3 = CoefficientField3.zero(n, r)
-    return Example("flat", "linear", n, r, g3, TwoIndexField.from_linear(g3))
+    return Example("flat", g3=CoefficientField3.zero(n, r))
 
 
 def _is_finite_number(v):
@@ -183,10 +198,7 @@ def make_constant(matrices=None):
         raise ConfigError(
             "constant matrices must form an (n, r, r) stack, got shape "
             f"{arr.shape}")
-    n, r = arr.shape[0], arr.shape[1]
-    g3 = CoefficientField3.constant(arr)
-    return Example("constant", "linear", n, r, g3,
-                   TwoIndexField.from_linear(g3))
+    return Example("constant", g3=CoefficientField3.constant(arr))
 
 
 def make_sphere_lc(margin=0.05):
@@ -200,29 +212,25 @@ def make_sphere_lc(margin=0.05):
         [["0", "0"], ["0", "cot(x1)"]],
         [["0", "-sin(x1)*cos(x1)"], ["cot(x1)", "0"]],
     ]
-    g3 = CoefficientField3.from_exprs(stacks, region)
-    return Example("sphere-lc", "linear", 2, 2, g3,
-                   TwoIndexField.from_linear(g3), region=region)
+    return Example("sphere-lc",
+                   g3=CoefficientField3.from_exprs(stacks, region))
 
 
 def make_pure_gauge(alpha="x1*x2", n=2):
     ast = parse(alpha) if isinstance(alpha, str) else alpha
     partials = [derivative(ast, f"x{mu + 1}") for mu in range(n)]
     stacks = [[["0", d], [_neg(d), "0"]] for d in partials]
-    g3 = CoefficientField3.from_exprs(stacks)
     gauge = MatrixField.from_exprs(
         [[Call("cos", (ast,)), _neg(Call("sin", (ast,)))],
          [Call("sin", (ast,)), Call("cos", (ast,))]], base_names(n))
-    return Example("pure-gauge", "linear", n, 2, g3,
-                   TwoIndexField.from_linear(g3), gauge=gauge)
+    return Example("pure-gauge", g3=CoefficientField3.from_exprs(stacks),
+                   gauge=gauge)
 
 
 def make_cartan_flat(n=2):
     linear = CoefficientField3.zero(n, n)
     inhom = MatrixField.constant(np.eye(n), base_names(n))
-    aff = AffineCoefficients(linear, inhom)
-    return Example("cartan-flat", "affine", n, n, linear,
-                   TwoIndexField.from_affine(aff), affine=aff)
+    return Example("cartan-flat", affine=AffineCoefficients(linear, inhom))
 
 
 # ceiling on the size parameters n (base_dim) and r (fibre_rank) of a

@@ -48,6 +48,7 @@ from .fields import (
     MatrixField,
     _FieldArray,
     anholonomy_law,
+    compose_frame,
     fd_partials,
     lie_gamma_law,
 )
@@ -212,11 +213,9 @@ def transformation_laws_suite():
         two_step = transform_three_index(transformed_three_index(g3, fc),
                                          FrameChange(Bb2, Bf2), x,
                                          base_frame=FrameField(Bb))
-        comp_b = MatrixField.from_callable(
-            lambda *pt, A=Bb, B=Bb2: A(pt) @ B(pt), (2, 2), BASE_NAMES)
-        comp_f = MatrixField.from_callable(
-            lambda *pt, A=Bf, B=Bf2: A(pt) @ B(pt), (2, 2), BASE_NAMES)
-        one_step = transform_three_index(g3, FrameChange(comp_b, comp_f), x)
+        one_step = transform_three_index(g3, FrameChange(
+            compose_frame(FrameField(Bb), Bb2).matrix,
+            compose_frame(FrameField(Bf), Bf2).matrix), x)
         worst["6.33"] = max(worst["6.33"], _rel(two_step, one_step))
 
         # inhomogeneous-term law round trip
@@ -510,11 +509,10 @@ def covariantly_constant_suite():
             out = covariant_derivative(pg.g3, F, Y, x)
             worst_i = max(worst_i, float(np.max(np.abs(out))))
 
-    g2 = TwoIndexField.from_linear(pg.g3)
     worst_ii = 0.0
     for x in pts:
         dY = fd_partials(Y, x).T
-        gv = g2((*x, *Y(x)))
+        gv = pg.g2((*x, *Y(x)))
         worst_ii = max(worst_ii, float(np.max(np.abs(dY - gv))))
 
     path = PathSpec(points=[(0.3, 0.2), (0.7, 0.5), (0.4, 0.8)], steps=1000)
@@ -563,20 +561,21 @@ def affine_gap_suite():
 
 
 def morphism_suite():
-    g2 = TwoIndexField.from_linear(make_sphere_lc().g3)
+    sphere = make_sphere_lc()
+    g2 = sphere.g2
     pts = [(0.8, 0.3, 1.0, 0.0), (1.0, 0.6, 0.0, 1.0), (1.2, 0.9, 0.5, 0.5)]
     ident = BundleMorphism.identity(2, 2)
     _, worst_id = preserves_connection(ident, g2, g2, pts)
 
     pg = make_pure_gauge()
-    src = TwoIndexField.from_linear(pg.g3)
+    src = pg.g2
     tgt = TwoIndexField.zero(2, 2)
     gauge_rows = [["cos(x1*x2)", "sin(x1*x2)"],
                   ["-sin(x1*x2)", "cos(x1*x2)"]]
     gauge_m = BundleMorphism.vector(["x1", "x2"], gauge_rows, 2, 2)
     _, worst_gauge = preserves_connection(gauge_m, src, tgt, pts)
 
-    g3s = make_sphere_lc().g3
+    g3s = sphere.g3
     g3t = pg.g3
     m = BundleMorphism.vector(["x1", "x2"], [["1", "x1"], ["x2", "2"]], 2, 2)
     x = (1.1, 0.6)
@@ -585,8 +584,7 @@ def morphism_suite():
     worst_contract = 0.0
     for _ in range(5):
         u = rng.uniform(-2.0, 2.0, size=2)
-        _, block = jacobi_adapted(m, TwoIndexField.from_linear(g3s),
-                                  TwoIndexField.from_linear(g3t), (*x, *u))
+        _, block = jacobi_adapted(m, g2, src, (*x, *u))
         worst_contract = max(worst_contract, float(np.max(np.abs(
             block - np.einsum("bam,a->bm", D, u)))))
 

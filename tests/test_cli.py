@@ -1158,6 +1158,12 @@ MALFORMED_CONFIGS = {
     "grid-30-axes": ("curvature", {
         "connection": {"kind": "registry:flat", "params": {"n": 30}},
         "grid": {"lo": [0.0] * 30, "hi": [1.0] * 30}}),
+    # an explicit block's base_dim and fibre_rank share registry.MAX_DIM
+    "fibre-rank-2-to-the-70-region": ("transport", {
+        **two_index_entry("u1"), "fibre_rank": 2 ** 70,
+        "region": [[0.0, 1.0], [0.0, 1.0]]}),
+    "fibre-rank-10-to-the-6": ("transport", {
+        **two_index_entry("u1"), "fibre_rank": 10 ** 6}),
     # a key no command reads is still echoed under inputs.config
     "unread-key-nan": ("curvature", {
         "connection": "registry:sphere-lc", "point": [1.1, 0.4],
@@ -1190,6 +1196,9 @@ MALFORMED_CONFIGS = {
     "region-three-axes": ("curvature", {
         "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
         "region": [[0.0, 1.0]] * 3,
+        "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
+    "three-index-fibre-bounds": ("transport", {
+        **two_index_entry("u1"), "region": [None, None, [5.0, 6.0], None],
         "connection": {"kind": "three_index", "stacks": CONSTANT_STACKS}}),
     "connection-kind-unknown": ("curvature", {
         "base_dim": 2, "fibre_rank": 2, "point": [0.5, 0.5],
@@ -1238,6 +1247,13 @@ MALFORMED_MESSAGES = {
                                   "fibre_rank 2; the config declares 3, 2",
     "region-three-axes": "region must list 2 per-axis bounds (base only) or "
                          "4 (base plus fibre), got 3",
+    "fibre-rank-2-to-the-70-region": "fibre_rank must be an integer from 1 "
+                                     "to 32",
+    "fibre-rank-10-to-the-6": "fibre_rank must be an integer from 1 to 32",
+    "three-index-fibre-bounds": "only a two_index connection may bound the "
+                                "fibre; the region of a three_index "
+                                "connection must list 2 per-axis bounds "
+                                "(base only)",
     "connection-kind-unknown": "unknown connection kind 'torsion'; expected "
                                "three_index, two_index, affine, or "
                                "registry:<name>",
@@ -1305,6 +1321,42 @@ def test_region_beside_a_registry_connection_is_ignored(tmp_path, capsys):
     warned = json.loads(proc.stdout)
     assert warned["inputs"]["config"].pop("region") == cfg["region"]
     assert warned == plain
+
+
+SPHERE_LC_BLOCK = {
+    "base_dim": 2, "fibre_rank": 2,
+    "region": [[0.05, math.pi - 0.05], None],
+    "connection": {"kind": "three_index", "stacks": [
+        [["0", "0"], ["0", "cot(x1)"]],
+        [["0", "-sin(x1)*cos(x1)"], ["cot(x1)", "0"]]]}}
+CARTAN_FLAT_BLOCK = {
+    "base_dim": 2, "fibre_rank": 2,
+    "connection": {"kind": "affine", "linear": [[["0", "0"], ["0", "0"]]] * 2,
+                   "inhom": [["1", "0"], ["0", "1"]]}}
+SPHERE_TRANSPORT = {"initial": [1.0, 0.0],
+                    "path": {"exprs": ["1 + 0.2*t", "t"], "steps": 50}}
+
+
+@pytest.mark.parametrize("command, block, entry, job", [
+    ("curvature", SPHERE_LC_BLOCK, "sphere-lc", {"point": [1.1, 0.4]}),
+    ("transport", SPHERE_LC_BLOCK, "sphere-lc", SPHERE_TRANSPORT),
+    ("transport", CARTAN_FLAT_BLOCK, "cartan-flat", {
+        "initial": [1.0, 0.0],
+        "path": {"points": [[0.0, 0.0], [1.0, 1.0]], "steps": 40}}),
+], ids=["sphere-lc-curvature", "sphere-lc-transport",
+        "cartan-flat-transport"])
+def test_explicit_block_and_registry_entry_agree(tmp_path, capsys, command,
+                                                 block, entry, job):
+    # a config block that spells out a registry entry builds the same
+    # connection record, so both print the same result and diagnostics
+    printed = []
+    for cfg in ({**block, **job}, {"connection": f"registry:{entry}", **job}):
+        code, payload = run_json(capsys, command, "--config",
+                                 write_config(tmp_path, cfg))
+        assert code == 0
+        printed.append(cli.dumps([payload["result"],
+                                  payload["diagnostics"]]))
+    assert printed[0] == printed[1]
 
 
 def test_cli_warnings_reach_stderr_beside_a_host_root_handler(
