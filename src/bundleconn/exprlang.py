@@ -3,9 +3,11 @@
 Expressions are the universal field representation: connection coefficients,
 frame changes, paths, and sections are all defined by text in the grammar of
 docs/grammar.md. Precedence, loosest to tightest: + - (left), * / (left),
-unary -, ^ (right). Evaluation is strict IEEE double arithmetic: a NaN or
-infinity at any node raises NonFinite instead of propagating. Trees become
-one Program of steps (program): run checks it, ssa_lines prints it as code.
+unary -, ^ (right), one table (_BINDING) for parse and pretty. Evaluation
+is strict IEEE double arithmetic: a NaN or infinity at any node raises
+NonFinite instead of propagating. Trees become one Program of steps
+(program): run checks it, ssa_lines prints it as code; derivative
+differentiates a tree exactly.
 """
 
 from __future__ import annotations
@@ -107,16 +109,24 @@ def _tokenize(source):
     return toks
 
 
+# per operator: its binding level (loosest 1, unary minus 3, atoms 5) and
+# the levels its lhs and rhs need to go without parentheses; the parser
+# reads it for precedence and associativity, pretty for parentheses
+_BINDING = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
+            "^": (4, 5, 3)}
+_UNARY_MINUS = 3
+
+
 class _Parser:
-    """Recursive descent over the token list, one method per grammar rule.
-    Each rule returns (node, depth of its tree); both the tree and the
-    nesting of the descent stop at MAX_DEPTH levels, so parsing and every
-    later walk of the tree recurse a bounded number of times."""
+    """Precedence climbing over the token list, with the levels of
+    _BINDING. Each method returns (node, depth of its tree); both the tree
+    and the nesting of the descent stop at MAX_DEPTH levels, so parsing and
+    every later walk of the tree recurse a bounded number of times."""
 
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
-        self.level = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -132,44 +142,34 @@ class _Parser:
                              "levels", off)
         return depth + 1
 
-    def descend(self, rule, off):
-        """rule() one nesting level down (a parenthesis, a function
+    def descend(self, level, off):
+        """operand(level) one nesting level down (a parenthesis, a function
         argument, the operand of unary minus or the exponent of '^')."""
-        self.level = self.deeper(self.level, off)
-        out = rule()
-        self.level -= 1
+        self.nesting = self.deeper(self.nesting, off)
+        out = self.operand(level)
+        self.nesting -= 1
         return out
 
-    def expr(self):
-        node, depth = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, off = self.advance()
-            rhs, d = self.term()
-            node, depth = BinOp(op, node, rhs), self.deeper(max(depth, d), off)
-        return node, depth
-
-    def term(self):
-        node, depth = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, off = self.advance()
-            rhs, d = self.unary()
-            node, depth = BinOp(op, node, rhs), self.deeper(max(depth, d), off)
-        return node, depth
-
-    def unary(self):
-        if self.peek()[0] == "-":
+    def operand(self, level):
+        """The longest operand whose operators bind at `level` or tighter:
+        a unary minus (_UNARY_MINUS) or an atom, then each infix operator of
+        that level or above with its rhs parsed at the operator's rhs
+        level, so '^' nests to the right and the others to the left."""
+        if level <= _UNARY_MINUS and self.peek()[0] == "-":
             off = self.advance()[2]
-            operand, d = self.descend(self.unary, off)
-            return Neg(operand), self.deeper(d, off)
-        return self.power()
-
-    def power(self):
-        node, depth = self.atom()
-        if self.peek()[0] == "^":
-            off = self.advance()[2]
-            rhs, d = self.descend(self.unary, off)
-            return BinOp("^", node, rhs), self.deeper(max(depth, d), off)
-        return node, depth
+            operand, d = self.descend(_UNARY_MINUS, off)
+            node, depth = Neg(operand), self.deeper(d, off)
+        else:
+            node, depth = self.atom()
+        while True:
+            op, _, off = self.peek()
+            if op not in _BINDING or _BINDING[op][0] < level:
+                return node, depth
+            self.advance()
+            rhs_level = _BINDING[op][2]
+            rhs, d = (self.descend(rhs_level, off) if op == "^"
+                      else self.operand(rhs_level))
+            node, depth = BinOp(op, node, rhs), self.deeper(max(depth, d), off)
 
     def atom(self):
         kind, text, off = self.advance()
@@ -181,10 +181,10 @@ class _Parser:
             if text not in FUNCTION_ARITY:
                 raise ParseError(f"unknown function {text!r}", off)
             self.advance()
-            args = [self.descend(self.expr, off)]
+            args = [self.descend(1, off)]
             while self.peek()[0] == ",":
                 self.advance()
-                args.append(self.descend(self.expr, off))
+                args.append(self.descend(1, off))
             k2, _, off2 = self.advance()
             if k2 != ")":
                 raise ParseError("unbalanced parenthesis, expected ')'", off2)
@@ -196,7 +196,7 @@ class _Parser:
             return (Call(text, tuple(a for a, _ in args)),
                     self.deeper(max(d for _, d in args), off))
         if kind == "(":
-            node = self.descend(self.expr, off)
+            node = self.descend(1, off)
             k2, _, off2 = self.advance()
             if k2 != ")":
                 raise ParseError("unbalanced parenthesis, expected ')'", off2)
@@ -212,7 +212,7 @@ def parse(source):
     deeper than MAX_DEPTH levels."""
     try:
         parser = _Parser(_tokenize(source))
-        node, _ = parser.expr()
+        node, _ = parser.operand(1)
         kind, text, off = parser.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", off)
@@ -220,12 +220,6 @@ def parse(source):
         start = len(source[:exc.offset].encode("utf-8", "surrogatepass"))
         raise ParseError(exc.reason, start) from None
     return node
-
-
-# per operator: its binding level (loosest 1, unary minus 3, atoms 5) and
-# the levels its lhs and rhs need to go without parentheses
-_BINDING = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
-            "^": (4, 5, 3)}
 
 
 def pretty(ast, need=0):
@@ -239,11 +233,123 @@ def pretty(ast, need=0):
     if isinstance(ast, Call):
         return f"{ast.func}({', '.join(pretty(a) for a in ast.args)})"
     if isinstance(ast, Neg):
-        level, text = 3, f"-{pretty(ast.operand, 3)}"
+        level, text = _UNARY_MINUS, f"-{pretty(ast.operand, _UNARY_MINUS)}"
     else:
         level, lhs, rhs = _BINDING[ast.op]
         text = f"{pretty(ast.lhs, lhs)} {ast.op} {pretty(ast.rhs, rhs)}"
     return f"({text})" if level < need else text
+
+
+# exact derivatives of trees (the pure-gauge registry entry's coefficients);
+# the constructors below fold constants to keep the trees small
+
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+
+
+def _is_const(e, v=None):
+    return isinstance(e, Const) and (v is None or e.value == v)
+
+
+def _add(a, b):
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a) and _is_const(b):
+        return Const(a.value + b.value)
+    return BinOp("+", a, b)
+
+
+def _neg(a):
+    if _is_const(a):
+        return Const(-a.value)
+    if isinstance(a, Neg):
+        return a.operand
+    return Neg(a)
+
+
+def _sub(a, b):
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a) and _is_const(b):
+        return Const(a.value - b.value)
+    if _is_const(a, 0.0):
+        return _neg(b)
+    return BinOp("-", a, b)
+
+
+def _mul(a, b):
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return _ZERO
+    if _is_const(a, 1.0):
+        return b
+    if _is_const(b, 1.0):
+        return a
+    if _is_const(a) and _is_const(b):
+        return Const(a.value * b.value)
+    return BinOp("*", a, b)
+
+
+def _div(a, b):
+    if _is_const(a, 0.0):
+        return _ZERO
+    if _is_const(b, 1.0):
+        return a
+    return BinOp("/", a, b)
+
+
+def _pow(a, b):
+    if _is_const(b, 1.0):
+        return a
+    if _is_const(b, 0.0):
+        return _ONE
+    return BinOp("^", a, b)
+
+
+def derivative(ast, name):
+    """Exact derivative of an expression AST with respect to one variable."""
+    if isinstance(ast, Const):
+        return _ZERO
+    if isinstance(ast, Var):
+        return _ONE if ast.name == name else _ZERO
+    if isinstance(ast, Neg):
+        return _neg(derivative(ast.operand, name))
+    if isinstance(ast, BinOp):
+        a, b = ast.lhs, ast.rhs
+        da, db = derivative(a, name), derivative(b, name)
+        if ast.op == "+":
+            return _add(da, db)
+        if ast.op == "-":
+            return _sub(da, db)
+        if ast.op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if ast.op == "/":
+            return _sub(_div(da, b), _div(_mul(a, db), _pow(b, Const(2.0))))
+        if ast.op == "^":
+            if _is_const(b):
+                return _mul(_mul(b, _pow(a, Const(b.value - 1.0))), da)
+            return _mul(_pow(a, b),
+                        _add(_mul(db, Call("ln", (a,))),
+                             _div(_mul(b, da), a)))
+    if isinstance(ast, Call):
+        if ast.func == "pow":
+            return derivative(BinOp("^", ast.args[0], ast.args[1]), name)
+        (arg,) = ast.args
+        da = derivative(arg, name)
+        outer = {
+            "sin": lambda: Call("cos", (arg,)),
+            "cos": lambda: _neg(Call("sin", (arg,))),
+            "tan": lambda: _div(_ONE, _pow(Call("cos", (arg,)), Const(2.0))),
+            "cot": lambda: _neg(_div(_ONE, _pow(Call("sin", (arg,)),
+                                                Const(2.0)))),
+            "exp": lambda: Call("exp", (arg,)),
+            "ln": lambda: _div(_ONE, arg),
+            "sqrt": lambda: _div(Const(0.5), Call("sqrt", (arg,))),
+            "abs": lambda: _div(arg, Call("abs", (arg,))),
+        }[ast.func]()
+        return _mul(outer, da)
+    raise TypeError(f"cannot differentiate {type(ast).__name__}")
 
 
 def _cot(x):

@@ -17,7 +17,8 @@ import re
 
 import numpy as np
 
-from .errors import DomainExit, EngineError, NonFinite, SingularFrame
+from .errors import (ConfigError, DomainExit, EngineError, NonFinite,
+                     SingularFrame)
 from .exprlang import (BATCH_GLOBALS, KERNEL_GLOBALS, Code, Const, ExprAst,
                        parse, program, run, ssa_lines)
 
@@ -406,8 +407,9 @@ class TensorField(_FieldArray):
 
 def fd_partial(f, x, axis, h=None, rel=FD_STEP_FIRST):
     """Central difference (f(x + h e) - f(x - h e)) / 2h of a scalar or
-    array field along one axis, NonFinite unless finite. Default step
-    h = rel * max(1, |x_axis|): FD_STEP_FIRST for first derivatives,
+    array field along one axis, NonFinite unless finite, ConfigError if
+    x + h or x - h rounds to x. Default step h = rel * max(1, |x_axis|)
+    (never rounds away): FD_STEP_FIRST for first derivatives,
     FD_STEP_NESTED for the outer derivative of a nested stencil."""
     if h is None:
         h = rel * max(1.0, abs(float(x[axis])))
@@ -416,9 +418,14 @@ def fd_partial(f, x, axis, h=None, rel=FD_STEP_FIRST):
     xp[axis] += h
     xm[axis] -= h
     quotient = (f(xp) - f(xm)) / (2.0 * h)
+    point = tuple(float(c) for c in x)
     if not np.isfinite(quotient).all():
         raise NonFinite(f"non-finite difference quotient along axis {axis} "
-                        f"at {tuple(float(c) for c in x)}")
+                        f"at {point}")
+    if point[axis] in (xp[axis], xm[axis]):
+        raise ConfigError(f"finite-difference step {h!r} vanishes along "
+                          f"axis {axis} at {point}: x + h or x - h rounds "
+                          "to x")
     return quotient
 
 
@@ -435,9 +442,9 @@ def fd_partials_at(f, points, h=None, rel=FD_STEP_FIRST):
     and the field there: (D[k, i] = d f / d x^i, f at points[k]). One
     f.values call takes every stencil row, each point's in fd_partial's
     order (+h e_0, -h e_0, ..., then the point) with its own steps, so the
-    numbers are fd_partials' bit for bit. On an EngineError or a non-finite
-    quotient the per-point loop runs instead, so the first error and its
-    message are the per-point ones."""
+    numbers are fd_partials' bit for bit. On an EngineError, a non-finite
+    quotient or a step that rounds away the per-point loop runs instead,
+    so the first error and its message are the per-point ones."""
     K, n = points.shape
     steps = (rel * np.maximum(1.0, np.abs(points)) if h is None
              else np.full(points.shape, float(h)))
@@ -445,13 +452,14 @@ def fd_partials_at(f, points, h=None, rel=FD_STEP_FIRST):
     axes = np.arange(n)
     rows[:, 2 * axes, axes] += steps
     rows[:, 2 * axes + 1, axes] -= steps
+    vanished = ((points + steps == points) | (points - steps == points)).any()
     try:
         vals = f.values(rows.reshape(-1, n)).reshape(
             (K, 2 * n + 1) + f.shape)
         with np.errstate(all="ignore"):
             D = (vals[:, :-1:2] - vals[:, 1::2]) / (2.0 * steps).reshape(
                 (K, n) + (1,) * len(f.shape))
-        if np.isfinite(D).all():
+        if np.isfinite(D).all() and not vanished:
             return D, vals[:, -1]
     except EngineError:     # the loop below raises the first in its order
         pass

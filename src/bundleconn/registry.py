@@ -19,126 +19,8 @@ import numpy as np
 
 from .connection import AffineCoefficients, CoefficientField3, TwoIndexField
 from .errors import ConfigError
-from .exprlang import BinOp, Call, Const, Neg, Var, parse
+from .exprlang import Call, _neg, derivative, parse
 from .fields import MatrixField, Region, base_names
-
-# ---------------------------------------------------------------------------
-# A tiny symbolic differentiator over the expression AST, so registry
-# entries can expose exact closed-form coefficient expressions for any
-# user-supplied source expression. Smart constructors fold constants to
-# keep the printed results readable.
-
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
-
-
-def _is_const(e, v=None):
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
-def _add(a, b):
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    return BinOp("+", a, b)
-
-
-def _neg(a):
-    if _is_const(a):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.operand
-    return Neg(a)
-
-
-def _sub(a, b):
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(a, 0.0):
-        return _neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    return BinOp("*", a, b)
-
-
-def _div(a, b):
-    if _is_const(a, 0.0):
-        return _ZERO
-    if _is_const(b, 1.0):
-        return a
-    return BinOp("/", a, b)
-
-
-def _pow(a, b):
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(b, 0.0):
-        return _ONE
-    return BinOp("^", a, b)
-
-
-def derivative(ast, name):
-    """Exact derivative of an expression AST with respect to one variable."""
-    if isinstance(ast, Const):
-        return _ZERO
-    if isinstance(ast, Var):
-        return _ONE if ast.name == name else _ZERO
-    if isinstance(ast, Neg):
-        return _neg(derivative(ast.operand, name))
-    if isinstance(ast, BinOp):
-        a, b = ast.lhs, ast.rhs
-        da, db = derivative(a, name), derivative(b, name)
-        if ast.op == "+":
-            return _add(da, db)
-        if ast.op == "-":
-            return _sub(da, db)
-        if ast.op == "*":
-            return _add(_mul(da, b), _mul(a, db))
-        if ast.op == "/":
-            return _sub(_div(da, b), _div(_mul(a, db), _pow(b, Const(2.0))))
-        if ast.op == "^":
-            if _is_const(b):
-                return _mul(_mul(b, _pow(a, Const(b.value - 1.0))), da)
-            return _mul(_pow(a, b),
-                        _add(_mul(db, Call("ln", (a,))),
-                             _div(_mul(b, da), a)))
-    if isinstance(ast, Call):
-        if ast.func == "pow":
-            return derivative(BinOp("^", ast.args[0], ast.args[1]), name)
-        (arg,) = ast.args
-        da = derivative(arg, name)
-        outer = {
-            "sin": lambda: Call("cos", (arg,)),
-            "cos": lambda: _neg(Call("sin", (arg,))),
-            "tan": lambda: _div(_ONE, _pow(Call("cos", (arg,)), Const(2.0))),
-            "cot": lambda: _neg(_div(_ONE, _pow(Call("sin", (arg,)),
-                                                Const(2.0)))),
-            "exp": lambda: Call("exp", (arg,)),
-            "ln": lambda: _div(_ONE, arg),
-            "sqrt": lambda: _div(Const(0.5), Call("sqrt", (arg,))),
-            "abs": lambda: _div(arg, Call("abs", (arg,))),
-        }[ast.func]()
-        return _mul(outer, da)
-    raise TypeError(f"cannot differentiate {type(ast).__name__}")
-
-
-# ---------------------------------------------------------------------------
-
 
 @dataclass
 class Example:

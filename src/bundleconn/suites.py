@@ -48,6 +48,7 @@ from .fields import (
     MatrixField,
     _FieldArray,
     anholonomy_law,
+    as_section,
     compose_frame,
     fd_partials,
     lie_gamma_law,
@@ -274,26 +275,19 @@ def _triangle(g3, g2, rng):
 
 def covd_triangle_suite():
     rng = _Rng(303)
-    worst = {"lin-4.37-vs-4.38": 0.0, "lin-4.37-vs-4.32": 0.0,
-             "lin-4.38-vs-4.32": 0.0, "aff-4.37-vs-4.38": 0.0,
-             "aff-4.37-vs-4.32": 0.0, "aff-4.38-vs-4.32": 0.0}
-    for _ in range(10):
-        g3 = _rand_g3(rng)
-        ab, ac, bc = _triangle(g3, TwoIndexField.from_linear(g3), rng)
-        worst["lin-4.37-vs-4.38"] = max(worst["lin-4.37-vs-4.38"], ab)
-        worst["lin-4.37-vs-4.32"] = max(worst["lin-4.37-vs-4.32"], ac)
-        worst["lin-4.38-vs-4.32"] = max(worst["lin-4.38-vs-4.32"], bc)
-    for _ in range(10):
-        lin = _rand_g3(rng)
-        aff = AffineCoefficients(lin, _rand_inhom(rng))
-        # the hatted route runs on the affine connection itself; the other
-        # two run on its linear part, which carries the same derivative
-        ab, ac, bc = _triangle(lin, TwoIndexField.from_affine(aff), rng)
-        worst["aff-4.37-vs-4.38"] = max(worst["aff-4.37-vs-4.38"], ab)
-        worst["aff-4.37-vs-4.32"] = max(worst["aff-4.37-vs-4.32"], ac)
-        worst["aff-4.38-vs-4.32"] = max(worst["aff-4.38-vs-4.32"], bc)
     eqs = {"4.37-vs-4.38": "4.38", "4.37-vs-4.32": "4.32, 4.36",
            "4.38-vs-4.32": "4.32, 4.36"}
+    worst = {}
+    for kind in ("lin",) * 10 + ("aff",) * 10:
+        g3 = _rand_g3(rng)
+        # the hatted route runs on the affine connection itself; the other
+        # two run on its linear part, which carries the same derivative
+        g2 = (TwoIndexField.from_linear(g3) if kind == "lin" else
+              TwoIndexField.from_affine(
+                  AffineCoefficients(g3, _rand_inhom(rng))))
+        for pair, err in zip(eqs, _triangle(g3, g2, rng)):
+            key = f"{kind}-{pair}"
+            worst[key] = max(worst.get(key, 0.0), err)
     checks = [_check(name, eqs[name.split("-", 1)[1]], err, 1e-5)
               for name, err in worst.items()]
     return _result(3, "covd-oracle-triangle", checks)
@@ -304,32 +298,18 @@ def covd_triangle_suite():
 
 
 def curvature_commutator_suite():
-    g3c = CoefficientField3.constant(CONSTANT_STACK)
-    x = (0.3, 0.6)
-    F, G = [1.0, 0.0], [0.0, 1.0]
-    Y = ["x1", "x2"]
-    oracle = curvature_commutator_oracle(g3c, F, G, Y, x)
-    R = curvature(g3c, x)
-    contraction = np.einsum("abmn,b,m,n->a", R, np.array(x),
-                            np.array(F), np.array(G))
-    exact_err = float(np.max(np.abs(oracle - contraction)))
-
-    g3s = make_sphere_lc().g3
-    xs = (1.1, 0.4)
-    Fs, Gs = ["0.8", "x2"], ["x1", "-0.5"]
-    Ys = ["sin(x2)", "x1"]
-    oracle_s = curvature_commutator_oracle(g3s, Fs, Gs, Ys, xs)
-    Rs = curvature(g3s, xs)
-    contraction_s = np.einsum("abmn,b,m,n->a", Rs,
-                              np.array([math.sin(xs[1]), xs[0]]),
-                              np.array([0.8, xs[1]]),
-                              np.array([xs[0], -0.5]))
-    sphere_err = float(np.max(np.abs(oracle_s - contraction_s)))
-
-    checks = [
-        _check("constant-stack-exact", "4.44, 4.45", exact_err, 1e-10),
-        _check("sphere", "4.44, 4.45", sphere_err, 1e-5),
-    ]
+    checks = []
+    for name, g3, x, F, G, Y, bound in [
+            ("constant-stack-exact",
+             CoefficientField3.constant(CONSTANT_STACK), (0.3, 0.6),
+             [1.0, 0.0], [0.0, 1.0], ["x1", "x2"], 1e-10),
+            ("sphere", make_sphere_lc().g3, (1.1, 0.4), ["0.8", "x2"],
+             ["x1", "-0.5"], ["sin(x2)", "x1"], 1e-5)]:
+        oracle = curvature_commutator_oracle(g3, F, G, Y, x)
+        Yv, Fv, Gv = (as_section(V, BASE_NAMES)(x) for V in (Y, F, G))
+        contraction = np.einsum("abmn,b,m,n->a", curvature(g3, x), Yv, Fv, Gv)
+        err = float(np.max(np.abs(oracle - contraction)))
+        checks.append(_check(name, "4.44, 4.45", err, bound))
     return _result(4, "curvature-commutator", checks)
 
 

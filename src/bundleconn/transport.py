@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, StepCountTooSmall
+from .errors import ConfigError, NonFinite, StepCountTooSmall
 from .fields import _FieldArray, as_section, base_names
 
 MIN_STEPS = 8
@@ -118,6 +118,11 @@ def _expr_grid(path):
         raise NonFinite("non-finite path parameter span")
     hv = span / (64.0 * N)
     tgrid = t0 + span * np.arange(2 * N + 1) / (2.0 * N)
+    collapsed = np.flatnonzero((tgrid + hv == tgrid) | (tgrid - hv == tgrid))
+    if collapsed.size:
+        raise ConfigError(f"path velocity step {hv!r} vanishes at t = "
+                          f"{float(tgrid[collapsed[0]])!r}: t + h or t - h "
+                          "rounds to t")
     pos = path.exprs.values(tgrid[:, None])
     vel = np.empty_like(pos)
     # in runs of nodes, t + hv and t - hv interleaved node by node, so a
@@ -300,10 +305,12 @@ def _linear_rhs_matrices(g3, grid, nodes):
 
 
 def _transport_linear_system(g3, grid, y0, gvecs=None):
+    # a matrix state is the fundamental solution, so it needs gvecs = 0
     r, shape = g3.r, np.shape(y0)
-    if shape not in ((r,), (r, r)):
-        raise ValueError(f"initial value of shape {shape}, expected ({r},) "
-                         f"or ({r}, {r})")
+    shapes = ((r,),) if gvecs is not None else ((r,), (r, r))
+    if shape not in shapes:
+        raise ValueError(f"initial value of shape {shape}, expected "
+                         + " or ".join(map(str, shapes)))
     if gvecs is None:       # one zero row, read at every node
         gvecs = np.broadcast_to(np.zeros(r), (len(grid.pos), r))
 

@@ -29,7 +29,7 @@ from bundleconn.connection import (
     bundle_names,
     transform_three_index,
 )
-from bundleconn.errors import DomainExit, NonFinite, NotFlat
+from bundleconn.errors import ConfigError, DomainExit, NonFinite, NotFlat
 from bundleconn.fields import (
     FD_STEP_NESTED,
     FrameField,
@@ -568,6 +568,19 @@ def test_lattice_quotient_overflow_comes_before_a_later_stencil(good):
     with np.errstate(all="ignore"):
         with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
             curvatures(g3, points)
+
+
+@pytest.mark.parametrize("good", [2, 30])
+def test_lattice_step_that_rounds_away_is_the_per_point_error(good):
+    # at phi = 1e12 the step 1e-5 is below half the float spacing, so
+    # phi +- h == phi: a zero quotient, refused at that point and axis
+    # (with 30 points ahead, the rows run as a compiled batch first)
+    points = [(1.0 + 0.02 * i, 0.3) for i in range(good)] + [
+        (1.0, 1e12), (3.5, 0.0)]
+    message = ("finite-difference step 1e-05 vanishes along axis 1 at "
+               "(1.0, 1000000000000.0): x + h or x - h rounds to x")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        curvatures(make_sphere_lc().g3, points, 1e-5)
 
 
 def test_flat_fundamental_zero():

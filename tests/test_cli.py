@@ -1115,6 +1115,19 @@ MALFORMED_CONFIGS = {
     "fd-step-zero": ("curvature", {
         "connection": "registry:sphere-lc", "point": [1.1, 0.4],
         "fd_step": 0}),
+    # a step below half the float spacing at the point: x +- h == x
+    "fd-step-vanishes-curvature": ("curvature", {
+        "connection": "registry:sphere-lc", "point": [1.0, 0.5],
+        "fd_step": 1e-17}),
+    "fd-step-vanishes-covd": ("covd", {
+        "connection": "registry:sphere-lc", "point": [1.0, 0.5],
+        "fd_step": 1e-17, "direction": [1.0, 0.3],
+        "section": ["x1", "sin(x2)"]}),
+    # the velocity stencil's 1/4096 is below half the spacing near 1e15
+    "path-velocity-step-vanishes": ("transport", {
+        "connection": "registry:sphere-lc", "initial": [1.0, 0.0],
+        "path": {"exprs": ["1.0 + 0.3*sin(t - 1e15)", "t - 1e15"],
+                 "t0": 1e15, "t1": 1e15 + 1, "steps": 64}}),
     "point-nan": ("curvature", {
         "connection": "registry:sphere-lc", "point": [math.nan, 0.4]}),
     "base-dim-null": ("curvature", {
@@ -1250,6 +1263,15 @@ MALFORMED_MESSAGES = {
     "fibre-rank-2-to-the-70-region": "fibre_rank must be an integer from 1 "
                                      "to 32",
     "fibre-rank-10-to-the-6": "fibre_rank must be an integer from 1 to 32",
+    "fd-step-vanishes-curvature": "finite-difference step 1e-17 vanishes "
+                                  "along axis 0 at (1.0, 0.5): x + h or "
+                                  "x - h rounds to x",
+    "fd-step-vanishes-covd": "finite-difference step 1e-17 vanishes along "
+                             "axis 0 at (1.0, 0.5): x + h or x - h rounds "
+                             "to x",
+    "path-velocity-step-vanishes": "path velocity step 0.000244140625 "
+                                   "vanishes at t = 1000000000000000.0: "
+                                   "t + h or t - h rounds to t",
     "three-index-fibre-bounds": "only a two_index connection may bound the "
                                 "fibre; the region of a three_index "
                                 "connection must list 2 per-axis bounds "

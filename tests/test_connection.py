@@ -21,14 +21,13 @@ from bundleconn.connection import (
     two_index_from_linear,
 )
 from bundleconn.errors import ConfigError, DomainExit, SingularJacobian
-from bundleconn.exprlang import evaluate, parse, pretty
+from bundleconn.exprlang import derivative, evaluate, parse, pretty
 from bundleconn.fields import FrameField, MatrixField
 from bundleconn.morphism import BundleMorphism, adapted_frame_matrix
 from bundleconn.registry import (
     MAX_DIM,
     REGISTRY,
     _is_finite_number,
-    derivative,
     make_cartan_flat,
     make_constant,
     make_pure_gauge,
@@ -397,7 +396,7 @@ def test_pure_gauge_custom_alpha_closed_form():
     assert stack[1, 0, 1] == pytest.approx(2.0 * (-0.8), abs=1e-14)
 
 
-# --- symbolic derivative helper -------------------------------------------------
+# --- exprlang.derivative, the exact derivative of a tree ---------------------
 
 @pytest.mark.parametrize("source,var,point,expected", [
     ("x1^3", "x1", {"x1": 2.0}, 12.0),

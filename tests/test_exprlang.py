@@ -273,6 +273,7 @@ DEPTH_CASES = {
     "parentheses": (lambda d: "(" * d + "x1" + ")" * d, MAX_DEPTH),
     "unary-minus": (lambda d: "-" * d + "x1", MAX_DEPTH),
     "plus-chain": (lambda d: "+".join(["x1"] * (d + 1)), 3 * MAX_DEPTH - 1),
+    "times-chain": (lambda d: "*".join(["x1"] * (d + 1)), 3 * MAX_DEPTH - 1),
     "power-chain": (lambda d: "x1^" * d + "2", 3 * MAX_DEPTH + 2),
     "calls": (lambda d: "sin(" * d + "x1" + ")" * d, 4 * MAX_DEPTH),
 }

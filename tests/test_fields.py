@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from bundleconn.calculus import curvature
 from bundleconn.errors import (
+    ConfigError,
     DomainExit,
     EngineError,
     NonFinite,
@@ -121,6 +122,17 @@ def test_fd_partial_domain_exit_on_stencil():
     f = ScalarField("x1", ("x1",), region)
     with pytest.raises(DomainExit):
         fd_partial(f, (1e-7,), 0)
+
+
+@pytest.mark.parametrize("h", [1e-17, 1e-16])
+def test_fd_partial_refuses_a_step_that_rounds_away(h):
+    # 1 + 1e-17 and 1 - 1e-17 are both 1.0; 1 + 1e-16 is 1.0 while
+    # 1 - 1e-16 is not: either way the quotient would be wrong, not 1
+    f = ScalarField("x1", ("x1",))
+    with pytest.raises(ConfigError, match=f"^finite-difference step {h!r} "
+                       r"vanishes along axis 0 at \(1.0,\)"):
+        fd_partial(f, (1.0,), 0, h)
+    assert fd_partial(f, (1.0,), 0, 1e-15) != 0.0
 
 
 def test_scalar_field_from_callable_checks_finiteness():

@@ -431,8 +431,8 @@ def test_second_code_generator_is_reported():
 TREE_NODES = {"BinOp", "Neg", "Call"}
 # renderers and rewriters of trees, and the one walk that turns a tree into
 # code (exprlang.program: run interprets it, ssa_lines prints it)
-TREE_WALKERS = ["exprlang.pretty", "exprlang.program.walk", "registry._neg",
-                "registry.derivative", "suites._sexpr"]
+TREE_WALKERS = ["exprlang._neg", "exprlang.derivative", "exprlang.pretty",
+                "exprlang.program.walk", "suites._sexpr"]
 
 
 def tree_dispatch_sites(source, module):

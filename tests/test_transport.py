@@ -19,7 +19,8 @@ from bundleconn.connection import (
     TwoIndexField,
     base_names,
 )
-from bundleconn.errors import DomainExit, NonFinite, StepCountTooSmall
+from bundleconn.errors import (ConfigError, DomainExit, NonFinite,
+                               StepCountTooSmall)
 from bundleconn.exprlang import Const
 from bundleconn.fields import MatrixField, Region, ScalarField, _FieldArray
 from bundleconn.registry import make_pure_gauge, make_sphere_lc
@@ -167,12 +168,19 @@ def test_general_matches_linear_for_linear_connection():
 
 # --- linear transport -------------------------------------------------------------
 
-@pytest.mark.parametrize("shape", [(), (3,), (3, 2), (2, 3)],
-                         ids=["0-d", "r+1", "r+1-by-r", "r-by-r+1"])
-@pytest.mark.parametrize("kind", ["linear", "affine"])
+SHAPE_IDS = {(): "0-d", (3,): "r+1", (3, 2): "r+1-by-r", (2, 3): "r-by-r+1",
+             (2, 2): "r-by-r"}
+WRONG_SHAPES = ([("linear", shape) for shape in [(), (3,), (3, 2), (2, 3)]]
+                + [("affine", shape) for shape in SHAPE_IDS])
+
+
+@pytest.mark.parametrize("kind, shape", WRONG_SHAPES,
+                         ids=[f"{kind}-{SHAPE_IDS[shape]}"
+                              for kind, shape in WRONG_SHAPES])
 def test_initial_value_of_the_wrong_shape_is_refused(kind, shape,
                                                      monkeypatch):
-    # r = 2 takes (2,) or (2, 2), checked once before the first step
+    # r = 2: linear transport takes (2,) or (2, 2), affine transport (2,)
+    # only, checked once before the first step
     monkeypatch.setattr(transport, "_rk4", None)
     path = PathSpec(points=[[0.3, 0.4], [1.1, 0.2]], steps=16)
     y0 = np.ones(shape)
@@ -182,8 +190,9 @@ def test_initial_value_of_the_wrong_shape_is_refused(kind, shape,
                              y0)
         else:
             transport_affine(affine_fixture(), path, y0)
+    expected = "(2,) or (2, 2)" if kind == "linear" else "(2,)"
     assert str(info.value) == (f"initial value of shape {shape}, expected "
-                               f"(2,) or (2, 2)")
+                               f"{expected}")
 
 
 def test_dot_is_the_bits_of_matmul():
@@ -489,6 +498,24 @@ def test_expr_path_velocity_fails_at_its_first_failing_node(pole, log_zero,
     path.exprs.values(nodes[:, None])           # every node is fine
     with pytest.raises(NonFinite, match=f"^{message}$"):
         _grid(path)
+
+
+@pytest.mark.parametrize("t0, span, first", [
+    (1e15, 1.0, "t = 1000000000000000.0"),
+    # below 2^42 the step is above half the float spacing, from 2^42 below
+    (2.0 ** 42 - 0.75, 1.5, "t = 4398046511104.0"),
+])
+def test_expr_path_velocity_step_that_rounds_away_is_refused(t0, span,
+                                                             first):
+    # t +- hv == t would make every velocity there 0, and transport would
+    # stand still; the first such node is named
+    hv = span / (64.0 * 64)
+    path = PathSpec(exprs=["1.0 + 0.3*sin(t)", "t"],
+                    interval=(t0, t0 + span), steps=64)
+    with pytest.raises(ConfigError, match=(
+            f"^path velocity step {hv!r} vanishes at {first}: t \\+ h or "
+            "t - h rounds to t$")):
+        transport_linear(make_sphere_lc().g3, path, [1.0, 0.0])
 
 
 def test_expr_path_grid_memory_peak():
